@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .coding import (
 from .commonparts import additive_common_search, gkw_mutual, gkw_pairwise
 from .gfcore import verify_image_probability
 from .macfb import FBConfig, ptp_simulation, run_fb_simulation, structure_necessity_probe
-from .probcore import ConditionalPMF, JointPMF, marginalize
+from .probcore import ConditionalPMF, JointPMF, binary_entropy, marginalize
 from .regions import (
     CES2Dist,
     FactorizationError,
@@ -85,12 +84,6 @@ class _Emission:
     json_obj: dict
     plot: list[tuple[float, float]] | None = None
     exit_code: int = 0
-
-
-def _hb(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def _norm(rows: np.ndarray) -> np.ndarray:
@@ -311,7 +304,7 @@ def _region_macfb(args):
     )
     dist = MacFBDist(2, p_u, x_conds)
     w_laws = (np.array([0.7, 0.3]), np.array([0.6, 0.4]), np.array([0.9, 0.1]))
-    rates = tuple(args.alpha * _hb(float(w[1])) for w in w_laws)
+    rates = tuple(args.alpha * binary_entropy(float(w[1])) for w in w_laws)
     channel = build_quaternary_channel(args.delta)
     rep = eval_macfb(rates, args.alpha, dist, channel, w_laws=w_laws)
     return rep, {"alpha": args.alpha, "delta": args.delta, "seed": args.seed, "rates": list(rates)}

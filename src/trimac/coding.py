@@ -711,7 +711,7 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Dense joint distributions over named finite axes, and their information measures.
 
-A JointPMF is a numpy tensor with one named axis per variable.  All region
-evaluations in this package reduce to building one joint tensor by chaining
-conditionals and then reading entropies off marginals.  Tensors are capped at
-1e8 cells; axis names are unique per tensor; all masses are validated at
-construction.
+A JointPMF is a numpy tensor with one named axis per variable; a
+ConditionalPMF is one factor of a law, P(targets | givens).  `chain_all`
+multiplies an ordered list of conditionals out into one tensor, but the
+region evaluators keep large laws factored and read each entropy off a
+marginal contracted from the factors it needs.  Tensors are capped at 1e8
+cells, checked before anything is allocated; axis names are unique per
+tensor; all masses are validated at construction.
 
 Entropies are in bits throughout, with the 0 log 0 = 0 convention.
 """
@@ -27,6 +29,8 @@ __all__ = [
     "binary_entropy_inverse",
     "tv_distance",
     "chain",
+    "chain_all",
+    "check_cells",
     "push_forward",
     "marginalize",
     "add_derived_axis",
@@ -67,6 +71,13 @@ def _norm_axes(axes) -> tuple[tuple[str, Alphabet], ...]:
     return tuple(out)
 
 
+def check_cells(shape) -> None:
+    """Raise before a tensor of this shape would pass the MAX_CELLS cap."""
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise ValueError(f"{cells} cells exceeds the {MAX_CELLS} dense-tensor cap")
+
+
 def _norm_names(names) -> tuple[str, ...]:
     if isinstance(names, str):
         return (names,)
@@ -78,10 +89,9 @@ class JointPMF:
 
     def __init__(self, axes, probs):
         self.axes = _norm_axes(axes)
+        self.names = tuple(n for n, _ in self.axes)
         shape = tuple(a.size for _, a in self.axes)
-        cells = int(np.prod([*shape, 1], dtype=np.int64))
-        if cells > MAX_CELLS:
-            raise ValueError(f"{cells} cells exceeds the {MAX_CELLS} dense-tensor cap")
+        check_cells(shape)
         p = np.array(probs, dtype=np.float64, copy=True).reshape(shape)
         if p.size and p.min() < 0.0:
             raise ValueError("negative probability mass")
@@ -92,9 +102,15 @@ class JointPMF:
         p.flags.writeable = False
         self.probs = p
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.axes)
+    @classmethod
+    def _wrap(cls, axes, probs: np.ndarray) -> "JointPMF":
+        """A tensor already known to be a law (a law times a conditional): no copy, no checks."""
+        self = cls.__new__(cls)
+        self.axes = _norm_axes(axes)
+        self.names = tuple(n for n, _ in self.axes)
+        probs.flags.writeable = False
+        self.probs = probs
+        return self
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -171,13 +187,7 @@ class ConditionalPMF:
 def marginalize(p: JointPMF, keep) -> JointPMF:
     """Marginal joint over `keep`, axes in the requested order."""
     keep = _norm_names(keep)
-    idx = [p.axis_index(n) for n in keep]
-    drop = tuple(i for i in range(len(p.axes)) if i not in idx)
-    m = p.probs.sum(axis=drop) if drop else p.probs
-    kept_in_orig = [i for i in range(len(p.axes)) if i not in drop]
-    perm = [kept_in_orig.index(i) for i in idx]
-    m = np.transpose(m, axes=perm)
-    return JointPMF([p.axes[i] for i in idx], m)
+    return JointPMF([p.axes[p.axis_index(n)] for n in keep], p.marginal_array(keep))
 
 
 def entropy(p: JointPMF, axes=None) -> float:
@@ -270,6 +280,7 @@ def chain(base: JointPMF, cond: ConditionalPMF) -> JointPMF:
         if base.alphabet(name).size != alpha.size:
             raise ValueError(f"axis {name!r} size mismatch between base and conditional")
     t_shape = tuple(a.size for _, a in cond.target_axes)
+    check_cells(base.shape + t_shape)
     # Align cond.table to base's axis order, singleton for non-given axes.
     given = cond.given_names
     perm = sorted(range(len(given)), key=lambda i: base.axis_index(given[i]))
@@ -282,7 +293,29 @@ def chain(base: JointPMF, cond: ConditionalPMF) -> JointPMF:
     )
     tab = tab.reshape(aligned_shape + t_shape)
     out = base.probs.reshape(base.shape + (1,) * len(t_shape)) * tab
-    return JointPMF(base.axes + cond.target_axes, out)
+    return JointPMF._wrap(base.axes + cond.target_axes, out)
+
+
+def chain_all(factors) -> JointPMF:
+    """Joint law of conditionals listed givens first, chained in order.
+
+    The cell cap is checked on the whole product before anything is allocated.
+    """
+    first, *rest = factors
+    check_cells([a.size for f in (first, *rest) for _, a in f.target_axes])
+    joint = JointPMF(first.target_axes, first.table)
+    for cond in rest:
+        joint = chain(joint, cond)
+    return joint
+
+
+def _cellwise(fn, grids: np.ndarray, vectorized: bool) -> tuple:
+    """fn at every cell of grids (index rows, or one call per cell): one index array per output."""
+    if vectorized:
+        out = fn(*grids)
+        return out if isinstance(out, tuple) else (out,)
+    cells = [fn(*(int(g) for g in col)) for col in grids.T]
+    return tuple(np.array(c) for c in zip(*(c if isinstance(c, tuple) else (c,) for c in cells)))
 
 
 def push_forward(p: JointPMF, mapping, new_axes, vectorized: bool = False) -> JointPMF:
@@ -295,32 +328,21 @@ def push_forward(p: JointPMF, mapping, new_axes, vectorized: bool = False) -> Jo
     out_shape = tuple(a.size for _, a in new_axes)
     out = np.zeros(out_shape, dtype=np.float64)
     grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    flat = p.probs.ravel()
-    if vectorized:
-        dest = mapping(*grids)
-        dest = (dest,) if not isinstance(dest, tuple) else dest
-        np.add.at(out, tuple(np.asarray(d) for d in dest), flat)
-    else:
-        for cell in range(flat.shape[0]):
-            dest = mapping(*(int(g[cell]) for g in grids))
-            dest = (dest,) if not isinstance(dest, tuple) else dest
-            out[tuple(int(d) for d in dest)] += flat[cell]
+    dest = _cellwise(mapping, grids, vectorized)
+    np.add.at(out, tuple(np.asarray(d) for d in dest), p.probs.ravel())
     return JointPMF(new_axes, out)
 
 
 def add_derived_axis(p: JointPMF, name: str, size: int, fn, vectorized: bool = False) -> JointPMF:
     """Append a deterministic function of the existing axes as a new axis."""
+    check_cells(p.shape + (size,))
     grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    if vectorized:
-        vals = np.asarray(fn(*grids))
-    else:
-        vals = np.array([fn(*(int(g[c]) for g in grids)) for c in range(grids.shape[1])])
+    vals = np.asarray(_cellwise(fn, grids, vectorized)[0])
     if vals.min() < 0 or vals.max() >= size:
         raise ValueError(f"derived axis {name!r} values escape [0, {size})")
-    out = np.zeros(p.shape + (size,), dtype=np.float64)
-    flat_idx = tuple(grids) + (vals,)
-    out[flat_idx] = p.probs.ravel()
-    return JointPMF(p.axes + ((name, Alphabet(size)),), out)
+    out = np.zeros((grids.shape[1], size), dtype=np.float64)
+    out[np.arange(grids.shape[1]), vals] = p.probs.ravel()
+    return JointPMF._wrap(p.axes + ((name, Alphabet(size)),), out.reshape(p.shape + (size,)))
 
 
 def deterministic_conditional(given_axes, target_axes, fn, vectorized: bool = False) -> ConditionalPMF:
@@ -331,15 +353,8 @@ def deterministic_conditional(given_axes, target_axes, fn, vectorized: bool = Fa
     t_shape = tuple(a.size for _, a in target_axes)
     table = np.zeros(g_shape + t_shape, dtype=np.float64)
     grids = np.indices(g_shape).reshape(len(g_shape), -1)
-    if vectorized:
-        dest = fn(*grids)
-        dest = (dest,) if not isinstance(dest, tuple) else dest
-        table[tuple(grids) + tuple(np.asarray(d) for d in dest)] = 1.0
-    else:
-        for cell in range(grids.shape[1]):
-            dest = fn(*(int(g[cell]) for g in grids))
-            dest = (dest,) if not isinstance(dest, tuple) else dest
-            table[tuple(int(g[cell]) for g in grids) + tuple(int(d) for d in dest)] = 1.0
+    dest = _cellwise(fn, grids, vectorized)
+    table[tuple(grids) + tuple(np.asarray(d) for d in dest)] = 1.0
     return ConditionalPMF(given_axes, target_axes, table)
 
 

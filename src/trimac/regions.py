@@ -1,10 +1,12 @@
 """Exact evaluators for the single-letter sufficient-condition families.
 
-Every evaluator composes one dense joint law from the supplied factors
-(source, common-part relabelings, coordination layers, zero-sum linear
-layer, channel) and reads each inequality off that tensor with exact
-entropy arithmetic; nothing in this module samples.  A report row keeps
-(id, lhs, rhs, slack) so violations are attributable.
+Every evaluator states its law as an ordered list of factors (source,
+common-part relabelings, coordination layers, zero-sum linear layer,
+channel) and reads each inequality off one memoized entropy ledger over
+those factors: a small law is multiplied out once, a large one stays
+factored and each group marginal is contracted from the factors it needs.
+Nothing in this module samples.  A report row keeps (id, lhs, rhs, slack)
+so violations are attributable.
 
 Four condition families are covered: the two-user layered region and the
 two-user feedback rate region, the three-user layered region, the hybrid
@@ -22,7 +24,10 @@ between structured and product input laws.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,12 +44,11 @@ from .probcore import (
     add_derived_axis,
     binary_entropy,
     binary_entropy_inverse,
-    chain,
-    conditional_entropy,
+    chain_all,
+    check_cells,
     deterministic_conditional,
     entropy,
     marginalize,
-    mutual_information,
     push_forward,
 )
 from .rng import stream
@@ -316,6 +320,11 @@ class MacFBDist:
 # ---------------------------------------------------------------------------
 # composition helpers
 
+# a law of at most this many cells is chained out once: reducing it costs less than an einsum
+_DENSE_CELLS = 2**20
+
+_LOG = logging.getLogger("trimac")
+
 
 def _cond(table, given_axes, target_axes) -> ConditionalPMF:
     return ConditionalPMF(given_axes, target_axes, table)
@@ -326,84 +335,175 @@ def _indep(axes, probs) -> ConditionalPMF:
 
 
 def _plane_probs(q: int) -> np.ndarray:
-    grids = np.indices((q, q, q))
-    probs = np.where((grids.sum(axis=0)) % q == 0, 1.0 / q**2, 0.0)
-    return probs
+    return np.where(np.indices((q, q, q)).sum(axis=0) % q == 0, 1.0 / q**2, 0.0)
 
 
 def _uniform_cube(q: int) -> np.ndarray:
     return np.full((q, q, q), 1.0 / q**3)
 
 
-def _derive_label_axis(joint: JointPMF, name: str, size: int, labels, anchor_pos: int) -> JointPMF:
+def _label(name: str, size: int, labels, anchor) -> ConditionalPMF:
+    """Deterministic factor name = labels[anchor] for the anchor axis (name, size)."""
     lab = np.asarray(labels, dtype=np.int64)
-    return add_derived_axis(
-        joint, name, size, lambda *g, lab=lab, p=anchor_pos: lab[g[p]], vectorized=True
-    )
+    return deterministic_conditional([anchor], [(name, size)], lambda s: lab[s], vectorized=True)
 
 
-def _with_common_parts(source: SourceModel):
-    """Source joint extended by W123 and the three pairwise W axes.
+def _common_part_factors(source: SourceModel):
+    """Source law and the labels W123 and W_b of its common parts.
 
     All labels are anchored on the lowest-index user of the part, so the
-    derived axes agree a.s. with any other anchoring.
+    label axes agree a.s. with any other anchoring.
     """
     mutual = gkw_mutual(source)
-    joint = _derive_label_axis(
-        source.joint, "W123", mutual.component_count, mutual.labelings[0], 0
-    )
+    axes = source.joint.axes
+    factors = [
+        ConditionalPMF.from_joint(source.joint),
+        _label("W123", mutual.component_count, mutual.labelings[0], axes[0]),
+    ]
     w_sizes = {"W123": mutual.component_count}
     for b in PAIRS:
         i, j = PAIR_USERS[b]
         res = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
-        joint = _derive_label_axis(joint, f"W{b}", res.component_count, res.labelings[0], i - 1)
+        factors.append(_label(f"W{b}", res.component_count, res.labelings[0], axes[i - 1]))
         w_sizes[f"W{b}"] = res.component_count
-    return joint, w_sizes
+    return factors, w_sizes
 
 
-def _chain_layers(joint, w_sizes, u123, pair_conds, x_conds, channel_sizes, channel_table,
-                  source_sizes, v_size=None):
-    """Common tail of the three-user evaluators: U layers, V, inputs, output."""
-    nu = u123.shape[0]
-    joint = chain(joint, _indep([("U123", nu)], u123.probs))
+def _layer_factors(dist, channel: DMChannel, source: SourceModel, w_sizes, v_size=None):
+    """Common tail of the three-user laws: U layers, V, inputs, output."""
+    nu = dist.u123.shape[0]
+    factors = [_indep([("U123", nu)], dist.u123.probs)]
     for b in PAIRS:
-        t = pair_conds[b].table
+        t = dist.pair_conds[b].table
         if t.shape[0] != w_sizes[f"W{b}"]:
             raise FactorizationError(
                 f"pair layer {b} was built for |W{b}|={t.shape[0]} but the source has "
                 f"{w_sizes[f'W{b}']} components"
             )
-        joint = chain(
-            joint,
-            _cond(t, [("W" + b, t.shape[0]), ("U123", nu)], [("U" + b, t.shape[2])]),
-        )
+        factors.append(_cond(t, [("W" + b, t.shape[0]), ("U123", nu)], [("U" + b, t.shape[2])]))
     if v_size is not None:
-        joint = chain(
-            joint,
-            _indep([("V1", v_size), ("V2", v_size), ("V3", v_size)], _plane_probs(v_size)),
+        factors.append(
+            _indep([("V1", v_size), ("V2", v_size), ("V3", v_size)], _plane_probs(v_size))
         )
     for i in (1, 2, 3):
-        t = x_conds[i - 1].table
-        if t.shape[0] != source_sizes[i - 1]:
+        t = dist.x_conds[i - 1].table
+        if t.shape[0] != source.sizes[i - 1]:
             raise FactorizationError(
-                f"x{i} conditional covers {t.shape[0]} source symbols, expected {source_sizes[i - 1]}"
+                f"x{i} conditional covers {t.shape[0]} source symbols, expected {source.sizes[i - 1]}"
             )
-        if t.shape[-1] != channel_sizes[i - 1]:
+        if t.shape[-1] != channel.input_sizes[i - 1]:
             raise FactorizationError(
                 f"x{i} conditional feeds {t.shape[-1]} symbols into a channel expecting "
-                f"{channel_sizes[i - 1]}"
+                f"{channel.input_sizes[i - 1]}"
             )
         ba, bb = USER_PAIRS[i]
         given = [(f"S{i}", t.shape[0]), ("U123", nu), ("U" + ba, t.shape[2]), ("U" + bb, t.shape[3])]
         if v_size is not None:
             given.append((f"V{i}", v_size))
-        joint = chain(joint, _cond(t, given, [(f"X{i}", t.shape[-1])]))
-    ny = channel_table.shape[-1]
-    joint = chain(
-        joint,
-        _cond(channel_table, [("X" + str(i), channel_sizes[i - 1]) for i in (1, 2, 3)], [("Y", ny)]),
-    )
-    return joint
+        factors.append(_cond(t, given, [(f"X{i}", t.shape[-1])]))
+    return factors + [channel.transition]
+
+
+class _EntropyLedger:
+    """Memoized group entropies of a law kept as conditionals listed givens first.
+
+    derived maps an extra axis name to (base names, coefficients, q): the
+    axis sum(c * base) mod q, materialized on a marginal, never on the law.
+    A group is reduced from the smallest held marginal that covers it; when
+    none does, the factors it needs are contracted with einsum (variable
+    elimination) and the result is held.  A law of at most _DENSE_CELLS
+    cells is chained out once and held from the start, so each term is
+    summed exactly as probcore.entropy sums the chained joint: rows that tie
+    in exact arithmetic keep their order down to the last bit.
+    """
+
+    def __init__(self, factors, derived=None):
+        self.factors = tuple(factors)
+        self.derived = dict(derived or {})
+        self.sizes = {n: a.size for f in self.factors for n, a in f.given_axes + f.target_axes}
+        self.terms: dict[frozenset, float] = {}
+        self._held: list[tuple[frozenset, JointPMF]] = []
+        self.requested = self.contractions = self.largest = 0
+        if math.prod(self.sizes.values()) <= _DENSE_CELLS:
+            self._hold(chain_all(self.factors))
+
+    def _hold(self, law: JointPMF) -> JointPMF:
+        self._held.append((frozenset(law.names), law))
+        self.largest = max(self.largest, law.probs.size)
+        return law
+
+    def _cover(self, names: frozenset) -> JointPMF | None:
+        fits = [law for key, law in self._held if names <= key]
+        return min(fits, key=lambda law: law.probs.size, default=None)
+
+    def _contract(self, names: tuple) -> JointPMF:
+        need, ops = set(names), []
+        # a factor none of whose targets is needed sums to one: leave it out
+        for f in reversed(self.factors):
+            if need.intersection(f.target_names):
+                need.update(f.given_names + f.target_names)
+                ops.append(f)
+        check_cells([self.sizes[n] for n in names])
+        label = {n: k for k, n in enumerate(sorted(need))}
+        args = [x for f in ops for x in (f.table, [label[n] for n in f.given_names + f.target_names])]
+        self.contractions += 1
+        return JointPMF([(n, self.sizes[n]) for n in names],
+                        np.einsum(*args, [label[n] for n in names], optimize=True))
+
+    def _materialize(self, names: tuple) -> JointPMF:
+        """Hold the marginal over names, derived axes appended in the given order."""
+        lifted = [n for n in names if n in self.derived]
+        base = tuple(dict.fromkeys(
+            [n for n in names if n not in self.derived]
+            + [b for n in lifted for b in self.derived[n][0]]
+        ))
+        src = self._cover(frozenset(base))
+        law = self._contract(base) if src is None else marginalize(src, base)
+        for n in lifted:
+            bases, coeffs, q = self.derived[n]
+            idx = [law.axis_index(b) for b in bases]
+            law = add_derived_axis(law, n, q, lambda *g, idx=idx, coeffs=coeffs, q=q:
+                                   sum(c * g[i] for i, c in zip(idx, coeffs)) % q, vectorized=True)
+        return self._hold(law)
+
+    @contextlib.contextmanager
+    def holding(self, names):
+        """Hold the marginal over names for the terms read inside the block."""
+        law = self._materialize(tuple(names))
+        try:
+            yield
+        finally:
+            self._held = [(key, held) for key, held in self._held if held is not law]
+
+    def entropy_of(self, group) -> float:
+        key = frozenset(group)
+        self.requested += 1
+        if key not in self.terms:
+            law = self._cover(key)
+            if law is None:
+                law = self._materialize(tuple(sorted(key)))
+            self.terms[key] = entropy(law, tuple(key))
+        return self.terms[key]
+
+    def cond_entropy(self, target, given=()) -> float:
+        """H(target | given), in probcore.conditional_entropy's arithmetic."""
+        if not given:
+            return self.entropy_of(target)
+        return self.entropy_of(tuple(target) + tuple(given)) - self.entropy_of(given)
+
+    def mi(self, a, b, given=()) -> float:
+        """I(a; b | given), in probcore.mutual_information's arithmetic."""
+        val = self.cond_entropy(a, given) - self.cond_entropy(a, tuple(b) + tuple(given))
+        if val < 0.0:
+            if val < MI_CLAMP:
+                raise ValueError(f"mutual information {val!r} below round-off clamp {MI_CLAMP}")
+            val = 0.0
+        return val
+
+    def log(self, family: str) -> None:
+        _LOG.debug("%s: %d entropy groups requested, %d computed, %d einsum contractions, "
+                   "largest marginal %d cells", family, self.requested, len(self.terms),
+                   self.contractions, self.largest)
 
 
 # ---------------------------------------------------------------------------
@@ -431,34 +531,38 @@ def eval_ces2(pair_joint: JointPMF, channel_cond: ConditionalPMF, dist: CES2Dist
 
     base = JointPMF([("S1", n1), ("S2", n2)], pair_joint.probs)
     pairw = gkw_pairwise(base)
-    joint = _derive_label_axis(base, "W12", pairw.component_count, pairw.labelings[0], 0)
-    joint = chain(joint, _indep([("U12", nu)], dist.u12.probs))
-    joint = chain(joint, _cond(tx1, [("S1", n1), ("U12", nu)], [("X1", tx1.shape[2])]))
-    joint = chain(joint, _cond(tx2, [("S2", n2), ("U12", nu)], [("X2", tx2.shape[2])]))
-    joint = chain(joint, _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]))
+    ledger = _EntropyLedger([
+        ConditionalPMF.from_joint(base),
+        _label("W12", pairw.component_count, pairw.labelings[0], ("S1", n1)),
+        _indep([("U12", nu)], dist.u12.probs),
+        _cond(tx1, [("S1", n1), ("U12", nu)], [("X1", tx1.shape[2])]),
+        _cond(tx2, [("S2", n2), ("U12", nu)], [("X2", tx2.shape[2])]),
+        _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]),
+    ])
 
     rows = (
         InequalityRecord(
             "solo-1",
-            conditional_entropy(joint, ("S1",), ("S2",)),
-            mutual_information(joint, ("X1",), ("Y",), ("X2", "S2", "U12")),
+            ledger.cond_entropy(("S1",), ("S2",)),
+            ledger.mi(("X1",), ("Y",), ("X2", "S2", "U12")),
         ),
         InequalityRecord(
             "solo-2",
-            conditional_entropy(joint, ("S2",), ("S1",)),
-            mutual_information(joint, ("X2",), ("Y",), ("X1", "S1", "U12")),
+            ledger.cond_entropy(("S2",), ("S1",)),
+            ledger.mi(("X2",), ("Y",), ("X1", "S1", "U12")),
         ),
         InequalityRecord(
             "pair-w",
-            conditional_entropy(joint, ("S1", "S2"), ("W12",)),
-            mutual_information(joint, ("X1", "X2"), ("Y",), ("W12", "U12")),
+            ledger.cond_entropy(("S1", "S2"), ("W12",)),
+            ledger.mi(("X1", "X2"), ("Y",), ("W12", "U12")),
         ),
         InequalityRecord(
             "sum",
-            entropy(joint, ("S1", "S2")),
-            mutual_information(joint, ("X1", "X2"), ("Y",)),
+            ledger.entropy_of(("S1", "S2")),
+            ledger.mi(("X1", "X2"), ("Y",)),
         ),
     )
+    ledger.log("ces2")
     return RegionReport("ces2", rows)
 
 
@@ -480,16 +584,19 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
     if wt.ndim != 3 or t1.shape[1] != wt.shape[0] or t2.shape[1] != wt.shape[1]:
         raise FactorizationError("input conditionals do not match the channel alphabet")
 
-    joint = JointPMF([("U", nu)], p_u.probs)
-    joint = chain(joint, _cond(t1, [("U", nu)], [("X1", t1.shape[1])]))
-    joint = chain(joint, _cond(t2, [("U", nu)], [("X2", t2.shape[1])]))
-    joint = chain(joint, _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]))
+    ledger = _EntropyLedger([
+        _indep([("U", nu)], p_u.probs),
+        _cond(t1, [("U", nu)], [("X1", t1.shape[1])]),
+        _cond(t2, [("U", nu)], [("X2", t2.shape[1])]),
+        _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]),
+    ])
 
     rows = (
-        InequalityRecord("rate-1", r1, mutual_information(joint, ("X1",), ("Y",), ("X2", "U"))),
-        InequalityRecord("rate-2", r2, mutual_information(joint, ("X2",), ("Y",), ("X1", "U"))),
-        InequalityRecord("rate-sum", r1 + r2, mutual_information(joint, ("X1", "X2"), ("Y",))),
+        InequalityRecord("rate-1", r1, ledger.mi(("X1",), ("Y",), ("X2", "U"))),
+        InequalityRecord("rate-2", r2, ledger.mi(("X2",), ("Y",), ("X1", "U"))),
+        InequalityRecord("rate-sum", r1 + r2, ledger.mi(("X1", "X2"), ("Y",))),
     )
+    ledger.log("cl2")
     return RegionReport("cl2", rows)
 
 
@@ -498,11 +605,8 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
 
 
 def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionReport:
-    joint, w_sizes = _with_common_parts(source)
-    joint = _chain_layers(
-        joint, w_sizes, dist.u123, dist.pair_conds, dist.x_conds,
-        channel.input_sizes, channel.transition.table, source.sizes,
-    )
+    factors, w_sizes = _common_part_factors(source)
+    ledger = _EntropyLedger(factors + _layer_factors(dist, channel, source, w_sizes))
 
     all_u = ("U123", "U12", "U13", "U23")
     rows = []
@@ -510,9 +614,9 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
         j, k = sorted({1, 2, 3} - {i})
         rows.append(InequalityRecord(
             f"solo-{i}",
-            conditional_entropy(joint, (f"S{i}",), (f"S{j}", f"S{k}")),
-            mutual_information(
-                joint, (f"X{i}",), ("Y",),
+            ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
+            ledger.mi(
+                (f"X{i}",), ("Y",),
                 (f"S{j}", f"S{k}", f"X{j}", f"X{k}") + all_u,
             ),
         ))
@@ -521,17 +625,17 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
         k = PAIR_COMPLEMENT[b]
         rows.append(InequalityRecord(
             f"pair-{b}",
-            conditional_entropy(joint, (f"S{i}", f"S{j}"), (f"S{k}",)),
-            mutual_information(
-                joint, (f"X{i}", f"X{j}"), ("Y",),
+            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",)),
+            ledger.mi(
+                (f"X{i}", f"X{j}"), ("Y",),
                 (f"S{k}", "U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k), f"X{k}"),
             ),
         ))
         rows.append(InequalityRecord(
             f"pair-{b}-wpair",
-            conditional_entropy(joint, (f"S{i}", f"S{j}"), (f"S{k}", f"W{b}")),
-            mutual_information(
-                joint, (f"X{i}", f"X{j}"), ("Y",),
+            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}", f"W{b}")),
+            ledger.mi(
+                (f"X{i}", f"X{j}"), ("Y",),
                 (f"S{k}", f"W{b}") + all_u + (f"X{k}",),
             ),
         ))
@@ -541,17 +645,18 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
         u_axes = tuple("U" + b for b in subset)
         rows.append(InequalityRecord(
             f"joint-wgroup-{tag}",
-            conditional_entropy(joint, ("S1", "S2", "S3"), ("W123",) + w_axes),
-            mutual_information(
-                joint, ("X1", "X2", "X3"), ("Y",),
+            ledger.cond_entropy(("S1", "S2", "S3"), ("W123",) + w_axes),
+            ledger.mi(
+                ("X1", "X2", "X3"), ("Y",),
                 ("W123",) + w_axes + ("U123",) + u_axes,
             ),
         ))
     rows.append(InequalityRecord(
         "sum",
-        entropy(joint, ("S1", "S2", "S3")),
-        mutual_information(joint, ("X1", "X2", "X3"), ("Y",)),
+        ledger.entropy_of(("S1", "S2", "S3")),
+        ledger.mi(("X1", "X2", "X3"), ("Y",)),
     ))
+    ledger.log("ces3")
     return RegionReport("ces3", tuple(rows))
 
 
@@ -559,34 +664,23 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
 # hybrid layered + linear evaluator
 
 
-def _lin_margin(joint: JointPMF, keep, a: int, b: int, q: int) -> JointPMF:
-    """Marginal over keep plus derived TL = aT1+bT2 and VL = aV1+bV2 (mod q)."""
-    m = marginalize(joint, tuple(keep) + ("T1", "T2", "V1", "V2"))
-    for name, ax1, ax2 in (("TL", "T1", "T2"), ("VL", "V1", "V2")):
-        i1, i2 = m.axis_index(ax1), m.axis_index(ax2)
-        m = add_derived_axis(
-            m, name, q,
-            lambda *g, i1=i1, i2=i2: (a * g[i1] + b * g[i2]) % q,
-            vectorized=True,
-        )
-    return m
-
-
 def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> RegionReport:
-    """Full hybrid condition family; raises if the source admits no additive part."""
+    """Full hybrid condition family; raises if the source admits no additive part.
+
+    The -lin-ab rows condition on TL = aT1 + bT2 and VL = aV1 + bV2 (mod q).
+    """
     q = dist.q
     additive = additive_common_search(source, q)
     if not additive.found:
         raise ValueError(
             f"source has no additive relabeling over F_{q}; the hybrid family is undefined"
         )
-    joint, w_sizes = _with_common_parts(source)
+    factors, w_sizes = _common_part_factors(source)
     for i, fn in enumerate(additive.functions, start=1):
-        joint = _derive_label_axis(joint, f"T{i}", q, fn, i - 1)
-    joint = _chain_layers(
-        joint, w_sizes, dist.u123, dist.pair_conds, dist.x_conds,
-        channel.input_sizes, channel.transition.table, source.sizes, v_size=q,
-    )
+        factors.append(_label(f"T{i}", q, fn, source.joint.axes[i - 1]))
+    lin = list(itertools.product(range(q), repeat=2))[1:]
+    derived = {f"{x}L{a}{b}": ((f"{x}1", f"{x}2"), (a, b), q) for a, b in lin for x in "TV"}
+    ledger = _EntropyLedger(factors + _layer_factors(dist, channel, source, w_sizes, q), derived)
 
     S = ("S1", "S2", "S3")
     X = ("X1", "X2", "X3")
@@ -598,9 +692,9 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
         j, k = sorted({1, 2, 3} - {i})
         rows.append(InequalityRecord(
             f"solo-{i}",
-            conditional_entropy(joint, (f"S{i}",), (f"S{j}", f"S{k}")),
-            mutual_information(
-                joint, (f"X{i}",), ("Y",),
+            ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
+            ledger.mi(
+                (f"X{i}",), ("Y",),
                 (f"S{j}", f"S{k}") + all_u + V + (f"X{j}", f"X{k}"),
             ),
         ))
@@ -615,17 +709,17 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
         ))
         rows.append(InequalityRecord(
             f"pair-{b}-wgroup-{tag}",
-            conditional_entropy(joint, (f"S{i}", f"S{j}"), (f"S{k}",) + w_axes),
-            mutual_information(
-                joint, (f"X{i}", f"X{j}"), ("Y",),
+            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes),
+            ledger.mi(
+                (f"X{i}", f"X{j}"), ("Y",),
                 (f"S{k}",) + w_axes + u_axes + (f"V{k}", f"X{k}"),
             ),
         ))
         rows.append(InequalityRecord(
             f"pair-{b}-wgroup-{tag}-t",
-            conditional_entropy(joint, (f"S{i}", f"S{j}"), (f"S{k}",) + w_axes + T),
-            mutual_information(
-                joint, (f"X{i}", f"X{j}"), ("Y",),
+            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes + T),
+            ledger.mi(
+                (f"X{i}", f"X{j}"), ("Y",),
                 (f"S{k}",) + w_axes + u_axes + T + V + (f"X{k}",),
             ),
         ))
@@ -635,46 +729,35 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
         u_axes = ("U123",) + tuple("U" + s for s in subset)
         rows.append(InequalityRecord(
             f"joint-wgroup-{tag}-t",
-            conditional_entropy(joint, S, w_axes + T),
-            mutual_information(joint, X, ("Y",), w_axes + u_axes + T + V),
+            ledger.cond_entropy(S, w_axes + T),
+            ledger.mi(X, ("Y",), w_axes + u_axes + T + V),
         ))
     rows.append(InequalityRecord(
         "sum-t",
-        conditional_entropy(joint, S, T),
-        mutual_information(joint, X, ("Y",), T + V),
+        ledger.cond_entropy(S, T),
+        ledger.mi(X, ("Y",), T + V),
     ))
-    for a, b2 in itertools.product(range(q), repeat=2):
-        if (a, b2) == (0, 0):
-            # conditioning on 0*T1+0*T2 is conditioning on a constant
-            rows.append(InequalityRecord(
-                "sum-lin-00-unconditioned",
-                entropy(joint, S),
-                mutual_information(joint, X, ("Y",)),
-            ))
-            continue
-        m = _lin_margin(joint, S + X + ("Y",), a, b2, q)
+    lin_groups = [("sum", (), ())] + [
+        (f"joint-wgroup-{_subset_tag(s)}", ("W123",) + tuple("W" + b for b in s),
+         ("U123",) + tuple("U" + b for b in s))
+        for s in W_SUBSETS
+    ]
+    for prefix, w_axes, u_axes in lin_groups:
+        # conditioning on 0*T1 + 0*T2 is conditioning on a constant
         rows.append(InequalityRecord(
-            f"sum-lin-{a}{b2}",
-            conditional_entropy(m, S, ("TL",)),
-            mutual_information(m, X, ("Y",), ("TL", "VL")),
+            f"{prefix}-lin-00-unconditioned",
+            ledger.cond_entropy(S, w_axes),
+            ledger.mi(X, ("Y",), w_axes + u_axes),
         ))
-    for subset, (a, b2) in itertools.product(W_SUBSETS, itertools.product(range(q), repeat=2)):
-        tag = _subset_tag(subset)
-        w_axes = ("W123",) + tuple("W" + s for s in subset)
-        u_axes = ("U123",) + tuple("U" + s for s in subset)
-        if (a, b2) == (0, 0):
-            rows.append(InequalityRecord(
-                f"joint-wgroup-{tag}-lin-00-unconditioned",
-                conditional_entropy(joint, S, w_axes),
-                mutual_information(joint, X, ("Y",), w_axes + u_axes),
-            ))
-            continue
-        m = _lin_margin(joint, S + X + ("Y",) + w_axes + u_axes, a, b2, q)
-        rows.append(InequalityRecord(
-            f"joint-wgroup-{tag}-lin-{a}{b2}",
-            conditional_entropy(m, S, w_axes + ("TL",)),
-            mutual_information(m, X, ("Y",), w_axes + u_axes + ("TL", "VL")),
-        ))
+        for a, b2 in lin:
+            tl, vl = f"TL{a}{b2}", f"VL{a}{b2}"
+            with ledger.holding(S + X + ("Y",) + w_axes + u_axes + ("T1", "T2", "V1", "V2", tl, vl)):
+                rows.append(InequalityRecord(
+                    f"{prefix}-lin-{a}{b2}",
+                    ledger.cond_entropy(S, w_axes + (tl,)),
+                    ledger.mi(X, ("Y",), w_axes + u_axes + (tl, vl)),
+                ))
+    ledger.log("hybrid")
     return RegionReport("hybrid", tuple(rows))
 
 
@@ -930,18 +1013,19 @@ def product_conditionals(params) -> tuple[ConditionalPMF, ConditionalPMF, Condit
     return tuple(conds)
 
 
-def product_ces_dist(source: SourceModel, x_tables) -> CESDist:
-    """Layered spec with every coordination layer trivial and product inputs."""
-    u123 = JointPMF([("U123", 1)], [1.0])
+def _trivial_layers(source: SourceModel):
+    """A one-symbol U123 and one-symbol pair layers sized for this source."""
     pair_conds = {}
     for b in PAIRS:
         i, j = PAIR_USERS[b]
-        res = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
-        pair_conds[b] = _cond(
-            np.ones((res.component_count, 1, 1)),
-            [("W" + b, res.component_count), ("U123", 1)],
-            [("U" + b, 1)],
-        )
+        n = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}"))).component_count
+        pair_conds[b] = _cond(np.ones((n, 1, 1)), [("W" + b, n), ("U123", 1)], [("U" + b, 1)])
+    return JointPMF([("U123", 1)], [1.0]), pair_conds
+
+
+def product_ces_dist(source: SourceModel, x_tables) -> CESDist:
+    """Layered spec with every coordination layer trivial and product inputs."""
+    u123, pair_conds = _trivial_layers(source)
     x_conds = []
     for i, raw in enumerate(x_tables, start=1):
         table = np.asarray(raw.table if isinstance(raw, ConditionalPMF) else raw, dtype=np.float64)
@@ -974,16 +1058,7 @@ def hybrid_example_dist(source: SourceModel, alpha: float) -> HybridDist:
     """The binary construction X1 = V1 xor E1 (E1 ~ Ber(alpha)), X2 = V2, X3 = V3."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    u123 = JointPMF([("U123", 1)], [1.0])
-    pair_conds = {}
-    for b in PAIRS:
-        i, j = PAIR_USERS[b]
-        res = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
-        pair_conds[b] = _cond(
-            np.ones((res.component_count, 1, 1)),
-            [("W" + b, res.component_count), ("U123", 1)],
-            [("U" + b, 1)],
-        )
+    u123, pair_conds = _trivial_layers(source)
     x_conds = []
     for i in (1, 2, 3):
         ns = source.sizes[i - 1]
@@ -1107,69 +1182,18 @@ def default_coupling_matrix(q: int) -> tuple[tuple[int, ...], ...]:
     return ((1, 0, q - 1), (0, 1, q - 1), (0, 0, 0))
 
 
-class _EntropyLedger:
-    """Memoized group entropies over one joint, with lazily derived axes.
-
-    derived maps an axis name to (base axis names, coefficients, modulus);
-    the axis is materialized on a marginal, never on the full joint.
-    """
-
-    def __init__(self, joint: JointPMF, derived: dict | None = None):
-        self._joint = joint
-        self._derived = dict(derived or {})
-        self._axes = set(joint.names)
-        self.terms: dict[frozenset, float] = {}
-
-    def entropy_of(self, group) -> float:
-        key = frozenset(group)
-        if key in self.terms:
-            return self.terms[key]
-        lifted = sorted(n for n in key if n in self._derived)
-        plain = sorted(n for n in key if n not in self._derived)
-        if any(n not in self._axes for n in plain):
-            missing = [n for n in plain if n not in self._axes]
-            raise KeyError(f"unknown axes {missing}")
-        if not lifted:
-            val = entropy(self._joint, tuple(plain))
-        else:
-            base_needed = sorted(set(plain) | {b for n in lifted for b in self._derived[n][0]})
-            m = marginalize(self._joint, tuple(base_needed))
-            for n in lifted:
-                base, coeffs, q = self._derived[n]
-                idx = tuple(m.axis_index(x) for x in base)
-                m = add_derived_axis(
-                    m, n, q,
-                    lambda *g, idx=idx, coeffs=coeffs, q=q:
-                        sum(int(c) * g[i] for i, c in zip(idx, coeffs)) % q,
-                    vectorized=True,
-                )
-            val = entropy(m, tuple(sorted(key)))
-        self.terms[key] = val
-        return val
-
-    def mi(self, a, b, given=()):
-        """I(a; b | given) and its signed entropy-group decomposition."""
-        a, b, g = frozenset(a), frozenset(b), frozenset(given)
-        groups = ((1, a | g), (1, b | g), (-1, a | b | g), (-1, g))
-        val = sum(sign * self.entropy_of(grp) for sign, grp in groups)
-        if val < 0.0:
-            if val < MI_CLAMP:
-                raise ValueError(f"mutual information {val!r} below round-off clamp")
-            val = 0.0
-        return val, groups
-
-
 @dataclass(frozen=True)
 class MacFBReport(RegionReport):
-    """Feedback-block report plus the tensors and terms behind every row.
+    """Feedback-block report plus the laws and terms behind every row.
 
-    entropy_terms / w_entropy_terms map frozen axis groups to bits;
-    mi_groups / w_groups map a row id to ((sign, group), ...) so each side
-    can be recomputed term by term; derived_axes describes the linear axes
-    (TA*, WA*) as {"base": names, "coeffs": ints, "q": modulus}.
+    joint chains the factors out on first access.  entropy_terms /
+    w_entropy_terms map frozen axis groups to bits; mi_groups / w_groups map
+    a row id to ((sign, group), ...) so each side can be recomputed term by
+    term; derived_axes describes the linear axes (TA*, WA*) as {"base":
+    names, "coeffs": ints, "q": modulus}.
     """
 
-    joint: JointPMF
+    factors: tuple
     w_joint: JointPMF
     entropy_terms: dict
     w_entropy_terms: dict
@@ -1178,9 +1202,9 @@ class MacFBReport(RegionReport):
     derived_axes: dict
     alpha: float
 
-
-def _rename(table: np.ndarray, given, target) -> ConditionalPMF:
-    return ConditionalPMF(given, target, table)
+    @functools.cached_property
+    def joint(self) -> JointPMF:
+        return chain_all(self.factors)
 
 
 def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
@@ -1190,7 +1214,8 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     The previous block (axes suffixed t) is a full class member; the
     current block reuses its T axes through V = T_prior @ A.  rates are
     matched against alpha * H(W_i) as equalities; the remaining rows bound
-    scaled W entropies by mutual informations on the two-copy joint.
+    scaled W entropies by mutual informations on the two-copy joint, which
+    stays factored: no term needs it multiplied out.
     """
     rates = tuple(float(r) for r in rates)
     if len(rates) != 3 or min(rates) < 0.0:
@@ -1208,13 +1233,15 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     a_arr = np.asarray(a_matrix if a_matrix is not None else default_coupling_matrix(q), dtype=np.int64)
     if a_arr.shape != (3, 3) or a_arr.min() < 0 or a_arr.max() >= q:
         raise FactorizationError("coupling matrix must be 3x3 over the field residues")
+
+    def couple(*t):
+        return tuple((t[0] * a_arr[0, c] + t[1] * a_arr[1, c] + t[2] * a_arr[2, c]) % q
+                     for c in range(3))
+
     plane = _plane_probs(q)
     pushed = push_forward(
         JointPMF([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)),
-        lambda t1, t2, t3: tuple((t1 * a_arr[0, c] + t2 * a_arr[1, c] + t3 * a_arr[2, c]) % q
-                                 for c in range(3)),
-        [("V1", q), ("V2", q), ("V3", q)],
-        vectorized=True,
+        couple, [("V1", q), ("V2", q), ("V3", q)], vectorized=True,
     )
     if np.abs(pushed.probs - plane).max() > FACTOR_TOL:
         raise FactorizationError("coupling matrix does not preserve the zero-sum V law")
@@ -1223,122 +1250,86 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
         w_laws = tuple(np.full(q, 1.0 / q) for _ in range(3))
     if len(w_laws) != 3:
         raise ValueError("w_laws must hold one law per user")
-    w_joint = JointPMF(
-        [("W1", q), ("W2", q), ("W3", q)],
-        np.einsum("a,b,c->abc", *(np.asarray(w, dtype=np.float64) for w in w_laws)),
+    w_names = [("W1", q), ("W2", q), ("W3", q)]
+    w_factors = (
+        [_indep([w_names[i]], np.asarray(w_laws[i], dtype=np.float64)) for i in range(3)]
+        + [deterministic_conditional(w_names, [(f"WA{i}", q)], lambda *w, i=i: couple(*w)[i - 1],
+                                     vectorized=True) for i in (1, 2, 3)]
     )
-    for i in (1, 2, 3):
-        col = a_arr[:, i - 1]
-        w_joint = add_derived_axis(
-            w_joint, f"WA{i}", q,
-            lambda w1, w2, w3, *_, col=col:
-                (w1 * int(col[0]) + w2 * int(col[1]) + w3 * int(col[2])) % q,
-            vectorized=True,
-        )
+
+    ct = channel.transition.table
+
+    def block(sfx):
+        return [
+            _cond(t.table, [(f"U{sfx}", nu), (f"T{i}{sfx}", q), (f"V{i}{sfx}", q)],
+                  [(f"X{i}{sfx}", t.table.shape[-1])])
+            for i, t in enumerate(dist.x_conds, start=1)
+        ] + [_cond(ct, [(f"X{i}{sfx}", channel.input_sizes[i - 1]) for i in (1, 2, 3)],
+                   [(f"Y{sfx}", ct.shape[-1])])]
 
     # two-copy joint: prior block first, then the current one
-    joint = JointPMF([("Ut", nu)], dist.p_u.probs)
-    joint = chain(joint, _indep([("V1t", q), ("V2t", q), ("V3t", q)], plane))
-    joint = chain(joint, _indep([("T1t", q), ("T2t", q), ("T3t", q)], _uniform_cube(q)))
-    for i in (1, 2, 3):
-        t = dist.x_conds[i - 1].table
-        joint = chain(joint, _rename(
-            t, [("Ut", nu), (f"T{i}t", q), (f"V{i}t", q)], [(f"X{i}t", t.shape[-1])]
-        ))
-    ct = channel.transition.table
-    joint = chain(joint, _rename(
-        ct, [(f"X{i}t", channel.input_sizes[i - 1]) for i in (1, 2, 3)], [("Yt", ct.shape[-1])]
-    ))
-    joint = chain(joint, _indep([("U", nu)], dist.p_u.probs))
-    vmap = deterministic_conditional(
-        [(f"T{i}t", q) for i in (1, 2, 3)],
-        [(f"V{i}", q) for i in (1, 2, 3)],
-        lambda t1, t2, t3: tuple((t1 * a_arr[0, c] + t2 * a_arr[1, c] + t3 * a_arr[2, c]) % q
-                                 for c in range(3)),
-        vectorized=True,
-    )
-    joint = chain(joint, vmap)
-    joint = chain(joint, _indep([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)))
-    for i in (1, 2, 3):
-        t = dist.x_conds[i - 1].table
-        joint = chain(joint, _rename(
-            t, [("U", nu), (f"T{i}", q), (f"V{i}", q)], [(f"X{i}", t.shape[-1])]
-        ))
-    joint = chain(joint, _rename(
-        ct, [(f"X{i}", channel.input_sizes[i - 1]) for i in (1, 2, 3)], [("Y", ct.shape[-1])]
-    ))
-
-    derived = {
-        f"TA{i}": (("T1", "T2", "T3"), tuple(int(c) for c in a_arr[:, i - 1]), q)
-        for i in (1, 2, 3)
-    }
+    factors = [
+        _indep([("Ut", nu)], dist.p_u.probs),
+        _indep([("V1t", q), ("V2t", q), ("V3t", q)], plane),
+        _indep([("T1t", q), ("T2t", q), ("T3t", q)], _uniform_cube(q)),
+        *block("t"),
+        _indep([("U", nu)], dist.p_u.probs),
+        deterministic_conditional([(f"T{i}t", q) for i in (1, 2, 3)],
+                                  [(f"V{i}", q) for i in (1, 2, 3)], couple, vectorized=True),
+        _indep([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)),
+        *block(""),
+    ]
     derived_axes = {
-        name: {"base": base, "coeffs": coeffs, "q": mod}
-        for name, (base, coeffs, mod) in derived.items()
+        f"{ax}{i}": {"base": tuple(f"{base}{k}" for k in (1, 2, 3)),
+                     "coeffs": tuple(int(c) for c in a_arr[:, i - 1]), "q": q}
+        for ax, base in (("TA", "T"), ("WA", "W")) for i in (1, 2, 3)
     }
-    for i in (1, 2, 3):
-        derived_axes[f"WA{i}"] = {
-            "base": ("W1", "W2", "W3"),
-            "coeffs": tuple(int(c) for c in a_arr[:, i - 1]),
-            "q": q,
-        }
-    ledger = _EntropyLedger(joint, derived)
-    w_ledger = _EntropyLedger(w_joint)
+    ledger = _EntropyLedger(factors, {
+        name: (info["base"], info["coeffs"], q) for name, info in derived_axes.items()
+        if name.startswith("TA")
+    })
 
-    rows = []
-    mi_groups: dict[str, tuple] = {}
-    w_groups: dict[str, tuple] = {}
+    w_ledger = _EntropyLedger(w_factors)
+
+    rows, mi_groups, w_groups = [], {}, {}
 
     def w_entropy(target, given=()):
         tg, gg = frozenset(target), frozenset(given)
         groups = ((1, tg | gg),) if not gg else ((1, tg | gg), (-1, gg))
-        return sum(s * w_ledger.entropy_of(grp) for s, grp in groups), groups
+        return w_ledger.cond_entropy(tg, gg), groups
+
+    def add(rid, w_side, mis=(), rhs=0.0, equality=False):
+        """Row rid: alpha times a W entropy against rhs plus I(a; b | g) per (a, b, g)."""
+        lhs, w_groups[rid] = w_side
+        groups = ()
+        for a, b, g in mis:
+            a, b, g = frozenset(a), frozenset(b), frozenset(g)
+            rhs += ledger.mi(a, b, g)
+            groups += ((1, a | g), (1, b | g), (-1, a | b | g)) + (((-1, g),) if g else ())
+        mi_groups[rid] = groups
+        rows.append(InequalityRecord(rid, alpha * lhs, rhs, equality))
 
     for i in (1, 2, 3):
-        lhs, groups = w_entropy((f"W{i}",))
-        rows.append(InequalityRecord(f"rate-match-{i}", alpha * lhs, rates[i - 1], equality=True))
-        w_groups[f"rate-match-{i}"] = groups
-        mi_groups[f"rate-match-{i}"] = ()
-
+        add(f"rate-match-{i}", w_entropy((f"W{i}",)), rhs=rates[i - 1], equality=True)
     for i in (1, 2, 3):
-        lhs, groups = w_entropy((f"WA{i}",), (f"W{i}",))
-        rhs, gmi = ledger.mi((f"TA{i}",), ("Y",), ("U", f"T{i}", f"V{i}", f"X{i}"))
-        rid = f"sum-decode-{i}"
-        rows.append(InequalityRecord(rid, alpha * lhs, rhs))
-        w_groups[rid] = groups
-        mi_groups[rid] = gmi
-
+        add(f"sum-decode-{i}", w_entropy((f"WA{i}",), (f"W{i}",)),
+            [((f"TA{i}",), ("Y",), ("U", f"T{i}", f"V{i}", f"X{i}"))])
     for i in (1, 2, 3):
         j, k = sorted({1, 2, 3} - {i})
-        lhs, groups = w_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}"))
-        rhs, gmi = ledger.mi(
+        add(f"cross-pair-{i}", w_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}")), [(
             (f"T{j}t", f"X{j}t", f"T{k}t", f"X{k}t"),
             ("Y", "Yt"),
-            ("Ut", f"X{i}t", f"T{i}t", f"V{i}t", "U", f"X{i}", f"T{i}", f"V{i}",
-             f"V{j}t", f"V{k}t"),
-        )
-        rid = f"cross-pair-{i}"
-        rows.append(InequalityRecord(rid, alpha * lhs, rhs))
-        w_groups[rid] = groups
-        mi_groups[rid] = gmi
-
+            ("Ut", f"X{i}t", f"T{i}t", f"V{i}t", "U", f"X{i}", f"T{i}", f"V{i}", f"V{j}t", f"V{k}t"),
+        )])
     for subset in USER_SUBSETS:
-        tag = _subset_tag(subset)
-        rid = f"list-{tag}"
-        if subset:
-            lhs, groups = w_entropy(tuple(f"W{i}" for i in subset))
-        else:
-            lhs, groups = 0.0, ()
-        rest = tuple(sorted({1, 2, 3} - set(subset)))
-        given = ("U",) + tuple(f"{ax}{i}" for i in rest for ax in ("X", "T", "V"))
-        given = given + ("V1t", "V2t", "V3t")
-        rhs1, gmi1 = ledger.mi(tuple(f"X{i}" for i in subset), ("Y",), given)
-        rhs2, gmi2 = ledger.mi(("U",), ("Y",))
-        rows.append(InequalityRecord(rid, alpha * lhs, rhs1 + rhs2))
-        w_groups[rid] = groups
-        mi_groups[rid] = gmi1 + gmi2
+        rest = sorted({1, 2, 3} - set(subset))
+        given = ("U",) + tuple(f"{ax}{i}" for i in rest for ax in ("X", "T", "V")) + ("V1t", "V2t", "V3t")
+        add(f"list-{_subset_tag(subset)}",
+            w_entropy(tuple(f"W{i}" for i in subset)) if subset else (0.0, ()),
+            [(tuple(f"X{i}" for i in subset), ("Y",), given), (("U",), ("Y",), ())])
 
+    ledger.log("macfb")
     return MacFBReport(
-        "macfb", tuple(rows), joint, w_joint,
+        "macfb", tuple(rows), ledger.factors, chain_all(w_factors),
         dict(ledger.terms), dict(w_ledger.terms), mi_groups, w_groups, derived_axes, alpha,
     )

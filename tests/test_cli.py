@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -169,3 +170,20 @@ def test_common_parts_sigma_gamma_values(tmp_path, capsys):
     rows = (tmp_path / "common-parts.csv").read_text().splitlines()
     assert len(rows) == 6
     assert rows[1].startswith("mutual,1,")
+
+
+def test_confidence_interval_cells_are_plain_numbers(tmp_path):
+    assert run(["simulate-mac", "--channel", "additive-pair", "--source", "additive",
+                "--n-list", "4", "--trials", "12", "--seed", "2", "--workers", "1",
+                "--out-dir", str(tmp_path / "mac")]) == 0
+    assert run(["structure-measure", "--target", "codebooks", "--k", "4", "--n", "10",
+                "--trials", "30", "--seed", "1", "--out-dir", str(tmp_path / "books")]) == 0
+    for path in (tmp_path / "mac" / "simulate-mac.csv",
+                 tmp_path / "books" / "structure-measure.csv"):
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        cols = [c for c in rows[0] if c.startswith("ci_")]
+        assert len(cols) == 2, path.name
+        for row in rows:
+            for col in cols:
+                assert 0.0 <= float(row[col]) <= 1.0, (path.name, col, row[col])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from trimac.probcore import (
     binary_entropy,
     binary_entropy_inverse,
     chain,
+    chain_all,
     conditional_entropy,
     deterministic_conditional,
     entropy,
@@ -123,6 +125,34 @@ def test_chain_given_axis_order_mismatch():
                 assert out.probs[a, b, c] == pytest.approx(
                     base.probs[a, b] * tab[b, a, c], abs=1e-15
                 )
+
+
+def test_chain_all_matches_stepwise_chaining():
+    rng = np.random.default_rng(5)
+    p = random_joint(rng, (2, 3), ["A", "B"])
+    cond = ConditionalPMF([("B", 3)], [("C", 2)], rng.dirichlet(np.ones(2), size=3))
+    got = chain_all([ConditionalPMF.from_joint(p), cond])
+    want = chain(p, cond)
+    assert got.names == ("A", "B", "C")
+    assert np.array_equal(got.probs, want.probs)
+
+
+def test_cell_cap_fires_before_the_product_is_allocated():
+    # 20000 x 10000 cells would take 1.6 GB; every factor here is under 200 kB
+    base = JointPMF([("A", 20000)], np.full(20000, 1.0 / 20000))
+    wide = ConditionalPMF((), [("B", 10000)], np.full(10000, 1e-4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            chain(base, wide)
+        with pytest.raises(ValueError, match="cap"):
+            add_derived_axis(base, "D", 10000, lambda a: a % 10000, vectorized=True)
+        with pytest.raises(ValueError, match="cap"):
+            chain_all([ConditionalPMF.from_joint(base), wide])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_push_forward_identity_and_xor():

@@ -10,7 +10,9 @@ oracle on first computation.
 import functools
 import itertools
 import json
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimac.channels import DMChannel, build_quaternary_channel, quaternary_noise_law
-from trimac.commonparts import additive_common_search
-from trimac.probcore import ConditionalPMF, JointPMF, chain, entropy, marginalize, mutual_information
+from trimac import regions
+from trimac.commonparts import additive_common_search, gkw_mutual, gkw_pairwise
+from trimac.probcore import (
+    ConditionalPMF,
+    JointPMF,
+    add_derived_axis,
+    chain,
+    deterministic_conditional,
+    entropy,
+    marginalize,
+    mutual_information,
+)
 from trimac.regions import (
     CSV_HEADER,
     CES2Dist,
@@ -53,6 +65,7 @@ from trimac.regions import (
     structured_pair_joint,
     tv_bound_check,
 )
+from trimac.rng import stream
 from trimac.sources import SourceModel, make_sigma_gamma_triple
 
 PAIRS = ("12", "13", "23")
@@ -951,6 +964,190 @@ def test_default_coupling_preserves_the_plane_for_q3():
     assert all(sum(v) % 3 == 0 for v in counts)
     assert len(counts) == 9
     assert set(counts.values()) == {3}
+
+
+# ---------------------------------------------------------------------------
+# factored ledger against the dense joint
+
+
+def dense_entropy(joint, derived, group):
+    """H(group) on a dense joint, derived linear axes materialized on a marginal."""
+    lifted = sorted(n for n in group if n in derived)
+    if not lifted:
+        return entropy(joint, tuple(group))
+    base = sorted({n for n in group if n not in derived} | {b for n in lifted for b in derived[n][0]})
+    m = marginalize(joint, tuple(base))
+    for name in lifted:
+        bases, coeffs, q = derived[name]
+        idx = [m.axis_index(b) for b in bases]
+        m = add_derived_axis(
+            m, name, q,
+            lambda *g, idx=idx, coeffs=coeffs, q=q: sum(c * g[i] for i, c in zip(idx, coeffs)) % q,
+            vectorized=True)
+    return entropy(m, tuple(group))
+
+
+def spy_ledgers(monkeypatch):
+    made = []
+
+    class Spy(regions._EntropyLedger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(regions, "_EntropyLedger", Spy)
+    return made
+
+
+def fb_block(joint, dist, channel, sfx):
+    q, nu = dist.q, dist.p_u.shape[0]
+    for i, cond in enumerate(dist.x_conds, start=1):
+        joint = chain(joint, ConditionalPMF([(f"U{sfx}", nu), (f"T{i}{sfx}", q), (f"V{i}{sfx}", q)],
+                                            [(f"X{i}{sfx}", 2)], cond.table))
+    return chain(joint, ConditionalPMF([(f"X{i}{sfx}", 2) for i in (1, 2, 3)],
+                                       [(f"Y{sfx}", 4)], channel.transition.table))
+
+
+def fb_prior_block(dist, channel, sfx):
+    """One block of the feedback law, chained factor by factor."""
+    q, nu = dist.q, dist.p_u.shape[0]
+    plane = np.where(np.indices((q,) * 3).sum(axis=0) % q == 0, 1.0 / q**2, 0.0)
+    joint = JointPMF([(f"U{sfx}", nu)], dist.p_u.probs)
+    joint = chain(joint, ConditionalPMF((), [(f"V{i}{sfx}", q) for i in (1, 2, 3)], plane))
+    joint = chain(joint, ConditionalPMF((), [(f"T{i}{sfx}", q) for i in (1, 2, 3)],
+                                        np.full((q,) * 3, 1.0 / q**3)))
+    return fb_block(joint, dist, channel, sfx)
+
+
+def dense_fb_joint(dist, channel):
+    """The two-copy joint chained the old way: prior block, then V = T_prior @ A."""
+    q, nu = dist.q, dist.p_u.shape[0]
+    a = np.array(default_coupling_matrix(q))
+    joint = fb_prior_block(dist, channel, "t")
+    joint = chain(joint, ConditionalPMF((), [("U", nu)], dist.p_u.probs))
+    joint = chain(joint, deterministic_conditional(
+        [(f"T{i}t", q) for i in (1, 2, 3)], [(f"V{i}", q) for i in (1, 2, 3)],
+        lambda *t: tuple(sum(t[r] * a[r, c] for r in range(3)) % q for c in range(3)),
+        vectorized=True))
+    joint = chain(joint, ConditionalPMF((), [("T1", q), ("T2", q), ("T3", q)],
+                                        np.full((q,) * 3, 1.0 / q**3)))
+    return fb_block(joint, dist, channel, "")
+
+
+def dense_hybrid_joint(source, channel, dist):
+    """The hybrid law chained the old way: labels on the source, then the layers."""
+    q = dist.q
+
+    def label(joint, name, size, labels, pos):
+        lab = np.asarray(labels)
+        return add_derived_axis(joint, name, size, lambda *g: lab[g[pos]], vectorized=True)
+
+    mutual = gkw_mutual(source)
+    joint = label(source.joint, "W123", mutual.component_count, mutual.labelings[0], 0)
+    for b in PAIRS:
+        i, j = PAIR_USERS[b]
+        res = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
+        joint = label(joint, f"W{b}", res.component_count, res.labelings[0], i - 1)
+    for i, fn in enumerate(additive_common_search(source, q).functions, start=1):
+        joint = label(joint, f"T{i}", q, fn, i - 1)
+    joint = chain(joint, ConditionalPMF((), [("U123", dist.u123.shape[0])], dist.u123.probs))
+    for b in PAIRS:
+        t = dist.pair_conds[b].table
+        joint = chain(joint, ConditionalPMF([(f"W{b}", t.shape[0]), ("U123", t.shape[1])],
+                                            [(f"U{b}", t.shape[2])], t))
+    plane = np.where(np.indices((q,) * 3).sum(axis=0) % q == 0, 1.0 / q**2, 0.0)
+    joint = chain(joint, ConditionalPMF((), [("V1", q), ("V2", q), ("V3", q)], plane))
+    for i in (1, 2, 3):
+        t = dist.x_conds[i - 1].table
+        ba, bb = USER_PAIRS[i]
+        joint = chain(joint, ConditionalPMF(
+            [(f"S{i}", t.shape[0]), ("U123", t.shape[1]), ("U" + ba, t.shape[2]),
+             ("U" + bb, t.shape[3]), (f"V{i}", q)], [(f"X{i}", t.shape[-1])], t))
+    return chain(joint, channel.transition)
+
+
+def macfb_preset(seed):
+    """The `region --family macfb` input law for this seed."""
+    r = stream(seed, 9)
+    p_u = JointPMF([("U", 2)], rows_normalized(r, (2,)))
+    return MacFBDist(2, p_u, tuple(
+        ConditionalPMF([("U", 2), ("T", 2), ("V", 2)], [(f"X{i}", 2)], rows_normalized(r, (2, 2, 2, 2)))
+        for i in (1, 2, 3)))
+
+
+def test_macfb_ledger_groups_match_the_dense_joint(monkeypatch):
+    ledgers = spy_ledgers(monkeypatch)
+    dist, chan = macfb_preset(0), build_quaternary_channel(0.25)
+    rep = eval_macfb((0.0, 0.0, 0.0), 0.0, dist, chan)
+    ledger = next(led for led in ledgers if "Y" in led.sizes)
+    assert ledger.contractions > 0  # the two-copy law stays factored
+    assert ledger.terms == rep.entropy_terms
+    joint = dense_fb_joint(dist, chan)
+    for group, bits in ledger.terms.items():
+        assert abs(dense_entropy(joint, ledger.derived, group) - bits) <= 1e-12, sorted(group)
+
+
+@pytest.mark.parametrize("sigma, gamma, alpha", [(0.0, None, 0.0), (0.2, 0.1, 0.4)])
+def test_hybrid_ledger_groups_match_the_dense_joint(monkeypatch, sigma, gamma, alpha):
+    ledgers = spy_ledgers(monkeypatch)
+    source = make_sigma_gamma_triple(sigma, gamma_star(0.25) if gamma is None else gamma)
+    chan = build_quaternary_channel(0.25)
+    dist = hybrid_example_dist(source, alpha)
+    eval_hybrid(source, chan, dist)
+    (ledger,) = ledgers
+    joint = dense_hybrid_joint(source, chan, dist)
+    assert len(ledger.terms) > 400
+    for group, bits in ledger.terms.items():
+        assert abs(dense_entropy(joint, ledger.derived, group) - bits) <= 1e-12, sorted(group)
+
+
+def test_each_evaluation_logs_one_ledger_line(caplog):
+    chan = ConditionalPMF([("X1", 2), ("X2", 2)], [("Y", 2)], np.full((2, 2, 2), 0.5))
+    half = ConditionalPMF([("U", 1)], [("X1", 2)], np.array([[0.5, 0.5]]))
+    with caplog.at_level(logging.DEBUG, logger="trimac"):
+        eval_cl2((0.1, 0.1), chan, JointPMF([("U", 1)], [1.0]), half, half)
+        eval_macfb((0.0, 0.0, 0.0), 0.0, macfb_preset(0), build_quaternary_channel(0.25))
+    lines = [r.getMessage() for r in caplog.records if r.name == "trimac"]
+    assert len(lines) == 2
+    assert lines[0].startswith("cl2: ") and " 0 einsum contractions" in lines[0]
+    assert lines[1].startswith("macfb: ") and " 0 einsum" not in lines[1]
+
+
+def test_macfb_at_q3_evaluates_without_the_dense_joint():
+    rng = np.random.default_rng(38)
+    dist = MacFBDist(3, JointPMF([("U", 2)], rows_normalized(rng, (2,))), tuple(
+        ConditionalPMF([("U", 2), ("T", 3), ("V", 3)], [(f"X{i}", 2)], rows_normalized(rng, (2, 3, 3, 2)))
+        for i in (1, 2, 3)))
+    chan = build_quaternary_channel(0.25)
+    alpha = 0.3
+    rep = eval_macfb((alpha * math.log2(3),) * 3, alpha, dist, chan)
+    assert len(rep.records) == 17
+    for i in (1, 2, 3):
+        r = rep.record(f"rate-match-{i}")
+        assert r.lhs == pytest.approx(alpha * rep.w_entropy_terms[frozenset({f"W{i}"})], abs=1e-12)
+        assert r.lhs == pytest.approx(alpha * math.log2(3), abs=1e-12)
+        assert r.satisfied
+
+    # the current block alone is a 46,656-cell law with the prior block's shape
+    block = fb_prior_block(dist, chan, "")
+    assert block.probs.size == 2 * 27 * 27 * 8 * 4
+    derived = {n: (d["base"], d["coeffs"], d["q"]) for n, d in rep.derived_axes.items()}
+    current = {"U", "Y"} | {f"{ax}{i}" for ax in ("T", "V", "X", "TA") for i in (1, 2, 3)}
+    checked = 0
+    for group, bits in rep.entropy_terms.items():
+        if group <= current:
+            assert abs(dense_entropy(block, derived, group) - bits) <= 1e-12, sorted(group)
+            checked += 1
+    assert checked >= 10
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            rep.joint  # 46,656**2 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------
