@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import ConditionalPMF, JointPMF, chain
+from .probcore import ConditionalPMF, JointPMF, chain, sample_given
 from .rng import stream
 
 __all__ = [
@@ -140,10 +140,7 @@ def transmit(channel: DMChannel, blocks, seed: int) -> np.ndarray:
     for x, m in zip((x1, x2, x3), sizes):
         if x.size and (x.min() < 0 or x.max() >= m):
             raise ValueError("input symbol out of range")
-    cdf = np.cumsum(channel.transition.table, axis=-1)
-    rows = cdf[x1, x2, x3]
-    u = stream(seed).random(x1.shape[0])
-    return (rows < u[:, None]).sum(axis=-1).astype(np.int64)
+    return sample_given(channel.transition.table, (x1, x2, x3), stream(seed))
 
 
 def output_distribution(channel: DMChannel, input_joint: JointPMF) -> JointPMF:

@@ -31,10 +31,10 @@ from .coding import (
     ml_decode_additive_pair,
     monte_carlo_error,
 )
-from .commonparts import additive_common_search, gkw_mutual, gkw_pairwise
+from .commonparts import additive_common_search, gkw_mutual, gkw_pairs
 from .gfcore import verify_image_probability
 from .macfb import FBConfig, ptp_simulation, run_fb_simulation, structure_necessity_probe
-from .probcore import ConditionalPMF, JointPMF, binary_entropy, marginalize
+from .probcore import ConditionalPMF, JointPMF, binary_entropy
 from .regions import (
     CES2Dist,
     FactorizationError,
@@ -371,9 +371,7 @@ def _handle_frontier(args) -> _Emission:
 def _handle_common_parts(args) -> _Emission:
     source = _build_source(args)
     mutual = gkw_mutual(source)
-    pair_results = {}
-    for b, (i, j) in (("12", (1, 2)), ("13", (1, 3)), ("23", (2, 3))):
-        pair_results[b] = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
+    pair_results = gkw_pairs(source)
     additive = additive_common_search(source, args.q)
     header = ["part (id)", "components (count)", "entropy (bits)", "found (flag)"]
     rows = [["mutual", mutual.component_count, mutual.entropy, True]]
@@ -521,6 +519,8 @@ def _build_parsers() -> dict:
     p = argparse.ArgumentParser(prog="trimac simulate-mac")
     _add_common(p, plot=True)
     _add_source_flags(p)
+    # the default additive-pair decoder needs a product law on (S1, S2)
+    p.set_defaults(source="additive")
     p.add_argument("--channel", choices=("additive-pair", "quaternary"), default="additive-pair")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--scheme", choices=("identical-linear", "unstructured"),

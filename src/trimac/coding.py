@@ -14,27 +14,35 @@ Four scheme families:
     common part, with per-user codewords conditioned additionally on the
     affine layer.
 
-All encoders are deterministic given (scheme seed, block content), so a
-decoder can re-expand any candidate block.  Decoders return a DecodeResult;
-ties and empty typical sets are failures, never silent guesses.
+The layered and hybrid schemes take their single-letter design law from
+regions.three_user_factors, the same factor list their region evaluators
+read, so the typicality decoder and the region rows share one law.  All
+encoders are deterministic given (scheme seed, block content), so a
+decoder can re-expand any candidate block.  Decoders return a
+DecodeResult; ties and empty typical sets are failures, never silent
+guesses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channels import DMChannel
-from .commonparts import additive_common_search, gkw_mutual, gkw_pairwise
+from .channels import DMChannel, transmit
+from .commonparts import additive_common_search, gkw_mutual, gkw_pairs
 from .probcore import (
     ConditionalPMF,
     JointPMF,
-    chain,
-    deterministic_conditional,
+    chain_all,
+    check_cells,
     marginalize,
+    mixed_radix,
+    sample_given,
 )
+from .regions import PAIRS, USER_PAIRS, _plane_probs, three_user_factors
 from .rng import stream
 from .sources import SourceModel, sample_iid
 
@@ -54,9 +62,6 @@ __all__ = [
 ]
 
 MAX_CANDIDATES = 2**26
-PAIRS = ("12", "13", "23")
-# the two pair labels involving each user, lexicographic
-USER_PAIRS = {1: ("12", "13"), 2: ("12", "23"), 3: ("13", "23")}
 
 
 @dataclass
@@ -90,12 +95,24 @@ def _sub_seed(seed: int, *path: int) -> int:
     return int(stream(seed, *path).integers(0, 2**62))
 
 
-def _zero_sum_input_law(q: int) -> JointPMF:
-    probs = np.zeros((q, q, q))
-    for a in range(q):
-        for b in range(q):
-            probs[a, b, (-a - b) % q] = 1.0 / (q * q)
-    return JointPMF([("X1", q), ("X2", q), ("X3", q)], probs)
+def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
+    """Uniform n x n matrix from stream (seed, tag); zero-sum offsets from (seed, tag + 1)."""
+    g = stream(seed, tag).integers(0, q, size=(n, n))
+    off_rng = stream(seed, tag + 1)
+    b1 = off_rng.integers(0, q, size=n)
+    b2 = off_rng.integers(0, q, size=n)
+    return g, (b1, b2, (-(b1 + b2)) % q)
+
+
+def _per_row(encode_one: Callable) -> Callable:
+    """Encoder of one block, or of a stack of blocks one row at a time."""
+    def enc(s):
+        s = np.asarray(s, dtype=np.int64)
+        if s.ndim == 1:
+            return encode_one(s)
+        return np.stack([encode_one(row) for row in s])
+
+    return enc
 
 
 def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingScheme:
@@ -104,11 +121,7 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
         raise ValueError("source symbols must embed into Z_q")
     if n < 1:
         raise ValueError("block length must be positive")
-    g = stream(seed, 0).integers(0, q, size=(n, n))
-    off_rng = stream(seed, 1)
-    b1 = off_rng.integers(0, q, size=n)
-    b2 = off_rng.integers(0, q, size=n)
-    offsets = (b1, b2, (-(b1 + b2)) % q)
+    g, offsets = _zero_sum_affine(q, n, seed, 0)
 
     def make_encoder(b):
         def enc(s):
@@ -117,8 +130,8 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
         return enc
 
     def design_builder(channel: DMChannel) -> JointPMF:
-        base = chain(source.joint, ConditionalPMF.from_joint(_zero_sum_input_law(q)))
-        return chain(base, channel.transition)
+        inputs = ConditionalPMF((), [("X1", q), ("X2", q), ("X3", q)], _plane_probs(q))
+        return chain_all([ConditionalPMF.from_joint(source.joint), inputs, channel.transition])
 
     return CodingScheme(
         kind="linear-jscc",
@@ -148,18 +161,9 @@ class _CodebookCache:
         hit = self.memo.get(key)
         if hit is None:
             digits = np.concatenate([np.asarray(c).ravel() for c in content]).astype(int)
-            rng = stream(self.seed, self.tag, *digits.tolist())
-            hit = draw(rng)
+            hit = draw(stream(self.seed, self.tag, *digits.tolist()))
             self.memo[key] = hit
         return hit
-
-
-def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One symbol per row-index from a conditional table; rows is 1-D."""
-    cdf = np.cumsum(table, axis=-1)
-    picked = cdf[tuple(rows.T)] if rows.ndim > 1 else cdf[rows]
-    u = rng.random(picked.shape[0])
-    return (picked < u[:, None]).sum(axis=1).astype(np.int64)
 
 
 def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
@@ -174,162 +178,97 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
             raise ValueError("conditional rows must sum to 1")
     caches = [_CodebookCache(seed, i) for i in range(3)]
 
-    def make_encoder(i):
-        table = tables[i]
-
-        def encode_one(block: np.ndarray) -> np.ndarray:
-            return caches[i].lookup(
-                (block,), lambda rng: _draw_rows(rng, table, block)
-            )
-
-        def enc(s):
-            s = np.asarray(s, dtype=np.int64)
-            if s.ndim == 1:
-                return encode_one(s)
-            return np.stack([encode_one(row) for row in s])
-
-        return enc
+    def encode_one(i: int, block: np.ndarray) -> np.ndarray:
+        return caches[i].lookup((block,), lambda rng: sample_given(tables[i], (block,), rng))
 
     def design_builder(channel: DMChannel) -> JointPMF:
-        out = source.joint
-        for i in range(3):
-            cond = ConditionalPMF(
-                [(f"S{i + 1}", source.sizes[i])],
-                [(f"X{i + 1}", tables[i].shape[1])],
-                tables[i],
-            )
-            out = chain(out, cond)
-        return chain(out, channel.transition)
+        inputs = [
+            ConditionalPMF([(f"S{i}", source.sizes[i - 1])], [(f"X{i}", t.shape[1])], t)
+            for i, t in enumerate(tables, start=1)
+        ]
+        return chain_all([ConditionalPMF.from_joint(source.joint), *inputs, channel.transition])
 
     return CodingScheme(
         kind="unstructured-jscc",
         n=n,
         source=source,
-        per_user=tuple(make_encoder(i) for i in range(3)),
+        per_user=tuple(_per_row(functools.partial(encode_one, i)) for i in range(3)),
         design_joint_builder=design_builder,
         layer_blocks=lambda s1, s2, s3: {},
         meta={"conditionals": tables, "seed": seed},
     )
 
 
-def _conferencing_parts(source: SourceModel):
-    """GKW labelings: mutual part and the three pairwise parts."""
+def _layered_scheme(kind: str, source: SourceModel, dist, n: int, seed: int,
+                    affine: dict | None = None) -> CodingScheme:
+    """Superposition encoders over the common parts, with codeword tags 4-7 and 10-12.
+
+    affine, the hybrid's {"q", "matrix", "offsets", "additive_functions"},
+    adds the layer T_i = f_i(S_i), V_i = T_i G + b_i on which X_i is also
+    conditioned; it is kept in the scheme's meta.
+    """
     mutual = gkw_mutual(source)
-    pair_parts = {}
+    pair_parts = gkw_pairs(source)
+    u123 = np.asarray(dist.u123.probs, dtype=np.float64)[None, :]
+    pair_tables = {b: np.asarray(dist.pair_conds[b].table) for b in PAIRS}
     for b in PAIRS:
-        i, j = int(b[0]), int(b[1])
-        pair_parts[b] = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
-    return mutual, pair_parts
+        tab = pair_tables[b]
+        want = pair_parts[b].component_count
+        if tab.ndim != 3 or tab.shape[0] != want:
+            raise ValueError(
+                f"pair layer {b}: conditional must be indexed by the {want} "
+                "common-part labels and the shared layer symbol"
+            )
+        if tab.shape[1] != u123.shape[1]:
+            raise ValueError(f"pair layer {b}: shared-layer axis size mismatch")
+    x_tables = [np.asarray(dist.x_conds[i].table) for i in range(3)]
+    cache_u123 = _CodebookCache(seed, 4)
+    cache_pair = {b: _CodebookCache(seed, 5 + k) for k, b in enumerate(PAIRS)}
+    cache_x = [_CodebookCache(seed, 10 + i) for i in range(3)]
+    t_functions = None if affine is None else affine["additive_functions"]
 
-
-def _pair_side(b: str, user: int) -> int:
-    return 0 if int(b[0]) == user else 1
-
-
-class _LayeredEncoders:
-    """Shared machinery for the layered and hybrid schemes."""
-
-    def __init__(self, source, u123_pmf, pair_conds, seed):
-        self.source = source
-        self.mutual, self.pair_parts = _conferencing_parts(source)
-        self.u123_pmf = np.asarray(u123_pmf.probs, dtype=np.float64)
-        self.pair_tables = {b: np.asarray(pair_conds[b].table) for b in PAIRS}
-        for b in PAIRS:
-            tab = self.pair_tables[b]
-            want = self.pair_parts[b].component_count
-            if tab.ndim != 3 or tab.shape[0] != want:
-                raise ValueError(
-                    f"pair layer {b}: conditional must be indexed by the {want} "
-                    "common-part labels and the shared layer symbol"
-                )
-            if tab.shape[1] != self.u123_pmf.shape[0]:
-                raise ValueError(f"pair layer {b}: shared-layer axis size mismatch")
-        self.cache_u123 = _CodebookCache(seed, 4)
-        self.cache_pair = {b: _CodebookCache(seed, 5 + k) for k, b in enumerate(PAIRS)}
-
-    def w_blocks(self, user: int, s_block: np.ndarray) -> dict:
-        out = {"W123": np.asarray(self.mutual.labelings[user - 1])[s_block]}
+    def user_layers(user: int, block: np.ndarray) -> dict:
+        """The layer blocks user sees for its source block."""
+        w123 = np.asarray(mutual.labelings[user - 1])[block]
+        u = cache_u123.lookup((w123,), lambda rng: sample_given(u123, (np.zeros_like(w123),), rng))
+        out = {"W123": w123, "U123": u}
         for b in USER_PAIRS[user]:
-            side = _pair_side(b, user)
-            out[f"W{b}"] = np.asarray(self.pair_parts[b].labelings[side])[s_block]
+            side = 0 if b[0] == str(user) else 1
+            w_b = np.asarray(pair_parts[b].labelings[side])[block]
+            out[f"W{b}"] = w_b
+            out[f"U{b}"] = cache_pair[b].lookup(
+                (w_b, u), lambda rng: sample_given(pair_tables[b], (w_b, u), rng))
+        if affine is not None:
+            t = np.asarray(t_functions[user - 1])[block]
+            out[f"T{user}"] = t
+            out[f"V{user}"] = (t @ affine["matrix"] + affine["offsets"][user - 1]) % affine["q"]
         return out
 
-    def u123_block(self, w123: np.ndarray) -> np.ndarray:
-        return self.cache_u123.lookup(
-            (w123,),
-            lambda rng: _draw_rows(rng, np.broadcast_to(self.u123_pmf, (1, self.u123_pmf.size)),
-                                   np.zeros(w123.shape[0], dtype=np.int64)),
-        )
+    def encode_one(user: int, block: np.ndarray) -> np.ndarray:
+        layers = user_layers(user, block)
+        given = (block, layers["U123"], *(layers[f"U{b}"] for b in USER_PAIRS[user]))
+        if affine is not None:
+            given += (layers[f"V{user}"],)
+        return cache_x[user - 1].lookup(
+            (block,), lambda rng: sample_given(x_tables[user - 1], given, rng))
 
-    def pair_block(self, b: str, w_b: np.ndarray, u123: np.ndarray) -> np.ndarray:
-        table = self.pair_tables[b]
-        return self.cache_pair[b].lookup(
-            (w_b, u123),
-            lambda rng: _draw_rows(rng, table, np.stack([w_b, u123], axis=1)),
-        )
-
-    def cloud_blocks(self, user: int, s_block: np.ndarray) -> dict:
-        blocks = self.w_blocks(user, s_block)
-        u123 = self.u123_block(blocks["W123"])
-        blocks["U123"] = u123
-        for b in USER_PAIRS[user]:
-            blocks[f"U{b}"] = self.pair_block(b, blocks[f"W{b}"], u123)
-        return blocks
-
-    def design_base(self) -> JointPMF:
-        """P(S, W layers, U layers), before any per-user input layer."""
-        out = self.source.joint
-        labels = self.mutual.labelings[0]
-        out = chain(
-            out,
-            deterministic_conditional(
-                [("S1", self.source.sizes[0])],
-                [("W123", self.mutual.component_count)],
-                lambda s: np.asarray(labels)[s],
-                vectorized=True,
-            ),
-        )
-        for b in PAIRS:
-            anchor_user = int(b[0])
-            side_labels = np.asarray(self.pair_parts[b].labelings[0])
-            out = chain(
-                out,
-                deterministic_conditional(
-                    [(f"S{anchor_user}", self.source.sizes[anchor_user - 1])],
-                    [(f"W{b}", self.pair_parts[b].component_count)],
-                    lambda s, lab=side_labels: lab[s],
-                    vectorized=True,
-                ),
-            )
-        out = chain(
-            out,
-            ConditionalPMF((), [("U123", self.u123_pmf.shape[0])], self.u123_pmf),
-        )
-        for b in PAIRS:
-            tab = self.pair_tables[b]
-            out = chain(
-                out,
-                ConditionalPMF(
-                    [(f"W{b}", tab.shape[0]), ("U123", tab.shape[1])],
-                    [(f"U{b}", tab.shape[2])],
-                    tab,
-                ),
-            )
+    def layer_blocks(s1, s2, s3):
+        out = {}
+        for user, block in ((1, s1), (2, s2), (3, s3)):
+            for name, arr in user_layers(user, np.asarray(block, dtype=np.int64)).items():
+                out.setdefault(name, arr)
         return out
 
-
-def _check_refactorization(design: JointPMF, conds: list[tuple[ConditionalPMF, tuple[str, ...], str]]):
-    """Numerical factorization check at 1e-9: each supplied conditional must
-    be recoverable from the composed design wherever the givens have mass."""
-    for cond, given, target in conds:
-        joint = marginalize(design, given + (target,))
-        g = joint.probs.reshape(-1, joint.shape[-1])
-        mass = g.sum(axis=1)
-        table = cond.table.reshape(-1, joint.shape[-1])
-        ok = mass > 0
-        ratio = g[ok] / mass[ok, None]
-        if np.abs(ratio - table[ok]).max() > 1e-9:
-            raise ValueError(f"design does not factor through the supplied {target} conditional")
+    return CodingScheme(
+        kind=kind,
+        n=n,
+        source=source,
+        per_user=tuple(_per_row(functools.partial(encode_one, u)) for u in (1, 2, 3)),
+        design_joint_builder=lambda channel: chain_all(
+            three_user_factors(source, channel, dist, t_functions)),
+        layer_blocks=layer_blocks,
+        meta={"seed": seed, **(affine or {})},
+    )
 
 
 def build_layered_ces(source: SourceModel, dist, n: int, seed: int) -> CodingScheme:
@@ -339,73 +278,7 @@ def build_layered_ces(source: SourceModel, dist, n: int, seed: int) -> CodingSch
     "12","13","23" of ConditionalPMF given (W_b, U123)), and x_conds (three
     ConditionalPMF given (S_i, U123, U_ij, U_ik)).
     """
-    layers = _LayeredEncoders(source, dist.u123, dist.pair_conds, seed)
-    x_tables = [np.asarray(dist.x_conds[i].table) for i in range(3)]
-    caches = [_CodebookCache(seed, 10 + i) for i in range(3)]
-
-    def make_encoder(user):
-        table = x_tables[user - 1]
-
-        def encode_one(block):
-            cloud = layers.cloud_blocks(user, block)
-            rows = np.stack(
-                (block, cloud["U123"],
-                 cloud[f"U{USER_PAIRS[user][0]}"], cloud[f"U{USER_PAIRS[user][1]}"]),
-                axis=1,
-            )
-            return caches[user - 1].lookup(
-                (block,), lambda rng: _draw_rows(rng, table, rows)
-            )
-
-        def enc(s):
-            s = np.asarray(s, dtype=np.int64)
-            if s.ndim == 1:
-                return encode_one(s)
-            return np.stack([encode_one(row) for row in s])
-
-        return enc
-
-    def layer_blocks(s1, s2, s3):
-        out = {}
-        for user, block in ((1, s1), (2, s2), (3, s3)):
-            cloud = layers.cloud_blocks(user, np.asarray(block, dtype=np.int64))
-            for name, arr in cloud.items():
-                out.setdefault(name, arr)
-        return out
-
-    def design_builder(channel: DMChannel) -> JointPMF:
-        out = layers.design_base()
-        for user in (1, 2, 3):
-            cond = dist.x_conds[user - 1]
-            bj, bk = USER_PAIRS[user]
-            out = chain(
-                out,
-                ConditionalPMF(
-                    [(f"S{user}", source.sizes[user - 1]),
-                     ("U123", layers.u123_pmf.shape[0]),
-                     (f"U{bj}", layers.pair_tables[bj].shape[2]),
-                     (f"U{bk}", layers.pair_tables[bk].shape[2])],
-                    [(f"X{user}", cond.table.shape[-1])],
-                    cond.table,
-                ),
-            )
-        _check_refactorization(
-            out,
-            [(dist.x_conds[u - 1],
-              (f"S{u}", "U123", f"U{USER_PAIRS[u][0]}", f"U{USER_PAIRS[u][1]}"),
-              f"X{u}") for u in (1, 2, 3)],
-        )
-        return chain(out, channel.transition)
-
-    return CodingScheme(
-        kind="layered-ces",
-        n=n,
-        source=source,
-        per_user=tuple(make_encoder(u) for u in (1, 2, 3)),
-        design_joint_builder=design_builder,
-        layer_blocks=layer_blocks,
-        meta={"seed": seed},
-    )
+    return _layered_scheme("layered-ces", source, dist, n, seed)
 
 
 def build_hybrid_scheme(source: SourceModel, dist, n: int, seed: int) -> CodingScheme:
@@ -418,134 +291,35 @@ def build_hybrid_scheme(source: SourceModel, dist, n: int, seed: int) -> CodingS
     additive = additive_common_search(source, q)
     if not additive.found:
         raise ValueError(f"source has no additive common part over Z_{q}")
-    fns = [np.asarray(f) for f in additive.functions]
-    layers = _LayeredEncoders(source, dist.u123, dist.pair_conds, seed)
-    g = stream(seed, 20).integers(0, q, size=(n, n))
-    off_rng = stream(seed, 21)
-    b1 = off_rng.integers(0, q, size=n)
-    b2 = off_rng.integers(0, q, size=n)
-    offsets = (b1, b2, (-(b1 + b2)) % q)
-    x_tables = [np.asarray(dist.x_conds[i].table) for i in range(3)]
-    caches = [_CodebookCache(seed, 10 + i) for i in range(3)]
-
-    def affine_block(user, s_block):
-        t = fns[user - 1][s_block]
-        return t, (t @ g + offsets[user - 1]) % q
-
-    def make_encoder(user):
-        table = x_tables[user - 1]
-
-        def encode_one(block):
-            cloud = layers.cloud_blocks(user, block)
-            _, v = affine_block(user, block)
-            rows = np.stack(
-                (block, cloud["U123"],
-                 cloud[f"U{USER_PAIRS[user][0]}"], cloud[f"U{USER_PAIRS[user][1]}"], v),
-                axis=1,
-            )
-            return caches[user - 1].lookup((block,), lambda rng: _draw_rows(rng, table, rows))
-
-        def enc(s):
-            s = np.asarray(s, dtype=np.int64)
-            if s.ndim == 1:
-                return encode_one(s)
-            return np.stack([encode_one(row) for row in s])
-
-        return enc
-
-    def layer_blocks(s1, s2, s3):
-        out = {}
-        for user, block in ((1, s1), (2, s2), (3, s3)):
-            block = np.asarray(block, dtype=np.int64)
-            cloud = layers.cloud_blocks(user, block)
-            for name, arr in cloud.items():
-                out.setdefault(name, arr)
-            t, v = affine_block(user, block)
-            out[f"T{user}"] = t
-            out[f"V{user}"] = v
-        return out
-
-    def design_builder(channel: DMChannel) -> JointPMF:
-        out = layers.design_base()
-        for user in (1, 2, 3):
-            lab = fns[user - 1]
-            out = chain(
-                out,
-                deterministic_conditional(
-                    [(f"S{user}", source.sizes[user - 1])],
-                    [(f"T{user}", q)],
-                    lambda s, lab=lab: lab[s],
-                    vectorized=True,
-                ),
-            )
-        v_law = _zero_sum_input_law(q)
-        v_axes = [("V1", q), ("V2", q), ("V3", q)]
-        out = chain(out, ConditionalPMF((), v_axes, v_law.probs))
-        for user in (1, 2, 3):
-            cond = dist.x_conds[user - 1]
-            bj, bk = USER_PAIRS[user]
-            out = chain(
-                out,
-                ConditionalPMF(
-                    [(f"S{user}", source.sizes[user - 1]),
-                     ("U123", layers.u123_pmf.shape[0]),
-                     (f"U{bj}", layers.pair_tables[bj].shape[2]),
-                     (f"U{bk}", layers.pair_tables[bk].shape[2]),
-                     (f"V{user}", q)],
-                    [(f"X{user}", cond.table.shape[-1])],
-                    cond.table,
-                ),
-            )
-        return chain(out, channel.transition)
-
-    return CodingScheme(
-        kind="hybrid",
-        n=n,
-        source=source,
-        per_user=tuple(make_encoder(u) for u in (1, 2, 3)),
-        design_joint_builder=design_builder,
-        layer_blocks=layer_blocks,
-        meta={
-            "q": q,
-            "matrix": g,
-            "offsets": offsets,
-            "additive_functions": additive.functions,
-            "seed": seed,
-        },
-    )
+    g, offsets = _zero_sum_affine(q, n, seed, 20)
+    affine = {"q": q, "matrix": g, "offsets": offsets, "additive_functions": additive.functions}
+    return _layered_scheme("hybrid", source, dist, n, seed, affine)
 
 
 def _candidate_space(source: SourceModel, n: int):
-    """All support^n candidate triples, mixed-radix over the support list."""
+    """All support^n candidate triples, mixed-radix over the support list.
+
+    Returns the support rows and a generator of the candidates' digit rows
+    (indices into the support), chunk rows at a time, in order.
+    """
     support = source.support()
     m = support.shape[0]
     total = m**n
     if total > MAX_CANDIDATES:
         raise ValueError(f"candidate space {total} exceeds the {MAX_CANDIDATES} guard")
-    return support, m, total
+    chunk = 1 << 18
+    digits = (mixed_radix(np.arange(start, min(start + chunk, total)), m, n)
+              for start in range(0, total, chunk))
+    return support, digits
 
 
-def _digits_chunk(start: int, stop: int, m: int, n: int) -> np.ndarray:
-    ids = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((ids.shape[0], n), dtype=np.int64)
-    rest = ids.copy()
-    for pos in range(n - 1, -1, -1):
-        out[:, pos] = rest % m
-        rest //= m
-    return out
-
-
-_BINARY_WORDS: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _binary_words(n: int) -> np.ndarray:
-    """All of {0,1}^n as rows, cached; read-only."""
-    hit = _BINARY_WORDS.get(n)
-    if hit is None:
-        hit = _digits_chunk(0, 2**n, 2, n)
-        hit.setflags(write=False)
-        _BINARY_WORDS[n] = hit
-    return hit
+    """All of {0,1}^n as rows, read-only; only the last n asked for stays cached."""
+    check_cells((2**n, n))
+    words = mixed_radix(np.arange(2**n), 2, n)
+    words.setflags(write=False)
+    return words
 
 
 def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult:
@@ -558,7 +332,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult
     n = y.shape[0]
     if n != scheme.n:
         raise ValueError("block length mismatch")
-    support, m, total = _candidate_space(scheme.source, n)
+    support, chunks = _candidate_space(scheme.source, n)
     with np.errstate(divide="ignore"):
         log_t = np.log(channel.transition.table)
         log_prior = np.log(scheme.source.support_probs())
@@ -566,9 +340,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult
     best_score = -np.inf
     best_digits = None
     tie = False
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        digits = _digits_chunk(start, min(start + chunk, total), m, n)
+    for digits in chunks:
         s1, s2, s3 = (support[:, i][digits] for i in range(3))
         x1, x2, x3 = scheme.encode(s1, s2, s3)
         scores = log_t[x1, x2, x3, y].sum(axis=1) + log_prior[digits].sum(axis=1)
@@ -662,7 +434,7 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
     design = scheme.design_joint(channel)
     probs = design.probs
     thr = eps / float((probs > 0).sum())
-    support, m, total = _candidate_space(scheme.source, n)
+    support, chunks = _candidate_space(scheme.source, n)
 
     flat = probs.ravel()
     must_appear = np.flatnonzero(flat > thr)
@@ -670,8 +442,7 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
 
     names = design.names
     hit = None
-    for cid in range(total):
-        digits = _digits_chunk(cid, cid + 1, m, n)[0]
+    for digits in (row for chunk in chunks for row in chunk):
         s1, s2, s3 = (support[:, i][digits] for i in range(3))
         x1, x2, x3 = scheme.encode(s1, s2, s3)
         layer = scheme.layer_blocks(s1, s2, s3)
@@ -775,7 +546,7 @@ def monte_carlo_error(
         scheme = scheme_factory(_sub_seed(seed, t, 0)) if scheme_per_trial else shared
         s = sample_iid(source, n, _sub_seed(seed, t, 1))
         x = scheme.encode(*s)
-        y = _transmit_with(channel, x, _sub_seed(seed, t, 2))
+        y = transmit(channel, x, _sub_seed(seed, t, 2))
         res = decoder(channel, scheme, y)
         if not res.ok:
             return 1
@@ -803,8 +574,3 @@ def monte_carlo_error(
         channel_kind=channel.kind,
     )
 
-
-def _transmit_with(channel: DMChannel, blocks, seed: int) -> np.ndarray:
-    from .channels import transmit
-
-    return transmit(channel, blocks, seed)

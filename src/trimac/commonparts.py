@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .probcore import JointPMF, entropy
+from .probcore import JointPMF, entropy, marginalize, mixed_radix, sample_cells, sample_given
 from .rng import stream
 from .sources import SourceModel
 
@@ -32,6 +32,7 @@ __all__ = [
     "StrategySampler",
     "gkw_pairwise",
     "gkw_mutual",
+    "gkw_pairs",
     "additive_common_search",
     "unstructuredness_estimate",
     "identical_affine_sampler",
@@ -124,6 +125,14 @@ def gkw_mutual(model: SourceModel) -> CommonPartResult:
     return _components_to_result(model.joint, uf, [0, n1, n1 + n2])
 
 
+def gkw_pairs(model: SourceModel) -> dict[str, CommonPartResult]:
+    """Pairwise common parts of the three sources, keyed "12", "13", "23"."""
+    return {
+        f"{i}{j}": gkw_pairwise(marginalize(model.joint, (f"S{i}", f"S{j}")))
+        for i, j in ((1, 2), (1, 3), (2, 3))
+    }
+
+
 @dataclass(frozen=True)
 class AdditiveCommonResult:
     found: bool
@@ -131,18 +140,6 @@ class AdditiveCommonResult:
     functions: tuple[tuple[int, ...], ...] | None
     pmf: JointPMF | None
     entropy: float
-
-
-def _function_tuples(q: int, size: int):
-    """All maps {0..size-1} -> Z_q in lexicographic order."""
-    total = q**size
-    for fid in range(total):
-        digits = []
-        rest = fid
-        for _ in range(size):
-            digits.append(rest % q)
-            rest //= q
-        yield tuple(reversed(digits))
 
 
 def additive_common_search(model: SourceModel, q: int) -> AdditiveCommonResult:
@@ -162,9 +159,13 @@ def additive_common_search(model: SourceModel, q: int) -> AdditiveCommonResult:
     support = model.support()
     sprobs = model.joint.probs
 
+    # every map {0..m-1} -> Z_q, in lexicographic order
+    maps1, maps2 = (
+        [tuple(f) for f in mixed_radix(np.arange(q**m), q, m).tolist()] for m in (n1, n2)
+    )
     best = None  # (entropy, functions, pmf)
-    for f1 in _function_tuples(q, n1):
-        for f2 in _function_tuples(q, n2):
+    for f1 in maps1:
+        for f2 in maps2:
             f3 = [None] * n3
             ok = True
             for s1, s2, s3 in support:
@@ -234,15 +235,10 @@ def memoryless_conditional_sampler(conditionals) -> StrategySampler:
     for t in tables:
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("conditional rows must sum to 1")
-    cdfs = [np.cumsum(t, axis=1) for t in tables]
     sizes = tuple(t.shape[1] for t in tables)
 
     def apply_blocks(rng: np.random.Generator, s1, s2, s3):
-        out = []
-        for cdf, s in zip(cdfs, (s1, s2, s3)):
-            u = rng.random(s.shape)
-            out.append((cdf[s] < u[..., None]).sum(axis=-1))
-        return tuple(out)
+        return tuple(sample_given(t, (s,), rng) for t, s in zip(tables, (s1, s2, s3)))
 
     return StrategySampler("memoryless-conditional", sizes, apply_blocks)
 
@@ -300,10 +296,7 @@ def unstructuredness_estimate(
     for idx in range(map_count):
         mask = idx + 1  # masks 1 .. 2^m - 2, bit x set means the map is 1 at x
         rng = stream(seed, idx)
-        cdf = np.cumsum(source.joint.probs.ravel())
-        cdf[-1] = 1.0
-        flat = np.searchsorted(cdf, rng.random((trials, n)), side="right")
-        s1, s2, s3 = np.unravel_index(flat, source.sizes)
+        s1, s2, s3 = sample_cells(source.joint, (trials, n), rng)
         x1, x2, x3 = strategy_sampler.apply_blocks(rng, s1, s2, s3)
         sym = (x1 * sz2 + x2) * sz3 + x3
         used = np.bitwise_or.reduce(1 << sym.astype(np.int64), axis=1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .probcore import mixed_radix
 from .rng import stream
 
 __all__ = [
@@ -247,18 +248,8 @@ class ImageProbabilityReport:
     ok: bool
 
 
-def _decode_tuples(ids: np.ndarray, q: int, width: int) -> np.ndarray:
-    """Mixed-radix digits of ids, big-endian, shape (len(ids), width)."""
-    out = np.empty((ids.shape[0], width), dtype=np.int64)
-    rest = ids.copy()
-    for pos in range(width - 1, -1, -1):
-        out[:, pos] = rest % q
-        rest //= q
-    return out
-
-
 def _encode_tuples(digits: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of _decode_tuples along the last axis."""
+    """Inverse of probcore.mixed_radix along the last axis."""
     width = digits.shape[-1]
     weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return digits @ weights
@@ -284,15 +275,15 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
     if cells > MAX_COUNT_CELLS:
         raise ValueError(f"count table of {cells} cells exceeds guard {MAX_COUNT_CELLS}")
 
-    all_s = _decode_tuples(np.arange(n_s), q, k)  # (n_s, k)
-    all_v = _decode_tuples(np.arange(n_v), q, n)  # (n_v, n)
+    all_s = mixed_radix(np.arange(n_s), q, k)  # (n_s, k)
+    all_v = mixed_radix(np.arange(n_v), q, n)  # (n_v, n)
 
     counts = np.zeros((n_s, n_s, n_v, n_v), dtype=np.int64)
     i_grid, j_grid = np.meshgrid(np.arange(n_s), np.arange(n_s), indexing="ij")
     chunk = max(1, min(m_total, 4096))
     for start in range(0, m_total, chunk):
         ids = np.arange(start, min(start + chunk, m_total))
-        mats = _decode_tuples(ids, q, k * n).reshape(-1, k, n)
+        mats = mixed_radix(ids, q, k * n).reshape(-1, k, n)
         images = np.einsum("sk,ckn->csn", all_s, mats) % q  # (c, n_s, n)
         vids = _encode_tuples(images, q)  # (c, n_s)
         for row in vids:

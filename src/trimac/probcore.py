@@ -8,6 +8,10 @@ marginal contracted from the factors it needs.  Tensors are capped at 1e8
 cells, checked before anything is allocated; axis names are unique per
 tensor; all masses are validated at construction.
 
+The module also owns the package's two inverse-CDF samplers, `sample_cells`
+for a joint and `sample_given` for a conditional table, and its one
+enumerator of digit tuples, `mixed_radix`.
+
 Entropies are in bits throughout, with the 0 log 0 = 0 convention.
 """
 
@@ -35,7 +39,9 @@ __all__ = [
     "marginalize",
     "add_derived_axis",
     "deterministic_conditional",
+    "mixed_radix",
     "sample_cells",
+    "sample_given",
 ]
 
 MAX_CELLS = 10**8
@@ -358,10 +364,42 @@ def deterministic_conditional(given_axes, target_axes, fn, vectorized: bool = Fa
     return ConditionalPMF(given_axes, target_axes, table)
 
 
-def sample_cells(p: JointPMF, count: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Draw iid cells from the joint; returns one index array per axis."""
-    cdf = np.cumsum(p.probs.ravel())
-    cdf[-1] = 1.0
-    u = rng.random(count)
-    flat = np.searchsorted(cdf, u, side="right")
+def mixed_radix(ids, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each id, most significant first, shape (len(ids), width).
+
+    Over ids 0, 1, ... the rows run in itertools.product(range(base), repeat=width) order.
+    """
+    rest = np.array(ids, dtype=np.int64)
+    out = np.empty((rest.shape[0], width), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        out[:, pos] = rest % base
+        rest //= base
+    return out
+
+
+def _pinned_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, every entry at or past its row total set to 1.
+
+    A law may miss mass 1 by up to MASS_TOL; unpinned, a uniform draw above a
+    row's total would land past its last cell with mass.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = 1.0
+    return cdf
+
+
+def sample_cells(p: JointPMF, size, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Draw iid cells from the joint, `size` a count or a shape; one index array per axis."""
+    flat = np.searchsorted(_pinned_cdf(p.probs.ravel()), rng.random(size), side="right")
     return np.unravel_index(flat, p.shape)
+
+
+def sample_given(table: np.ndarray, given, rng: np.random.Generator) -> np.ndarray:
+    """One target symbol per cell of the given index arrays, from a conditional table.
+
+    table is laid out given axes first, target axis last; given holds one
+    index array per given axis, all of one shape, which the result takes.
+    """
+    rows = _pinned_cdf(np.asarray(table))[tuple(given)]
+    u = rng.random(rows.shape[:-1])
+    return (rows < u[..., None]).sum(axis=-1, dtype=np.int64)

@@ -5,8 +5,10 @@ common-part relabelings, coordination layers, zero-sum linear layer,
 channel) and reads each inequality off one memoized entropy ledger over
 those factors: a small law is multiplied out once, a large one stays
 factored and each group marginal is contracted from the factors it needs.
-Nothing in this module samples.  A report row keeps (id, lhs, rhs, slack)
-so violations are attributable.
+The three-user layered and hybrid laws come from three_user_factors, which
+the block schemes in coding also chain out as their design law.  Nothing
+in this module samples.  A report row keeps (id, lhs, rhs, slack) so
+violations are attributable.
 
 Four condition families are covered: the two-user layered region and the
 two-user feedback rate region, the three-user layered region, the hybrid
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DMChannel, quaternary_noise_law
-from .coding import PAIRS, USER_PAIRS
-from .commonparts import additive_common_search, gkw_mutual, gkw_pairwise
+from .commonparts import additive_common_search, gkw_mutual, gkw_pairs, gkw_pairwise
 from .gfcore import FieldSpec
 from .probcore import (
     MI_CLAMP,
@@ -57,6 +58,8 @@ from .sources import SourceModel, make_sigma_gamma_triple
 __all__ = [
     "SLACK_FLOOR",
     "FACTOR_TOL",
+    "PAIRS",
+    "USER_PAIRS",
     "W_SUBSETS",
     "USER_SUBSETS",
     "HYBRID_CES3_SHARED",
@@ -69,6 +72,7 @@ __all__ = [
     "HybridDist",
     "MacFBDist",
     "MacFBReport",
+    "three_user_factors",
     "eval_ces2",
     "eval_cl2",
     "eval_ces3",
@@ -98,6 +102,10 @@ __all__ = [
 
 SLACK_FLOOR = -1e-9
 FACTOR_TOL = 1e-9
+
+PAIRS = ("12", "13", "23")
+# the two pair labels involving each user, lexicographic
+USER_PAIRS = {1: ("12", "13"), 2: ("12", "23"), 3: ("13", "23")}
 
 W_SUBSETS = (
     (),
@@ -348,43 +356,42 @@ def _label(name: str, size: int, labels, anchor) -> ConditionalPMF:
     return deterministic_conditional([anchor], [(name, size)], lambda s: lab[s], vectorized=True)
 
 
-def _common_part_factors(source: SourceModel):
-    """Source law and the labels W123 and W_b of its common parts.
+def three_user_factors(source: SourceModel, channel: DMChannel, dist, t_functions=None) -> list:
+    """The single-letter law of a layered scheme, as conditionals listed givens first.
 
-    All labels are anchored on the lowest-index user of the part, so the
-    label axes agree a.s. with any other anchoring.
+    Factors, in order: the source; the common-part labels W123 and W_b,
+    each anchored on the lowest-index user of its part (the labels agree
+    a.s. with any other anchoring); with t_functions, the additive labels
+    T_i = t_functions[i-1](S_i); the layers U123 and U_b | (W_b, U123); with
+    t_functions, the uniform zero-sum plane of (V1, V2, V3) over Z_dist.q;
+    the inputs X_i | (S_i, U123, U_ij, U_ik[, V_i]); the channel output Y.
+    Without t_functions this is the layered law, with them the hybrid one.
     """
     mutual = gkw_mutual(source)
+    pair_parts = gkw_pairs(source)
     axes = source.joint.axes
     factors = [
         ConditionalPMF.from_joint(source.joint),
         _label("W123", mutual.component_count, mutual.labelings[0], axes[0]),
     ]
-    w_sizes = {"W123": mutual.component_count}
     for b in PAIRS:
-        i, j = PAIR_USERS[b]
-        res = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}")))
-        factors.append(_label(f"W{b}", res.component_count, res.labelings[0], axes[i - 1]))
-        w_sizes[f"W{b}"] = res.component_count
-    return factors, w_sizes
-
-
-def _layer_factors(dist, channel: DMChannel, source: SourceModel, w_sizes, v_size=None):
-    """Common tail of the three-user laws: U layers, V, inputs, output."""
+        res, anchor = pair_parts[b], axes[PAIR_USERS[b][0] - 1]
+        factors.append(_label(f"W{b}", res.component_count, res.labelings[0], anchor))
+    q = None if t_functions is None else dist.q
+    if q is not None:
+        factors += [_label(f"T{i}", q, fn, axes[i - 1]) for i, fn in enumerate(t_functions, 1)]
     nu = dist.u123.shape[0]
-    factors = [_indep([("U123", nu)], dist.u123.probs)]
+    factors.append(_indep([("U123", nu)], dist.u123.probs))
     for b in PAIRS:
         t = dist.pair_conds[b].table
-        if t.shape[0] != w_sizes[f"W{b}"]:
+        if t.shape[0] != pair_parts[b].component_count:
             raise FactorizationError(
                 f"pair layer {b} was built for |W{b}|={t.shape[0]} but the source has "
-                f"{w_sizes[f'W{b}']} components"
+                f"{pair_parts[b].component_count} components"
             )
         factors.append(_cond(t, [("W" + b, t.shape[0]), ("U123", nu)], [("U" + b, t.shape[2])]))
-    if v_size is not None:
-        factors.append(
-            _indep([("V1", v_size), ("V2", v_size), ("V3", v_size)], _plane_probs(v_size))
-        )
+    if q is not None:
+        factors.append(_indep([("V1", q), ("V2", q), ("V3", q)], _plane_probs(q)))
     for i in (1, 2, 3):
         t = dist.x_conds[i - 1].table
         if t.shape[0] != source.sizes[i - 1]:
@@ -398,8 +405,8 @@ def _layer_factors(dist, channel: DMChannel, source: SourceModel, w_sizes, v_siz
             )
         ba, bb = USER_PAIRS[i]
         given = [(f"S{i}", t.shape[0]), ("U123", nu), ("U" + ba, t.shape[2]), ("U" + bb, t.shape[3])]
-        if v_size is not None:
-            given.append((f"V{i}", v_size))
+        if q is not None:
+            given.append((f"V{i}", q))
         factors.append(_cond(t, given, [(f"X{i}", t.shape[-1])]))
     return factors + [channel.transition]
 
@@ -605,8 +612,7 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
 
 
 def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionReport:
-    factors, w_sizes = _common_part_factors(source)
-    ledger = _EntropyLedger(factors + _layer_factors(dist, channel, source, w_sizes))
+    ledger = _EntropyLedger(three_user_factors(source, channel, dist))
 
     all_u = ("U123", "U12", "U13", "U23")
     rows = []
@@ -675,12 +681,9 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
         raise ValueError(
             f"source has no additive relabeling over F_{q}; the hybrid family is undefined"
         )
-    factors, w_sizes = _common_part_factors(source)
-    for i, fn in enumerate(additive.functions, start=1):
-        factors.append(_label(f"T{i}", q, fn, source.joint.axes[i - 1]))
     lin = list(itertools.product(range(q), repeat=2))[1:]
     derived = {f"{x}L{a}{b}": ((f"{x}1", f"{x}2"), (a, b), q) for a, b in lin for x in "TV"}
-    ledger = _EntropyLedger(factors + _layer_factors(dist, channel, source, w_sizes, q), derived)
+    ledger = _EntropyLedger(three_user_factors(source, channel, dist, additive.functions), derived)
 
     S = ("S1", "S2", "S3")
     X = ("X1", "X2", "X3")
@@ -1016,9 +1019,8 @@ def product_conditionals(params) -> tuple[ConditionalPMF, ConditionalPMF, Condit
 def _trivial_layers(source: SourceModel):
     """A one-symbol U123 and one-symbol pair layers sized for this source."""
     pair_conds = {}
-    for b in PAIRS:
-        i, j = PAIR_USERS[b]
-        n = gkw_pairwise(marginalize(source.joint, (f"S{i}", f"S{j}"))).component_count
+    for b, res in gkw_pairs(source).items():
+        n = res.component_count
         pair_conds[b] = _cond(np.ones((n, 1, 1)), [("W" + b, n), ("U123", 1)], [("U" + b, 1)])
     return JointPMF([("U123", 1)], [1.0]), pair_conds
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .probcore import JointPMF, marginalize
+from .probcore import JointPMF, marginalize, sample_cells
 from .rng import stream
 
 __all__ = [
@@ -86,11 +86,7 @@ def sample_iid(model: SourceModel, n: int, seed: int) -> tuple[np.ndarray, np.nd
     """n iid triples by inverse-CDF over the flattened joint."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = stream(seed)
-    cdf = np.cumsum(model.joint.probs.ravel())
-    cdf[-1] = 1.0
-    flat = np.searchsorted(cdf, rng.random(n), side="right")
-    s1, s2, s3 = np.unravel_index(flat, model.sizes)
+    s1, s2, s3 = sample_cells(model.joint, n, stream(seed))
     return s1.astype(np.int64), s2.astype(np.int64), s3.astype(np.int64)
 
 

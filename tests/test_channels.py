@@ -125,3 +125,16 @@ def test_output_distribution_requires_input_axes():
     bad = JointPMF([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), 0.125))
     with pytest.raises(ValueError):
         output_distribution(ch, bad)
+
+
+def test_transmit_pinned_draws():
+    # recorded before sampling moved into probcore.sample_given
+    x = [np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0]), np.array([1, 1, 0, 0, 1, 0, 1, 0, 1, 1]),
+         np.array([1, 0, 1, 0, 0, 0, 1, 1, 0, 1])]
+    y = transmit(build_additive_pair_channel(0.2), x, 3)
+    assert y.tolist() == [0, 1, 2, 3, 3, 1, 3, 2, 3, 3]
+    y = transmit(build_quaternary_channel(0.2), x, 4)
+    assert y.tolist() == [2, 1, 3, 1, 1, 1, 2, 3, 0, 3]
+    pairs = [2 * a + b for a, b in zip(x, x[1:] + x[:1])]
+    y = transmit(build_fb_parallel_channel(0.15), pairs, 5)
+    assert y.tolist() == [5, 6, 1, 0, 2, 0, 3, 3, 6, 5]

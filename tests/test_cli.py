@@ -187,3 +187,16 @@ def test_confidence_interval_cells_are_plain_numbers(tmp_path):
         for row in rows:
             for col in cols:
                 assert 0.0 <= float(row[col]) <= 1.0, (path.name, col, row[col])
+
+
+def test_simulate_mac_runs_with_default_flags(tmp_path):
+    # the default decoder needs a product law on (S1, S2), so the default source is additive
+    assert run(["simulate-mac", "--n-list", "4", "--trials", "2", "--out-dir", str(tmp_path)]) == 0
+    assert _read(tmp_path / "simulate-mac.json")["source"]["family"] == "additive"
+
+
+def test_simulate_mac_refuses_oversized_binary_enumeration(tmp_path, capsys):
+    argv = ["simulate-mac", "--source", "additive", "--n-list", "27", "--trials", "1",
+            "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    assert "cap" in capsys.readouterr().err

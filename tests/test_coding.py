@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,9 +24,11 @@ from trimac.probcore import (
     ConditionalPMF,
     JointPMF,
     binary_entropy_inverse,
+    entropy,
     marginalize,
     mutual_information,
 )
+from trimac.rng import stream
 from trimac.sources import (
     SourceModel,
     make_additive_triple,
@@ -489,3 +492,133 @@ def test_sim_report_csv_roundtrip():
 
 def test_candidate_guard_constant():
     assert MAX_CANDIDATES == 2**26
+
+
+# ---------------------------------------------------------------- pinned outputs
+# Recorded from the scheme builders before the layered and hybrid design laws
+# moved to regions.three_user_factors and the codeword draws to probcore.
+
+
+def random_layered_dist(with_v):
+    """Diag-source layered spec with random tables; with_v adds the hybrid V_i axis (q = 2)."""
+    rng = stream(21)
+
+    def rows(shape):
+        t = rng.random(shape) + 0.05
+        return t / t.sum(axis=-1, keepdims=True)
+
+    u123 = JointPMF([("U123", 2)], rows((2,)))
+    pair_conds = {b: ConditionalPMF([(f"W{b}", 2), ("U123", 2)], [(f"U{b}", 2)], rows((2, 2, 2)))
+                  for b in ("12", "13", "23")}
+    x_conds = []
+    for i, (bj, bk) in ((1, ("12", "13")), (2, ("12", "23")), (3, ("13", "23"))):
+        given = [(f"S{i}", 2), ("U123", 2), (f"U{bj}", 2), (f"U{bk}", 2)]
+        given += [(f"V{i}", 2)] if with_v else []
+        x_conds.append(ConditionalPMF(given, [(f"X{i}", 2)], rows((2,) * len(given) + (2,))))
+    return SimpleNamespace(q=2, u123=u123, pair_conds=pair_conds, x_conds=x_conds)
+
+
+def test_unstructured_codewords_pinned():
+    src = make_sigma_gamma_triple(0.2, 0.3)
+    table = np.array([[0.7, 0.3], [0.2, 0.8]])
+    scheme = build_unstructured_jscc(src, [table] * 3, 7, 31)
+    s = sample_iid(src, 7, 2)
+    assert [b.tolist() for b in s] == [
+        [0, 1, 0, 1, 0, 0, 0],
+        [1, 0, 1, 0, 0, 1, 0],
+        [1, 1, 1, 1, 0, 1, 0],
+    ]
+    assert [x.tolist() for x in scheme.encode(*s)] == [
+        [0, 1, 0, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0, 1, 1],
+        [1, 1, 1, 0, 0, 1, 0],
+    ]
+
+
+def test_layered_and_hybrid_blocks_pinned():
+    src = diag_source()
+    s = sample_iid(src, 7, 8)
+    assert [b.tolist() for b in s] == [
+        [1, 0, 1, 1, 1, 0, 0],
+        [1, 0, 1, 1, 1, 0, 0],
+        [1, 0, 1, 1, 1, 0, 0],
+    ]
+    layered = build_layered_ces(src, random_layered_dist(False), 7, 33)
+    assert [x.tolist() for x in layered.encode(*s)] == [
+        [0, 1, 0, 0, 1, 0, 1],
+        [0, 0, 0, 1, 1, 1, 1],
+        [1, 1, 1, 0, 0, 1, 0],
+    ]
+    assert {k: v.tolist() for k, v in layered.layer_blocks(*s).items()} == {
+        "U12": [0, 1, 0, 0, 1, 1, 1],
+        "U123": [0, 0, 0, 1, 1, 1, 1],
+        "U13": [1, 0, 0, 1, 1, 0, 1],
+        "U23": [0, 1, 0, 1, 1, 1, 1],
+        "W12": [1, 0, 1, 1, 1, 0, 0],
+        "W123": [1, 0, 1, 1, 1, 0, 0],
+        "W13": [1, 0, 1, 1, 1, 0, 0],
+        "W23": [1, 0, 1, 1, 1, 0, 0],
+    }
+    hybrid = build_hybrid_scheme(src, random_layered_dist(True), 7, 33)
+    assert [x.tolist() for x in hybrid.encode(*s)] == [
+        [0, 1, 0, 0, 1, 0, 1],
+        [0, 1, 0, 0, 1, 1, 1],
+        [1, 1, 1, 1, 1, 0, 0],
+    ]
+    assert {k: v.tolist() for k, v in hybrid.layer_blocks(*s).items()} == {
+        "T1": [0, 0, 0, 0, 0, 0, 0],
+        "T2": [1, 0, 1, 1, 1, 0, 0],
+        "T3": [1, 0, 1, 1, 1, 0, 0],
+        "U12": [0, 1, 0, 0, 1, 1, 1],
+        "U123": [0, 0, 0, 1, 1, 1, 1],
+        "U13": [1, 0, 0, 1, 1, 0, 1],
+        "U23": [0, 1, 0, 1, 1, 1, 1],
+        "V1": [1, 0, 0, 1, 1, 0, 1],
+        "V2": [1, 1, 1, 0, 0, 0, 0],
+        "V3": [0, 1, 1, 1, 1, 0, 1],
+        "W12": [1, 0, 1, 1, 1, 0, 0],
+        "W123": [1, 0, 1, 1, 1, 0, 0],
+        "W13": [1, 0, 1, 1, 1, 0, 0],
+        "W23": [1, 0, 1, 1, 1, 0, 0],
+    }
+
+
+@pytest.mark.parametrize("builder, with_v, pinned", [
+    (build_layered_ces, False, {
+        ("S1", "U123", "X1"): 2.8897625796068227,
+        ("W12", "U12", "X2"): 2.910188344850158,
+        ("X1", "X2", "X3", "Y"): 4.450052709897166,
+        ("U13", "U23", "Y"): 3.9161026423557805,
+        None: 8.33481363149822,
+    }),
+    (build_hybrid_scheme, True, {
+        ("S1", "U123", "X1"): 2.8992688040502266,
+        ("W12", "U12", "X2"): 2.939344814923205,
+        ("X1", "X2", "X3", "Y"): 4.427854157218658,
+        ("U13", "U23", "Y"): 3.9065627352184413,
+        ("T1", "V1", "X1"): 1.999628441649064,
+        ("V1", "V2", "Y"): 3.9946701287949944,
+        None: 10.23382092059831,
+    }),
+])
+def test_design_joint_entropies_pinned(builder, with_v, pinned):
+    design = builder(diag_source(), random_layered_dist(with_v), 7, 33).design_joint(
+        build_additive_pair_channel(0.1))
+    for group, bits in pinned.items():
+        assert entropy(design, group) == pytest.approx(bits, abs=1e-12)
+
+
+def test_additive_pair_decoder_refuses_huge_blocks_before_allocating():
+    n = 27
+    src = make_additive_triple(0.1, 0.2)
+    scheme = build_linear_jscc(src, 2, n, seed=0)
+    y = np.zeros(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            ml_decode_additive_pair(build_additive_pair_channel(0.1), scheme, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2^27 candidate words alone would take 1 GiB as one int64 column
+    assert peak < 2**20

@@ -17,6 +17,7 @@ from trimac.commonparts import (
     memoryless_conditional_sampler,
     unstructuredness_estimate,
 )
+from trimac.rng import stream
 from trimac.sources import SourceModel, make_additive_triple, make_sigma_gamma_triple
 
 
@@ -168,3 +169,16 @@ def test_unstructuredness_guard():
     sampler = identical_affine_sampler(3, source.sizes)
     with pytest.raises(ValueError):
         unstructuredness_estimate(sampler, source, n=2, trials=10, seed=0)
+
+
+def test_memoryless_sampler_pinned_draws():
+    # recorded before sampling moved into probcore.sample_given
+    tables = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]),
+              np.array([[0.9, 0.1], [0.4, 0.6]])]
+    s = stream(11).integers(0, 2, size=(3, 4, 6))
+    out = memoryless_conditional_sampler(tables).apply_blocks(stream(12), s[0], s[1], s[2])
+    assert [x.tolist() for x in out] == [
+        [[0, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 1, 1], [1, 0, 0, 0, 1, 0]],
+        [[1, 1, 1, 1, 2, 1], [2, 0, 2, 1, 0, 2], [0, 2, 0, 2, 2, 2], [1, 2, 1, 2, 2, 0]],
+        [[1, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1]],
+    ]

@@ -1,5 +1,6 @@
 """Probability core tests, with scipy as the independent entropy oracle."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -23,9 +24,11 @@ from trimac.probcore import (
     deterministic_conditional,
     entropy,
     marginalize,
+    mixed_radix,
     mutual_information,
     push_forward,
     sample_cells,
+    sample_given,
     tv_distance,
 )
 
@@ -238,3 +241,31 @@ def test_sample_cells_frequencies():
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet(0)
+
+
+def test_mixed_radix_runs_in_product_order():
+    for base, width in ((2, 3), (3, 4), (5, 1), (4, 2)):
+        want = np.array(list(itertools.product(range(base), repeat=width)), dtype=np.int64)
+        assert np.array_equal(mixed_radix(np.arange(base**width), base, width), want)
+        # a chunk starting mid-range gives the matching rows
+        assert np.array_equal(mixed_radix(np.arange(3, base**width), base, width), want[3:])
+
+
+class _TopDraw:
+    """Stub generator whose uniforms are all the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_conditional_draw_stays_inside_a_short_row():
+    # rows may miss mass 1 by up to MASS_TOL; a draw above the total must not land past the row
+    cond = ConditionalPMF([("S", 1)], [("X", 2)], [[0.3, 0.7 - 5e-13]])
+    drawn = sample_given(cond.table, (np.zeros(4, dtype=np.int64),), _TopDraw())
+    assert drawn.tolist() == [1, 1, 1, 1]
+
+
+def test_joint_draw_skips_trailing_zero_mass_cells():
+    p = JointPMF([("A", 3)], [0.5, 0.5 - 5e-13, 0.0])
+    (cells,) = sample_cells(p, (2, 3), _TopDraw())
+    assert cells.tolist() == [[1, 1, 1], [1, 1, 1]]

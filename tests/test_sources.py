@@ -98,3 +98,20 @@ def test_json_roundtrip_families():
 def test_generic_source_requires_named_axes():
     with pytest.raises(ValueError):
         SourceModel(JointPMF([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), 0.125)))
+
+
+
+def test_sample_iid_pinned_draws():
+    # recorded before sampling moved into probcore.sample_cells
+    draws = sample_iid(make_additive_triple(0.2, 0.35), 12, 5)
+    assert [a.tolist() for a in draws] == [
+        [1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0],
+        [1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0],
+    ]
+    draws = sample_iid(make_sigma_gamma_triple(0.1, 0.3), 12, 9)
+    assert [a.tolist() for a in draws] == [
+        [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0],
+        [0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0],
+    ]
