@@ -26,6 +26,7 @@ guesses.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,11 +34,11 @@ import numpy as np
 
 from .channels import DMChannel, transmit
 from .commonparts import additive_common_search, gkw_mutual, gkw_pairs
+from .gfcore import pack_bits, unpack_bits, xor_codebook
 from .probcore import (
     ConditionalPMF,
     JointPMF,
     chain_all,
-    check_cells,
     marginalize,
     mixed_radix,
     sample_given,
@@ -63,6 +64,8 @@ __all__ = [
 
 MAX_CANDIDATES = 2**26
 
+_LOG = logging.getLogger("trimac")
+
 
 @dataclass
 class CodingScheme:
@@ -83,8 +86,11 @@ class CodingScheme:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """Decoded blocks, or the failure; popcount_cells counts the packed distances scored."""
+
     blocks: tuple | None
     failure: str | None = None
+    popcount_cells: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -313,15 +319,6 @@ def _candidate_space(source: SourceModel, n: int):
     return support, digits
 
 
-@functools.lru_cache(maxsize=1)
-def _binary_words(n: int) -> np.ndarray:
-    """All of {0,1}^n as rows, read-only; only the last n asked for stays cached."""
-    check_cells((2**n, n))
-    words = mixed_radix(np.arange(2**n), 2, n)
-    words.setflags(write=False)
-    return words
-
-
 def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult:
     """Exact maximum a posteriori block decoding over the support candidates.
 
@@ -386,34 +383,31 @@ def ml_decode_additive_pair(channel: DMChannel, scheme: CodingScheme, y_block) -
         raise ValueError("source support must satisfy s3 = s1 xor s2")
 
     y = np.asarray(y_block, dtype=np.int64)
-    n = y.shape[0]
-    y1, y2 = y >> 1, y & 1
-    g = scheme.meta["matrix"]
+    if y.shape[0] != scheme.n:
+        raise ValueError("block length mismatch")
+    book = xor_codebook(scheme.meta["matrix"])  # cell cap checked before allocating
+    weights = np.bitwise_count(np.arange(book.size, dtype=np.int64))
     noise_llr = float(np.log(delta) - np.log(1.0 - delta))
-    cands = _binary_words(n)
-    # float32 keeps the matmul fast; entries stay small exact integers
-    cands_f = cands.astype(np.float32)
-    g_f = g.astype(np.float32)
-    w = cands.sum(axis=1)
 
     decoded = []
+    cells = 0
     for marg, b, y_obs in (
-        (m1, scheme.meta["offsets"][0], y1),
-        (m2, scheme.meta["offsets"][1], y2),
+        (m1, scheme.meta["offsets"][0], y >> 1),
+        (m2, scheme.meta["offsets"][1], y & 1),
     ):
         if not 0.0 < marg[1] < 1.0:
             raise ValueError("degenerate source marginal")
-        x = (cands_f @ g_f + b.astype(np.float32)) % 2.0
-        wx = x.sum(axis=1)
-        d = (wx + y_obs.sum() - 2.0 * (x @ y_obs.astype(np.float32))).astype(np.int64)
+        # distance from codeword c G + b to y_obs, for every message c
+        d = np.bitwise_count(book ^ pack_bits(b ^ y_obs))
+        cells += book.size
         prior_llr = float(np.log(marg[1]) - np.log(marg[0]))
-        scores = d * noise_llr + w * prior_llr
+        scores = d * noise_llr + weights * prior_llr
         top = int(np.argmax(scores))
         if int((scores == scores[top]).sum()) > 1:
-            return DecodeResult(None, "tie")
-        decoded.append(cands[top])
+            return DecodeResult(None, "tie", popcount_cells=cells)
+        decoded.append(unpack_bits(top, scheme.n))
     s1, s2 = decoded
-    return DecodeResult((s1, s2, s1 ^ s2))
+    return DecodeResult((s1, s2, s1 ^ s2), popcount_cells=cells)
 
 
 def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: float) -> DecodeResult:
@@ -542,23 +536,25 @@ def monte_carlo_error(
         raise ValueError("trials must be positive")
     shared = None if scheme_per_trial else scheme_factory(_sub_seed(seed, 0, 3))
 
-    def run_trial(t: int) -> int:
+    def run_trial(t: int) -> tuple[int, int]:
         scheme = scheme_factory(_sub_seed(seed, t, 0)) if scheme_per_trial else shared
         s = sample_iid(source, n, _sub_seed(seed, t, 1))
         x = scheme.encode(*s)
         y = transmit(channel, x, _sub_seed(seed, t, 2))
         res = decoder(channel, scheme, y)
-        if not res.ok:
-            return 1
-        return 0 if all(np.array_equal(a, b) for a, b in zip(res.blocks, s)) else 1
+        wrong = not res.ok or not all(np.array_equal(a, b) for a, b in zip(res.blocks, s))
+        return int(wrong), res.popcount_cells
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(run_trial, range(trials)))
+            outcomes = list(pool.map(run_trial, range(trials)))
     else:
-        errors = sum(run_trial(t) for t in range(trials))
+        outcomes = [run_trial(t) for t in range(trials)]
+    errors = sum(wrong for wrong, _ in outcomes)
+    _LOG.debug("monte_carlo_error n=%d: %d decodes, %d popcount cells scored",
+               n, trials, sum(cells for _, cells in outcomes))
 
     lo, hi = wilson_interval(errors, trials)
     scheme_kind = shared.kind if shared is not None else scheme_factory(_sub_seed(seed, 0, 0)).kind

@@ -1,17 +1,24 @@
-"""Prime-field vectors, matrices, and the joint image law of random linear maps.
+"""Prime-field vectors, matrices, the joint image law of random linear maps,
+and the packed binary-code kernel.
 
 Elements live in Z_q for prime q and are stored as machine-int residues in
 [0, q).  Everything here is exact integer arithmetic; probabilities returned
 by :func:`joint_image_probability` are the only floats.
+
+The binary-code kernel serves every binary decoder.  A word of n <= 62 bits
+is one int64 key, most significant bit first, so a k x n generator's 2^k
+codewords are built by XOR doubling, Hamming distance is a popcount of an
+XOR, and a set of words is a sorted array of distinct keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import mixed_radix
+from .probcore import check_cells, mixed_radix
 from .rng import stream
 
 __all__ = [
@@ -25,12 +32,24 @@ __all__ = [
     "image_probability_case",
     "verify_image_probability",
     "ImageProbabilityReport",
+    "MAX_PACKED_BITS",
+    "pack_bits",
+    "unpack_bits",
+    "xor_codebook",
+    "distinct_keys",
+    "xor_closure",
+    "nearest_codeword",
+    "nearest_in_set",
 ]
 
 # Enumeration guard for verify_image_probability: number of matrices.
 MAX_ENUM_MATRICES = 2**24
 # Secondary guard: cells of the (s1, s2, v1, v2) count table kept in memory.
 MAX_COUNT_CELLS = 2**26
+# Binary words are packed into signed int64 keys.
+MAX_PACKED_BITS = 62
+# Largest temporary of the popcount and closure kernels, in cells.
+_KEY_CHUNK_CELLS = 1 << 22
 
 
 def _is_prime(q: int) -> bool:
@@ -321,3 +340,146 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
         max_abs_deviation=float(max_dev) / m_total,
         ok=max_dev == 0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Packed binary-code kernel
+
+
+def pack_bits(words) -> np.ndarray:
+    """Bit rows (last axis) to int64 keys, most significant bit first."""
+    words = np.asarray(words)
+    n = words.shape[-1]
+    if n > MAX_PACKED_BITS:
+        raise ValueError(f"words longer than {MAX_PACKED_BITS} bits do not pack into int64")
+    shifts = np.left_shift(np.int64(1), np.arange(n - 1, -1, -1, dtype=np.int64))
+    return words.astype(np.int64) @ shifts
+
+
+def unpack_bits(keys, n: int) -> np.ndarray:
+    """Inverse of pack_bits: int64 keys to n-bit rows, most significant bit first."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return (keys[..., None] >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
+
+
+def xor_codebook(generator) -> np.ndarray:
+    """The 2^k codeword keys of a binary k x n generator; index i is message i.
+
+    Message bits are read most significant first, so row j of the generator
+    is the codeword of message 2^(k-1-j).  The book is built by XOR
+    doubling: words 2^j..2^(j+1)-1 are words 0..2^j-1 xor one row.  A rank
+    deficient generator repeats words.  The 2^k x n cell cap is checked
+    before anything is allocated.
+    """
+    g = np.asarray(generator)
+    if g.ndim != 2 or g.size == 0:
+        raise ValueError("generator must be a nonempty 2-D array")
+    k, n = g.shape
+    check_cells((2**k, n))
+    if not np.isin(g, (0, 1)).all():
+        raise ValueError("generator entries must be bits")
+    rows = pack_bits(g)
+    book = np.zeros(2**k, dtype=np.int64)
+    for j, row in enumerate(rows[::-1]):
+        np.bitwise_xor(book[: 1 << j], row, out=book[1 << j : 2 << j])
+    return book
+
+
+def distinct_keys(keys) -> np.ndarray:
+    """Sorted distinct keys, by a sort and an adjacent-difference mask."""
+    out = np.sort(np.asarray(keys, dtype=np.int64), axis=None)
+    if out.size:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
+def xor_closure(keys_a, keys_b) -> np.ndarray:
+    """Sorted distinct pairwise XORs of two key sets, chunked over keys_a."""
+    keys_a = np.asarray(keys_a, dtype=np.int64)
+    keys_b = np.asarray(keys_b, dtype=np.int64)
+    out = np.zeros(0, dtype=np.int64)
+    chunk = max(1, _KEY_CHUNK_CELLS // max(1, keys_b.size))
+    for start in range(0, keys_a.size, chunk):
+        block = np.bitwise_xor.outer(keys_a[start : start + chunk], keys_b)
+        out = distinct_keys(np.concatenate((out, distinct_keys(block))))
+    return out
+
+
+def nearest_codeword(book, received, radius: float | None = None):
+    """First nearest codeword of each received key, by popcount distance.
+
+    Returns (index, ambiguous), two arrays over the 1-D received keys.
+    index is the lowest book index at the minimum distance.  ambiguous is
+    set when that minimum is attained more than once or, given a radius,
+    when the number of codewords within radius is not exactly one.  Work
+    is chunked over received words so no temporary exceeds 2^22 cells.
+    """
+    book = np.asarray(book, dtype=np.int64)
+    received = np.asarray(received, dtype=np.int64)
+    index = np.empty(received.size, dtype=np.int64)
+    ambiguous = np.empty(received.size, dtype=bool)
+    chunk = max(1, _KEY_CHUNK_CELLS // max(1, book.size))
+    for start in range(0, received.size, chunk):
+        part = slice(start, start + chunk)
+        dists = np.bitwise_count(received[part, None] ^ book)
+        index[part] = np.argmin(dists, axis=1)
+        if radius is None:
+            best = dists.min(axis=1, keepdims=True)
+            ambiguous[part] = np.count_nonzero(dists == best, axis=1) > 1
+        else:
+            ambiguous[part] = np.count_nonzero(dists <= radius, axis=1) != 1
+    return index, ambiguous
+
+
+def nearest_in_set(members, received, n: int):
+    """Nearest member of a sorted distinct key set to each received key.
+
+    Returns (nearest, tie, scanned) over the 1-D received keys; among
+    members tied at the minimum distance the smallest key is returned, as
+    a scan in sorted order would.  Hamming balls around the received words
+    grow radius by radius, each ball word looked up by binary search, while
+    the whole ball stays cheaper than a scan: at most |C| / ceil(log2 |C|)
+    words.  Words still unresolved are popcount-scanned; scanned marks them.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    received = np.asarray(received, dtype=np.int64)
+    nearest = np.zeros(received.size, dtype=np.int64)
+    tie = np.zeros(received.size, dtype=bool)
+    budget = members.size / max(1, math.ceil(math.log2(members.size)))
+    radius, ball = -1, 0
+    while radius < n and ball + math.comb(n, radius + 1) <= budget:
+        radius += 1
+        ball += math.comb(n, radius)
+    open_ = np.arange(received.size)
+    shell = np.zeros(1, dtype=np.int64)  # the masks of weight r
+    singles = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+    for r in range(radius + 1):
+        if r:
+            shell = distinct_keys(shell[:, None] | singles)
+            shell = shell[np.bitwise_count(shell) == r]
+        found = np.zeros(open_.size, dtype=bool)
+        chunk = max(1, _KEY_CHUNK_CELLS // shell.size)
+        for start in range(0, open_.size, chunk):
+            part = slice(start, start + chunk)
+            words = received[open_[part], None] ^ shell
+            pos = np.minimum(np.searchsorted(members, words), members.size - 1)
+            hit = members[pos] == words
+            count = np.count_nonzero(hit, axis=1)
+            hit_rows = count > 0
+            rows = open_[part][hit_rows]
+            nearest[rows] = np.where(hit, words, np.iinfo(np.int64).max)[hit_rows].min(axis=1)
+            tie[rows] = count[hit_rows] > 1
+            found[part] = hit_rows
+        open_ = open_[~found]
+        if not open_.size:
+            break
+    scanned = np.zeros(received.size, dtype=bool)
+    if open_.size:
+        index, ambiguous = nearest_codeword(members, received[open_])
+        nearest[open_] = members[index]
+        tie[open_] = ambiguous
+        scanned[open_] = True
+    return nearest, tie, scanned

@@ -12,18 +12,35 @@ stored first-component output, then read off the third message.
 The sumset helpers measure why the matched codebooks matter: a shared
 linear code keeps the sum-candidate set as small as the code itself,
 while independent codebooks nearly square it.
+
+Every decoder here runs on gfcore's packed binary-code kernel: codewords
+are int64 keys indexed by message, distances are popcounts.  Only the
+forward and feedback pass of the feedback run goes block by block, since
+each block's channel-2 input needs the previous block's sum decode; the
+receiver pass and the point-to-point reference decode all blocks at once.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import build_fb_parallel_channel, transmit
-from .coding import SimReport, _binary_words, _sub_seed, wilson_interval
-from .gfcore import sample_uniform_matrix
+from .coding import SimReport, _sub_seed, wilson_interval
+from .gfcore import (
+    MAX_PACKED_BITS,
+    distinct_keys,
+    nearest_codeword,
+    nearest_in_set,
+    pack_bits,
+    sample_uniform_matrix,
+    unpack_bits,
+    xor_closure,
+    xor_codebook,
+)
 from .rng import stream
 
 __all__ = [
@@ -43,8 +60,8 @@ __all__ = [
 
 MAX_SUM_MESSAGE_BITS = 20  # exhaustive decoders enumerate 2^k candidates
 MAX_SUMSET_PAIRS = 10**8  # pairwise-XOR enumeration guard
-MAX_PACKED_BITS = 62  # words are packed into signed int64 keys
 
+_LOG = logging.getLogger("trimac")
 _EVENT_KINDS = ("sum", "pair", "third", "message")
 
 
@@ -65,6 +82,8 @@ class FBConfig:
             raise ValueError(
                 f"k > {MAX_SUM_MESSAGE_BITS} puts 2^k beyond the exhaustive decoders"
             )
+        if self.n > MAX_PACKED_BITS:
+            raise ValueError(f"words longer than {MAX_PACKED_BITS} bits do not pack into int64")
         if self.blocks < 2:
             raise ValueError("need at least two blocks to deliver a message")
         if not 0.0 <= self.delta < 0.5:
@@ -250,33 +269,28 @@ class ProbeReport:
         return rows
 
 
-def _pack(words: np.ndarray) -> np.ndarray:
-    """Bit rows to int64 keys, most significant bit first."""
-    n = words.shape[-1]
-    shifts = np.left_shift(np.int64(1), np.arange(n - 1, -1, -1, dtype=np.int64))
-    return words.astype(np.int64) @ shifts
-
-
-def _packed_codebook(code) -> tuple[np.ndarray, int]:
+def _bit_rows(code) -> np.ndarray:
     arr = np.asarray(code, dtype=np.int64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("codebook must be a nonempty 2-D bit array")
-    if arr.shape[1] > MAX_PACKED_BITS:
-        raise ValueError(f"words longer than {MAX_PACKED_BITS} bits do not pack into int64")
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("codebook entries must be bits")
-    return np.unique(_pack(arr)), arr.shape[1]
+    return arr
 
 
-def _xor_closure(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
-    """Sorted distinct pairwise XORs, chunked to keep peak memory modest."""
-    out = None
-    chunk = max(1, (1 << 22) // max(1, packed_b.size))
-    for start in range(0, packed_a.size, chunk):
-        block = np.bitwise_xor.outer(packed_a[start : start + chunk], packed_b).ravel()
-        fresh = np.unique(block)
-        out = fresh if out is None else np.unique(np.concatenate((out, fresh)))
-    return out
+def _closure(keys_a: np.ndarray, keys_b: np.ndarray, n: int) -> tuple[SumsetReport, np.ndarray]:
+    """Sumset report of two packed codebooks and their sorted XOR closure."""
+    set_a, set_b = distinct_keys(keys_a), distinct_keys(keys_b)
+    if set_a.size * set_b.size > MAX_SUMSET_PAIRS:
+        raise ValueError("pairwise enumeration above guard; shrink the codebooks")
+    closure = xor_closure(set_a, set_b)
+    report = SumsetReport(n, int(set_a.size), int(set_b.size), int(closure.size))
+    if not max(report.size_a, report.size_b) <= report.size_sum <= report.size_a * report.size_b:
+        raise RuntimeError(
+            f"sumset size {report.size_sum} outside [max(|A|, |B|), |A||B|] for "
+            f"|A| = {report.size_a}, |B| = {report.size_b}"
+        )
+    return report, closure
 
 
 def linear_codebook(generator) -> np.ndarray:
@@ -285,53 +299,41 @@ def linear_codebook(generator) -> np.ndarray:
     Row i is the codeword of message i (bits of i, most significant first),
     so duplicate words appear whenever the generator is rank deficient.
     """
-    g = np.asarray(generator, dtype=np.int64)
-    if g.ndim != 2 or g.size == 0:
-        raise ValueError("generator must be a nonempty 2-D array")
-    if not np.isin(g, (0, 1)).all():
-        raise ValueError("generator entries must be bits")
-    if g.shape[0] > MAX_SUM_MESSAGE_BITS:
+    g = np.asarray(generator)
+    if g.ndim == 2 and g.shape[0] > MAX_SUM_MESSAGE_BITS:
         raise ValueError(f"refusing to enumerate more than 2^{MAX_SUM_MESSAGE_BITS} codewords")
-    return (_binary_words(g.shape[0]) @ g) % 2
+    return unpack_bits(xor_codebook(g), g.shape[-1])
 
 
 def sumset(code_a, code_b) -> SumsetReport:
     """Exact pairwise-XOR set of two binary codebooks (rows are words).
 
     Duplicate words collapse before counting, and the bracket
-    max(|A|,|B|) <= |A xor B| <= |A|*|B| is asserted on every call.
+    max(|A|,|B|) <= |A xor B| <= |A|*|B| is checked on every call.
     """
-    packed_a, n_a = _packed_codebook(code_a)
-    packed_b, n_b = _packed_codebook(code_b)
-    if n_a != n_b:
+    rows_a, rows_b = _bit_rows(code_a), _bit_rows(code_b)
+    if rows_a.shape[1] != rows_b.shape[1]:
         raise ValueError("codebooks must share a word length")
-    if packed_a.size * packed_b.size > MAX_SUMSET_PAIRS:
-        raise ValueError("pairwise enumeration above guard; shrink the codebooks")
-    size_sum = int(_xor_closure(packed_a, packed_b).size)
-    report = SumsetReport(n_a, int(packed_a.size), int(packed_b.size), size_sum)
-    assert max(report.size_a, report.size_b) <= size_sum <= report.size_a * report.size_b
-    return report
+    return _closure(pack_bits(rows_a), pack_bits(rows_b), rows_a.shape[1])[0]
 
 
-def _nearest(codebook: np.ndarray, word: np.ndarray) -> tuple[int, bool]:
-    """Lexicographically first nearest codeword and whether the minimum tied."""
-    dists = np.count_nonzero(codebook != word, axis=1)
-    idx = int(np.argmin(dists))
-    tie = int(np.count_nonzero(dists == dists[idx])) > 1
-    return idx, tie
+def _receive(book: np.ndarray, y_first: np.ndarray, y_pair: np.ndarray, msgs: np.ndarray):
+    """Receiver pass over every delivered block: pair and third error flags.
 
-
-def _sum_decode(codebook: np.ndarray, z: np.ndarray, mode: str, threshold: float):
-    dists = np.count_nonzero(codebook != z, axis=1)
-    idx = int(np.argmin(dists))
-    if mode == "ml":
-        failed = int(np.count_nonzero(dists == dists[idx])) > 1
-        return idx, failed
-    hits = np.flatnonzero(dists <= threshold)
-    if hits.size == 1:
-        return int(hits[0]), False
-    # no unique typical word: declared failure, transmit the nearest anyway
-    return idx, True
+    Keys throughout: y_first (blocks,), y_pair (blocks, 2) and the message
+    indices msgs (blocks, 3).  Block b's retransmissions arrive in block
+    b + 1's pair component; the pair likelihood factorizes under the
+    clean-state model, so per-user nearest-codeword search is the joint ML
+    decision.  Cancelling both decoded words from the stored first
+    component leaves the third message.
+    """
+    i1, t1 = nearest_codeword(book, y_pair[1:, 0])
+    i2, t2 = nearest_codeword(book, y_pair[1:, 1])
+    sent = msgs[:-1]
+    pair = t1 | t2 | (i1 != sent[:, 0]) | (i2 != sent[:, 1])
+    i3, t3 = nearest_codeword(book, y_first[:-1] ^ book[i1] ^ book[i2])
+    third = t3 | (i3 != sent[:, 2])
+    return pair, third
 
 
 def run_fb_simulation(
@@ -353,68 +355,40 @@ def run_fb_simulation(
         raise ValueError("typicality_margin must be positive")
     k, n, blocks = config.k, config.n, config.blocks
     g = sample_uniform_matrix(2, k, n, _sub_seed(config.seed, 60)).as_array()
-    words = _binary_words(k)
-    codebook = linear_codebook(g)
+    book = xor_codebook(g)
     channel = build_fb_parallel_channel(config.delta)
-    msgs = stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k))
-    threshold = n * (config.delta + typicality_margin)
+    msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
+    first = unpack_bits(book[msgs], n)  # (blocks, 3, n) first-component codewords
+    radius = None if sum_decoder == "ml" else n * (config.delta + typicality_margin)
 
-    y_first = np.empty((blocks, n), dtype=np.int64)
-    y_pair = np.empty((blocks, 2, n), dtype=np.int64)
-    sum_hat = np.empty((blocks - 1, n), dtype=np.int64)
-    sum_ok = np.zeros(blocks - 1, dtype=bool)
-    sum_errors = []
-
-    prev_first = None
+    y = np.empty((blocks, n), dtype=np.int64)
+    sum_errors = np.zeros(blocks - 1, dtype=bool)
+    second = np.zeros((3, n), dtype=np.int64)
     for block in range(blocks):
-        first = (msgs[block] @ g) % 2
-        if block == 0:
-            second = np.zeros((3, n), dtype=np.int64)
-        else:
-            second = np.vstack((prev_first[0], prev_first[1], sum_hat[block - 1]))
-            if sum_ok[block - 1]:
-                # a correct sum decode must leave channel 2 in the clean state
-                assert np.array_equal(second[2], second[0] ^ second[1])
-        inputs = tuple(2 * first[i] + second[i] for i in range(3))
-        y = transmit(channel, inputs, _sub_seed(config.seed, 62, block))
-        y_first[block] = y >> 2
-        y_pair[block, 0] = (y >> 1) & 1
-        y_pair[block, 1] = y & 1
+        if block:
+            prev = block - 1
+            # a correct sum decode must leave channel 2 in the clean state
+            if not sum_errors[prev] and hat != book[msgs[prev, 0]] ^ book[msgs[prev, 1]]:
+                raise RuntimeError(f"block {block}: correct sum decode left channel 2 unclean")
+            second = np.vstack((first[prev, :2], unpack_bits(hat, n)))
+        y[block] = transmit(channel, 2 * first[block] + second, _sub_seed(config.seed, 62, block))
         if block < blocks - 1:
             # feedback leg: cancel own codeword, decode the running sum
-            z = y_first[block] ^ first[2]
-            idx, failed = _sum_decode(codebook, z, sum_decoder, threshold)
-            truth = msgs[block, 0] ^ msgs[block, 1]
-            ok = not failed and np.array_equal(words[idx], truth)
-            sum_ok[block] = ok
-            sum_errors.append(0 if ok else 1)
-            sum_hat[block] = codebook[idx]
-        prev_first = first
+            z = pack_bits(y[block] >> 2) ^ book[msgs[block, 2]]
+            (idx,), (failed,) = nearest_codeword(book, [z], radius)
+            hat = book[idx]  # user 3's next channel-2 word
+            sum_errors[block] = failed or idx != msgs[block, 0] ^ msgs[block, 1]
 
-    # receiver pass; the pair likelihood factorizes under the clean-state
-    # model, so per-user nearest-codeword search is the joint ML decision
-    pair_errors = []
-    third_errors = []
-    for block in range(blocks - 1):
-        i1, t1 = _nearest(codebook, y_pair[block + 1, 0])
-        i2, t2 = _nearest(codebook, y_pair[block + 1, 1])
-        bad = (
-            t1
-            or t2
-            or not np.array_equal(words[i1], msgs[block, 0])
-            or not np.array_equal(words[i2], msgs[block, 1])
-        )
-        pair_errors.append(int(bad))
-        cleaned = y_first[block] ^ codebook[i1] ^ codebook[i2]
-        i3, t3 = _nearest(codebook, cleaned)
-        third_errors.append(int(t3 or not np.array_equal(words[i3], msgs[block, 2])))
+    y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
+    pair_errors, third_errors = _receive(book, pack_bits(y >> 2), y_pair, msgs)
 
     code_sumset = None
-    if n <= MAX_PACKED_BITS and 4**k <= MAX_SUMSET_PAIRS:
-        code_sumset = sumset(codebook, codebook)
-    return FBReport(
-        config, tuple(sum_errors), tuple(pair_errors), tuple(third_errors), code_sumset
-    )
+    if 4**k <= MAX_SUMSET_PAIRS:
+        code_sumset = _closure(book, book, n)[0]
+    decodes = 4 * (blocks - 1)
+    _LOG.debug("fb run: %d decodes, %d popcount cells scored", decodes, decodes * book.size)
+    events = (tuple(e.astype(np.int64).tolist()) for e in (sum_errors, pair_errors, third_errors))
+    return FBReport(config, *events, code_sumset)
 
 
 def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
@@ -430,16 +404,11 @@ def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
     if trials < 1:
         raise ValueError("trials must be positive")
     g = sample_uniform_matrix(2, config.k, config.n, _sub_seed(config.seed, 60)).as_array()
-    codebook = linear_codebook(g)
-    words = _binary_words(config.k)
-    sent = stream(config.seed, 63).integers(0, 2, size=(trials, config.k))
-    noise_rng = stream(config.seed, 64)
-    errors = 0
-    for t in range(trials):
-        x = (sent[t] @ g) % 2
-        y = x ^ (noise_rng.random(config.n) < config.delta).astype(np.int64)
-        idx, tie = _nearest(codebook, y)
-        errors += int(tie or not np.array_equal(words[idx], sent[t]))
+    book = xor_codebook(g)
+    sent = pack_bits(stream(config.seed, 63).integers(0, 2, size=(trials, config.k)))
+    noise = stream(config.seed, 64).random((trials, config.n)) < config.delta
+    idx, tie = nearest_codeword(book, book[sent] ^ pack_bits(noise))
+    errors = int(np.count_nonzero(tie | (idx != sent)))
     lo, hi = wilson_interval(errors, trials)
     return SimReport(
         config.n, trials, errors, errors / trials, lo, hi, config.seed,
@@ -450,31 +419,31 @@ def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
 def _sum_trials(
     book_a: np.ndarray,
     book_b: np.ndarray,
-    candidates: np.ndarray,
+    members: np.ndarray,
+    n: int,
     delta: float,
     trials: int,
     rng: np.random.Generator,
-) -> int:
-    """Word-level sum-decoding errors over the exact candidate set."""
-    n = book_a.shape[1]
-    errors = 0
-    chunk = max(1, (1 << 22) // max(1, candidates.size))
-    done = 0
-    while done < trials:
+) -> tuple[int, int]:
+    """Word-level sum-decoding errors over the exact candidate set.
+
+    The draws run in chunks of 2^22 // |members| trials, interleaving the
+    two codeword indices and the noise per chunk; the chunk schedule fixes
+    the error count for a seed.  Returns the errors and the number of
+    trials the ball search left to a scan.
+    """
+    chunk = max(1, (1 << 22) // max(1, members.size))
+    truth, received = [], []
+    for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
-        ia = rng.integers(0, book_a.shape[0], size=m)
-        ib = rng.integers(0, book_b.shape[0], size=m)
+        ia = rng.integers(0, book_a.size, size=m)
+        ib = rng.integers(0, book_b.size, size=m)
         sums = book_a[ia] ^ book_b[ib]
-        noise = (rng.random((m, n)) < delta).astype(np.int64)
-        received = _pack(sums ^ noise)
-        truth = _pack(sums)
-        dists = np.bitwise_count(candidates[None, :] ^ received[:, None])
-        best = dists.min(axis=1)
-        ties = (dists == best[:, None]).sum(axis=1) > 1
-        decoded = candidates[np.argmin(dists, axis=1)]
-        errors += int(np.count_nonzero(ties | (decoded != truth)))
-        done += m
-    return errors
+        truth.append(sums)
+        received.append(sums ^ pack_bits(rng.random((m, n)) < delta))
+    decoded, tie, scanned = nearest_in_set(members, np.concatenate(received), n)
+    errors = int(np.count_nonzero(tie | (decoded != np.concatenate(truth))))
+    return errors, int(np.count_nonzero(scanned))
 
 
 def structure_necessity_probe(
@@ -500,17 +469,24 @@ def structure_necessity_probe(
     if seed < 0:
         raise ValueError("seed must be non-negative")
     g = sample_uniform_matrix(2, k, n, _sub_seed(seed, 60)).as_array()
-    linear = linear_codebook(g)
-    random_books = stream(seed, 65).integers(0, 2, size=(2, 2**k, n))
+    linear = xor_codebook(g)
+    random_books = pack_bits(stream(seed, 65).integers(0, 2, size=(2, 2**k, n)))
     arms = (
         ("identical-linear", linear, linear),
         ("independent-random", random_books[0], random_books[1]),
     )
     rows = []
+    scanned = cells = 0
     for arm, (scheme, book_a, book_b) in enumerate(arms):
-        report = sumset(book_a, book_b)
-        candidates = _xor_closure(*(np.unique(_pack(b)) for b in (book_a, book_b)))
-        errors = _sum_trials(book_a, book_b, candidates, delta, trials, stream(seed, 66, arm))
+        report, members = _closure(book_a, book_b, n)
+        errors, fell_back = _sum_trials(
+            book_a, book_b, members, n, delta, trials, stream(seed, 66, arm))
+        scanned += fell_back
+        cells += fell_back * members.size
         lo, hi = wilson_interval(errors, trials)
         rows.append(ProbeRow(scheme, trials, errors, errors / trials, lo, hi, report))
+    _LOG.debug(
+        "codebook probe: %d decodes, %d popcount cells scored, %d trials resolved by "
+        "ball search, %d scanned", 2 * trials, cells, 2 * trials - scanned, scanned,
+    )
     return ProbeReport(k, n, delta, trials, seed, tuple(rows))
