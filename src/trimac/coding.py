@@ -16,16 +16,20 @@ Four scheme families:
 
 The layered and hybrid schemes take their single-letter design law from
 regions.three_user_factors, the same factor list their region evaluators
-read, so the typicality decoder and the region rows share one law.  All
-encoders are deterministic given (scheme seed, block content), so a
-decoder can re-expand any candidate block.  Decoders return a
-DecodeResult; ties and empty typical sets are failures, never silent
-guesses.
+read, so the typicality decoder and the region rows share one law.
+
+A scheme is one per-user expansion: it maps a user's (rows, n) stack of
+source blocks to the user's codeword and layer blocks, every random row
+drawn from its own stream keyed by (scheme seed, layer tag, block
+content), so any block re-expands to the same codeword and nothing is
+memoized.  The generic decoders expand each user's distinct blocks once
+per call into a table and read every candidate's codewords and layers off
+it.  Decoders return a DecodeResult; ties and empty typical sets are
+failures, never silent guesses.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +43,7 @@ from .probcore import (
     ConditionalPMF,
     JointPMF,
     chain_all,
+    check_cells,
     marginalize,
     mixed_radix,
     sample_given,
@@ -63,22 +68,44 @@ __all__ = [
 ]
 
 MAX_CANDIDATES = 2**26
+# candidate rows scored per chunk by the generic decoders
+_CHUNK = 1 << 18
 
 _LOG = logging.getLogger("trimac")
 
 
 @dataclass
 class CodingScheme:
+    """A block scheme; expand(user, blocks) maps a user's (rows, n) stack of
+    source blocks to {"X<user>": codewords, layer name: layer blocks}."""
+
     kind: str
     n: int
     source: SourceModel
-    per_user: tuple[Callable, Callable, Callable]
+    expand: Callable[[int, np.ndarray], dict[str, np.ndarray]]
     design_joint_builder: Callable[[DMChannel], JointPMF]
-    layer_blocks: Callable
     meta: dict = field(default_factory=dict)
 
+    def _expanded(self, s1, s2, s3) -> list[dict]:
+        """expand() of every user, on one block each or on stacks of blocks."""
+        out = []
+        for user, s in enumerate((s1, s2, s3), start=1):
+            s = np.asarray(s, dtype=np.int64)
+            rows = self.expand(user, s.reshape(-1, s.shape[-1]))
+            out.append({name: arr.reshape(s.shape) for name, arr in rows.items()})
+        return out
+
     def encode(self, s1, s2, s3):
-        return tuple(f(np.asarray(s)) for f, s in zip(self.per_user, (s1, s2, s3)))
+        return tuple(d[f"X{u}"] for u, d in enumerate(self._expanded(s1, s2, s3), start=1))
+
+    def layer_blocks(self, s1, s2, s3) -> dict:
+        """Every layer block of the three users; a layer two users see is read from the first."""
+        out = {}
+        for user, d in enumerate(self._expanded(s1, s2, s3), start=1):
+            for name, arr in d.items():
+                if name != f"X{user}":
+                    out.setdefault(name, arr)
+        return out
 
     def design_joint(self, channel: DMChannel) -> JointPMF:
         return self.design_joint_builder(channel)
@@ -110,15 +137,9 @@ def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
     return g, (b1, b2, (-(b1 + b2)) % q)
 
 
-def _per_row(encode_one: Callable) -> Callable:
-    """Encoder of one block, or of a stack of blocks one row at a time."""
-    def enc(s):
-        s = np.asarray(s, dtype=np.int64)
-        if s.ndim == 1:
-            return encode_one(s)
-        return np.stack([encode_one(row) for row in s])
-
-    return enc
+def _draw(table: np.ndarray, given, seed: int, tag: int, content: np.ndarray) -> np.ndarray:
+    """sample_given on stacked rows, row r from stream (seed, tag, *content[r])."""
+    return sample_given(table, given, [stream(seed, tag, *row) for row in content.tolist()])
 
 
 def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingScheme:
@@ -129,11 +150,8 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
         raise ValueError("block length must be positive")
     g, offsets = _zero_sum_affine(q, n, seed, 0)
 
-    def make_encoder(b):
-        def enc(s):
-            return (np.asarray(s, dtype=np.int64) @ g + b) % q
-
-        return enc
+    def expand(user: int, blocks: np.ndarray) -> dict:
+        return {f"X{user}": (blocks @ g + offsets[user - 1]) % q}
 
     def design_builder(channel: DMChannel) -> JointPMF:
         inputs = ConditionalPMF((), [("X1", q), ("X2", q), ("X3", q)], _plane_probs(q))
@@ -143,33 +161,10 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
         kind="linear-jscc",
         n=n,
         source=source,
-        per_user=tuple(make_encoder(b) for b in offsets),
+        expand=expand,
         design_joint_builder=design_builder,
-        layer_blocks=lambda s1, s2, s3: {},
         meta={"q": q, "matrix": g, "offsets": offsets, "seed": seed},
     )
-
-
-class _CodebookCache:
-    """Content-addressed symbolwise codeword draws.
-
-    The stream for a codeword is derived from (scheme seed, layer tag, block
-    digits), so repeated queries agree and query order is irrelevant.
-    """
-
-    def __init__(self, seed: int, tag: int):
-        self.seed = seed
-        self.tag = tag
-        self.memo: dict[bytes, np.ndarray] = {}
-
-    def lookup(self, content: tuple[np.ndarray, ...], draw) -> np.ndarray:
-        key = b"".join(np.ascontiguousarray(c, dtype=np.int64).tobytes() for c in content)
-        hit = self.memo.get(key)
-        if hit is None:
-            digits = np.concatenate([np.asarray(c).ravel() for c in content]).astype(int)
-            hit = draw(stream(self.seed, self.tag, *digits.tolist()))
-            self.memo[key] = hit
-        return hit
 
 
 def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
@@ -182,10 +177,9 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
             raise ValueError("conditional rows must match source alphabet")
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("conditional rows must sum to 1")
-    caches = [_CodebookCache(seed, i) for i in range(3)]
 
-    def encode_one(i: int, block: np.ndarray) -> np.ndarray:
-        return caches[i].lookup((block,), lambda rng: sample_given(tables[i], (block,), rng))
+    def expand(user: int, blocks: np.ndarray) -> dict:
+        return {f"X{user}": _draw(tables[user - 1], (blocks,), seed, user - 1, blocks)}
 
     def design_builder(channel: DMChannel) -> JointPMF:
         inputs = [
@@ -198,9 +192,8 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
         kind="unstructured-jscc",
         n=n,
         source=source,
-        per_user=tuple(_per_row(functools.partial(encode_one, i)) for i in range(3)),
+        expand=expand,
         design_joint_builder=design_builder,
-        layer_blocks=lambda s1, s2, s3: {},
         meta={"conditionals": tables, "seed": seed},
     )
 
@@ -228,51 +221,34 @@ def _layered_scheme(kind: str, source: SourceModel, dist, n: int, seed: int,
         if tab.shape[1] != u123.shape[1]:
             raise ValueError(f"pair layer {b}: shared-layer axis size mismatch")
     x_tables = [np.asarray(dist.x_conds[i].table) for i in range(3)]
-    cache_u123 = _CodebookCache(seed, 4)
-    cache_pair = {b: _CodebookCache(seed, 5 + k) for k, b in enumerate(PAIRS)}
-    cache_x = [_CodebookCache(seed, 10 + i) for i in range(3)]
     t_functions = None if affine is None else affine["additive_functions"]
 
-    def user_layers(user: int, block: np.ndarray) -> dict:
-        """The layer blocks user sees for its source block."""
-        w123 = np.asarray(mutual.labelings[user - 1])[block]
-        u = cache_u123.lookup((w123,), lambda rng: sample_given(u123, (np.zeros_like(w123),), rng))
+    def expand(user: int, blocks: np.ndarray) -> dict:
+        w123 = np.asarray(mutual.labelings[user - 1])[blocks]
+        u = _draw(u123, (np.zeros_like(w123),), seed, 4, w123)
         out = {"W123": w123, "U123": u}
+        given = [blocks, u]
         for b in USER_PAIRS[user]:
-            side = 0 if b[0] == str(user) else 1
-            w_b = np.asarray(pair_parts[b].labelings[side])[block]
-            out[f"W{b}"] = w_b
-            out[f"U{b}"] = cache_pair[b].lookup(
-                (w_b, u), lambda rng: sample_given(pair_tables[b], (w_b, u), rng))
+            w_b = np.asarray(pair_parts[b].labelings[0 if b[0] == str(user) else 1])[blocks]
+            u_b = _draw(pair_tables[b], (w_b, u), seed, 5 + PAIRS.index(b),
+                        np.concatenate((w_b, u), axis=1))
+            out[f"W{b}"], out[f"U{b}"] = w_b, u_b
+            given.append(u_b)
         if affine is not None:
-            t = np.asarray(t_functions[user - 1])[block]
-            out[f"T{user}"] = t
-            out[f"V{user}"] = (t @ affine["matrix"] + affine["offsets"][user - 1]) % affine["q"]
-        return out
-
-    def encode_one(user: int, block: np.ndarray) -> np.ndarray:
-        layers = user_layers(user, block)
-        given = (block, layers["U123"], *(layers[f"U{b}"] for b in USER_PAIRS[user]))
-        if affine is not None:
-            given += (layers[f"V{user}"],)
-        return cache_x[user - 1].lookup(
-            (block,), lambda rng: sample_given(x_tables[user - 1], given, rng))
-
-    def layer_blocks(s1, s2, s3):
-        out = {}
-        for user, block in ((1, s1), (2, s2), (3, s3)):
-            for name, arr in user_layers(user, np.asarray(block, dtype=np.int64)).items():
-                out.setdefault(name, arr)
+            t = np.asarray(t_functions[user - 1])[blocks]
+            v = (t @ affine["matrix"] + affine["offsets"][user - 1]) % affine["q"]
+            out[f"T{user}"], out[f"V{user}"] = t, v
+            given.append(v)
+        out[f"X{user}"] = _draw(x_tables[user - 1], given, seed, 9 + user, blocks)
         return out
 
     return CodingScheme(
         kind=kind,
         n=n,
         source=source,
-        per_user=tuple(_per_row(functools.partial(encode_one, u)) for u in (1, 2, 3)),
+        expand=expand,
         design_joint_builder=lambda channel: chain_all(
             three_user_factors(source, channel, dist, t_functions)),
-        layer_blocks=layer_blocks,
         meta={"seed": seed, **(affine or {})},
     )
 
@@ -302,21 +278,35 @@ def build_hybrid_scheme(source: SourceModel, dist, n: int, seed: int) -> CodingS
     return _layered_scheme("hybrid", source, dist, n, seed, affine)
 
 
-def _candidate_space(source: SourceModel, n: int):
-    """All support^n candidate triples, mixed-radix over the support list.
+def _candidates(scheme: CodingScheme, n: int):
+    """Per-user codebook tables and all support^n candidate triples.
 
-    Returns the support rows and a generator of the candidates' digit rows
-    (indices into the support), chunk rows at a time, in order.
+    Every user's k_i^n distinct blocks (k_i its support symbols) are
+    expanded once into a table {"S<i>": blocks, **scheme.expand(i, blocks)}.
+    Returns the support rows, the three tables and a generator of
+    (digits, ids) chunks: candidate digit rows (indices into the support) in
+    itertools.product order, and per user each candidate's table row.
     """
-    support = source.support()
+    support = scheme.source.support()
     m = support.shape[0]
     total = m**n
     if total > MAX_CANDIDATES:
         raise ValueError(f"candidate space {total} exceeds the {MAX_CANDIDATES} guard")
-    chunk = 1 << 18
-    digits = (mixed_radix(np.arange(start, min(start + chunk, total)), m, n)
-              for start in range(0, total, chunk))
-    return support, digits
+    symbols, codes = zip(*(np.unique(support[:, i], return_inverse=True) for i in range(3)))
+    for sym in symbols:
+        check_cells((len(sym)**n, n))
+    tables = []
+    for user, sym in enumerate(symbols, start=1):
+        blocks = sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
+        tables.append({f"S{user}": blocks, **scheme.expand(user, blocks)})
+    place = [len(sym) ** np.arange(n - 1, -1, -1) for sym in symbols]
+
+    def chunks():
+        for start in range(0, total, _CHUNK):
+            digits = mixed_radix(np.arange(start, min(start + _CHUNK, total)), m, n)
+            yield digits, [code[digits] @ w for code, w in zip(codes, place)]
+
+    return support, tables, chunks()
 
 
 def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult:
@@ -329,7 +319,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult
     n = y.shape[0]
     if n != scheme.n:
         raise ValueError("block length mismatch")
-    support, chunks = _candidate_space(scheme.source, n)
+    support, tables, chunks = _candidates(scheme, n)
     with np.errstate(divide="ignore"):
         log_t = np.log(channel.transition.table)
         log_prior = np.log(scheme.source.support_probs())
@@ -337,9 +327,8 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult
     best_score = -np.inf
     best_digits = None
     tie = False
-    for digits in chunks:
-        s1, s2, s3 = (support[:, i][digits] for i in range(3))
-        x1, x2, x3 = scheme.encode(s1, s2, s3)
+    for digits, ids in chunks:
+        x1, x2, x3 = (tab[f"X{u}"][i] for u, (tab, i) in enumerate(zip(tables, ids), start=1))
         scores = log_t[x1, x2, x3, y].sum(axis=1) + log_prior[digits].sum(axis=1)
         top = int(np.argmax(scores))
         top_score = float(scores[top])
@@ -428,44 +417,46 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
     design = scheme.design_joint(channel)
     probs = design.probs
     thr = eps / float((probs > 0).sum())
-    support, chunks = _candidate_space(scheme.source, n)
-
+    support, tables, chunks = _candidates(scheme, n)
     flat = probs.ravel()
-    must_appear = np.flatnonzero(flat > thr)
     positive = flat > 0.0
+    # cells with design mass above the threshold must appear
+    must = flat > thr
+    n_must = int(must.sum())
+    # (table column, user) of every design axis but Y; a layer two users see is read from the first
+    columns = {}
+    for user, tab in enumerate(tables):
+        for name, col in tab.items():
+            columns.setdefault(name, (col, user))
 
-    names = design.names
-    hit = None
-    for digits in (row for chunk in chunks for row in chunk):
-        s1, s2, s3 = (support[:, i][digits] for i in range(3))
-        x1, x2, x3 = scheme.encode(s1, s2, s3)
-        layer = scheme.layer_blocks(s1, s2, s3)
-        per_axis = []
-        for name in names:
+    hits = []
+    for digits, ids in chunks:
+        cells = np.zeros(digits.shape, dtype=np.int64)
+        for name, size in zip(design.names, probs.shape):
+            cells *= size
             if name == "Y":
-                per_axis.append(y)
-            elif name in ("S1", "S2", "S3"):
-                per_axis.append((s1, s2, s3)[int(name[1]) - 1])
-            elif name in ("X1", "X2", "X3"):
-                per_axis.append((x1, x2, x3)[int(name[1]) - 1])
+                cells += y
             else:
-                per_axis.append(layer[name])
-        cells = np.ravel_multi_index(tuple(per_axis), probs.shape)
-        if not positive[cells].all():
-            continue
-        uniq, cnt = np.unique(cells, return_counts=True)
-        emp = cnt / float(n)
-        if np.abs(emp - flat[uniq]).max() > thr:
-            continue
-        # cells with design mass above the threshold must appear
-        if not np.isin(must_appear, uniq).all():
-            continue
-        if hit is not None:
+                col, user = columns[name]
+                cells += col[ids[user]]
+        # one run per distinct cell of a candidate's type
+        cells.sort(axis=1)
+        new = np.ones(cells.shape, dtype=bool)
+        new[:, 1:] = cells[:, 1:] != cells[:, :-1]
+        starts = np.flatnonzero(new)
+        run_cell = cells.ravel()[starts]
+        del cells, new
+        run_row = starts // n
+        counts = np.diff(starts, append=digits.size)
+        bad = ~positive[run_cell] | (np.abs(counts / float(n) - flat[run_cell]) > thr)
+        typical = (np.bincount(run_row, weights=bad, minlength=len(digits)) == 0) & (
+            np.bincount(run_row, weights=must[run_cell], minlength=len(digits)) == n_must)
+        hits.extend(digits[typical][:2])
+        if len(hits) > 1:
             return DecodeResult(None, "ambiguous")
-        hit = (s1, s2, s3)
-    if hit is None:
+    if not hits:
         return DecodeResult(None, "none-typical")
-    return DecodeResult(hit)
+    return DecodeResult(tuple(support[:, i][hits[0]] for i in range(3)))
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -521,23 +512,20 @@ def monte_carlo_error(
     n: int,
     trials: int,
     seed: int,
-    scheme_per_trial: bool = True,
     workers: int = 1,
 ) -> SimReport:
     """Block error rate of (scheme, decoder) over independent trials.
 
-    Every trial draws a fresh source block and fresh channel noise; with
-    scheme_per_trial (the default) the codebooks are regenerated per trial
-    as well, matching the random-coding ensembles.  All randomness is
+    Every trial draws fresh codebooks, a fresh source block and fresh
+    channel noise, matching the random-coding ensembles.  All randomness is
     derived from (seed, trial index), so the result is independent of the
     worker partition.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    shared = None if scheme_per_trial else scheme_factory(_sub_seed(seed, 0, 3))
 
     def run_trial(t: int) -> tuple[int, int]:
-        scheme = scheme_factory(_sub_seed(seed, t, 0)) if scheme_per_trial else shared
+        scheme = scheme_factory(_sub_seed(seed, t, 0))
         s = sample_iid(source, n, _sub_seed(seed, t, 1))
         x = scheme.encode(*s)
         y = transmit(channel, x, _sub_seed(seed, t, 2))
@@ -557,7 +545,6 @@ def monte_carlo_error(
                n, trials, sum(cells for _, cells in outcomes))
 
     lo, hi = wilson_interval(errors, trials)
-    scheme_kind = shared.kind if shared is not None else scheme_factory(_sub_seed(seed, 0, 0)).kind
     return SimReport(
         n=n,
         trials=trials,
@@ -566,7 +553,7 @@ def monte_carlo_error(
         ci_lo=lo,
         ci_hi=hi,
         seed=seed,
-        scheme_kind=scheme_kind,
+        scheme_kind=scheme_factory(_sub_seed(seed, 0, 0)).kind,
         channel_kind=channel.kind,
     )
 

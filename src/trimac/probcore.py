@@ -315,35 +315,32 @@ def chain_all(factors) -> JointPMF:
     return joint
 
 
-def _cellwise(fn, grids: np.ndarray, vectorized: bool) -> tuple:
-    """fn at every cell of grids (index rows, or one call per cell): one index array per output."""
-    if vectorized:
-        out = fn(*grids)
-        return out if isinstance(out, tuple) else (out,)
-    cells = [fn(*(int(g) for g in col)) for col in grids.T]
-    return tuple(np.array(c) for c in zip(*(c if isinstance(c, tuple) else (c,) for c in cells)))
+def _cellwise(fn, grids: np.ndarray) -> tuple:
+    """fn on the flat index rows of every cell at once: one index array per output."""
+    out = fn(*grids)
+    return out if isinstance(out, tuple) else (out,)
 
 
-def push_forward(p: JointPMF, mapping, new_axes, vectorized: bool = False) -> JointPMF:
+def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
     """Image law of `p` under `mapping`.
 
-    mapping takes one symbol index per axis of p (scalars, or flat index
-    arrays when vectorized=True) and returns one index per new axis.
+    mapping takes one flat index array per axis of p, covering every cell,
+    and returns one index array (or a tuple of them) per new axis.
     """
     new_axes = _norm_axes(new_axes)
     out_shape = tuple(a.size for _, a in new_axes)
     out = np.zeros(out_shape, dtype=np.float64)
     grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    dest = _cellwise(mapping, grids, vectorized)
+    dest = _cellwise(mapping, grids)
     np.add.at(out, tuple(np.asarray(d) for d in dest), p.probs.ravel())
     return JointPMF(new_axes, out)
 
 
-def add_derived_axis(p: JointPMF, name: str, size: int, fn, vectorized: bool = False) -> JointPMF:
-    """Append a deterministic function of the existing axes as a new axis."""
+def add_derived_axis(p: JointPMF, name: str, size: int, fn) -> JointPMF:
+    """Append a deterministic function of the existing axes as a new axis (fn as in push_forward)."""
     check_cells(p.shape + (size,))
     grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    vals = np.asarray(_cellwise(fn, grids, vectorized)[0])
+    vals = np.asarray(_cellwise(fn, grids)[0])
     if vals.min() < 0 or vals.max() >= size:
         raise ValueError(f"derived axis {name!r} values escape [0, {size})")
     out = np.zeros((grids.shape[1], size), dtype=np.float64)
@@ -351,15 +348,15 @@ def add_derived_axis(p: JointPMF, name: str, size: int, fn, vectorized: bool = F
     return JointPMF._wrap(p.axes + ((name, Alphabet(size)),), out.reshape(p.shape + (size,)))
 
 
-def deterministic_conditional(given_axes, target_axes, fn, vectorized: bool = False) -> ConditionalPMF:
-    """Conditional that puts mass 1 on fn(given symbols) for every given cell."""
+def deterministic_conditional(given_axes, target_axes, fn) -> ConditionalPMF:
+    """Conditional that puts mass 1 on fn(given symbols) for every given cell (fn as in push_forward)."""
     given_axes = _norm_axes(given_axes)
     target_axes = _norm_axes(target_axes)
     g_shape = tuple(a.size for _, a in given_axes)
     t_shape = tuple(a.size for _, a in target_axes)
     table = np.zeros(g_shape + t_shape, dtype=np.float64)
     grids = np.indices(g_shape).reshape(len(g_shape), -1)
-    dest = _cellwise(fn, grids, vectorized)
+    dest = _cellwise(fn, grids)
     table[tuple(grids) + tuple(np.asarray(d) for d in dest)] = 1.0
     return ConditionalPMF(given_axes, target_axes, table)
 
@@ -399,7 +396,13 @@ def sample_given(table: np.ndarray, given, rng: np.random.Generator) -> np.ndarr
 
     table is laid out given axes first, target axis last; given holds one
     index array per given axis, all of one shape, which the result takes.
+    rng is one generator, or a list of generators, one per leading row of
+    the given arrays: row r is then drawn from rng[r] as if drawn alone.
     """
     rows = _pinned_cdf(np.asarray(table))[tuple(given)]
-    u = rng.random(rows.shape[:-1])
+    shape = rows.shape[:-1]
+    if isinstance(rng, list):
+        u = np.array([g.random(shape[1:]) for g in rng]).reshape(shape)
+    else:
+        u = rng.random(shape)
     return (rows < u[..., None]).sum(axis=-1, dtype=np.int64)

@@ -353,7 +353,7 @@ def _uniform_cube(q: int) -> np.ndarray:
 def _label(name: str, size: int, labels, anchor) -> ConditionalPMF:
     """Deterministic factor name = labels[anchor] for the anchor axis (name, size)."""
     lab = np.asarray(labels, dtype=np.int64)
-    return deterministic_conditional([anchor], [(name, size)], lambda s: lab[s], vectorized=True)
+    return deterministic_conditional([anchor], [(name, size)], lambda s: lab[s])
 
 
 def three_user_factors(source: SourceModel, channel: DMChannel, dist, t_functions=None) -> list:
@@ -470,7 +470,7 @@ class _EntropyLedger:
             bases, coeffs, q = self.derived[n]
             idx = [law.axis_index(b) for b in bases]
             law = add_derived_axis(law, n, q, lambda *g, idx=idx, coeffs=coeffs, q=q:
-                                   sum(c * g[i] for i, c in zip(idx, coeffs)) % q, vectorized=True)
+                                   sum(c * g[i] for i, c in zip(idx, coeffs)) % q)
         return self._hold(law)
 
     @contextlib.contextmanager
@@ -794,7 +794,7 @@ def eta1(alpha: float, delta: float) -> float:
         raise ValueError("alpha must lie in [0, 1]")
     noise = quaternary_noise_law(delta)
     base = JointPMF([("E", 2), ("N", 4)], np.outer([1.0 - alpha, alpha], noise))
-    image = push_forward(base, lambda e, n: ((e + n) % 4,), [("Z", 4)], vectorized=True)
+    image = push_forward(base, lambda e, n: ((e + n) % 4,), [("Z", 4)])
     return entropy(image) - _noise_entropy(delta)
 
 
@@ -805,9 +805,7 @@ def eta2(alpha: float, delta: float) -> float:
     noise = quaternary_noise_law(delta)
     probs = np.multiply.outer([0.5, 0.5], np.outer([1.0 - alpha, alpha], noise))
     base = JointPMF([("V", 2), ("E", 2), ("N", 4)], probs)
-    image = push_forward(
-        base, lambda v, e, n: (((v ^ e) + v + n) % 4,), [("Z", 4)], vectorized=True
-    )
+    image = push_forward(base, lambda v, e, n: (((v ^ e) + v + n) % 4,), [("Z", 4)])
     return 2.0 - entropy(image)
 
 
@@ -900,6 +898,9 @@ def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> Fron
 # ---------------------------------------------------------------------------
 # product-strategy search
 
+# coarse grid rows evaluated per kernel call
+_GRID_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ProductSearchConfig:
@@ -907,12 +908,11 @@ class ProductSearchConfig:
     top_k: int = 32
     sweeps: int = 4
     golden_iters: int = 48
-    chunk: int = 1 << 18
 
     def __post_init__(self):
         if not 0.0 < self.coarse_step <= 0.5:
             raise ValueError("coarse_step must lie in (0, 1/2]")
-        if self.top_k < 1 or self.sweeps < 1 or self.golden_iters < 1 or self.chunk < 1:
+        if self.top_k < 1 or self.sweeps < 1 or self.golden_iters < 1:
             raise ValueError("search sizes must be positive")
 
 
@@ -963,8 +963,8 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
     total = m**6
     kept_vals: list[np.ndarray] = []
     kept_params: list[np.ndarray] = []
-    for start in range(0, total, cfg.chunk):
-        ids = np.arange(start, min(start + cfg.chunk, total), dtype=np.int64)
+    for start in range(0, total, _GRID_CHUNK):
+        ids = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
         params = np.empty((ids.shape[0], 6))
         rest = ids
         for pos in range(5, -1, -1):
@@ -1243,7 +1243,7 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     plane = _plane_probs(q)
     pushed = push_forward(
         JointPMF([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)),
-        couple, [("V1", q), ("V2", q), ("V3", q)], vectorized=True,
+        couple, [("V1", q), ("V2", q), ("V3", q)],
     )
     if np.abs(pushed.probs - plane).max() > FACTOR_TOL:
         raise FactorizationError("coupling matrix does not preserve the zero-sum V law")
@@ -1255,8 +1255,8 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     w_names = [("W1", q), ("W2", q), ("W3", q)]
     w_factors = (
         [_indep([w_names[i]], np.asarray(w_laws[i], dtype=np.float64)) for i in range(3)]
-        + [deterministic_conditional(w_names, [(f"WA{i}", q)], lambda *w, i=i: couple(*w)[i - 1],
-                                     vectorized=True) for i in (1, 2, 3)]
+        + [deterministic_conditional(w_names, [(f"WA{i}", q)], lambda *w, i=i: couple(*w)[i - 1])
+           for i in (1, 2, 3)]
     )
 
     ct = channel.transition.table
@@ -1277,7 +1277,7 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
         *block("t"),
         _indep([("U", nu)], dist.p_u.probs),
         deterministic_conditional([(f"T{i}t", q) for i in (1, 2, 3)],
-                                  [(f"V{i}", q) for i in (1, 2, 3)], couple, vectorized=True),
+                                  [(f"V{i}", q) for i in (1, 2, 3)], couple),
         _indep([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)),
         *block(""),
     ]

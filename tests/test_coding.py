@@ -74,12 +74,12 @@ def test_linear_is_affine_with_shared_matrix():
     b1, b2, b3 = scheme.meta["offsets"]
     assert np.array_equal((b1 + b2 + b3) % 2, np.zeros(6, dtype=np.int64))
     s = np.array([1, 0, 1, 1, 0, 0])
-    assert np.array_equal(scheme.per_user[0](s), (s @ g + b1) % 2)
-    assert np.array_equal(scheme.per_user[2](s), (s @ g + b3) % 2)
-    # batched call agrees with row-by-row calls
+    assert np.array_equal(scheme.expand(1, s[None])["X1"][0], (s @ g + b1) % 2)
+    assert np.array_equal(scheme.expand(3, s[None])["X3"][0], (s @ g + b3) % 2)
+    # a stacked expansion agrees with row-by-row expansions
     batch = np.stack([s, 1 - s])
-    out = scheme.per_user[1](batch)
-    assert np.array_equal(out[1], scheme.per_user[1](1 - s))
+    out = scheme.expand(2, batch)["X2"]
+    assert np.array_equal(out[1], scheme.expand(2, (1 - s)[None])["X2"][0])
 
 
 def test_linear_design_joint_input_marginal():
@@ -110,13 +110,14 @@ def test_unstructured_codewords_deterministic_and_block_keyed():
     a = build_unstructured_jscc(src, cond, 8, seed=3)
     b = build_unstructured_jscc(src, cond, 8, seed=3)
     blk = np.array([0, 1, 1, 0, 0, 1, 0, 1])
-    assert np.array_equal(a.per_user[0](blk), b.per_user[0](blk))
-    assert np.array_equal(a.per_user[0](blk), a.per_user[0](blk))
+
+    def x1(scheme, block):
+        return scheme.expand(1, block[None])["X1"][0]
+
+    assert np.array_equal(x1(a, blk), x1(b, blk))
+    assert np.array_equal(x1(a, blk), x1(a, blk))
     other = build_unstructured_jscc(src, cond, 8, seed=4)
-    diffs = [
-        not np.array_equal(other.per_user[0](np.roll(blk, k)), a.per_user[0](np.roll(blk, k)))
-        for k in range(4)
-    ]
+    diffs = [not np.array_equal(x1(other, np.roll(blk, k)), x1(a, np.roll(blk, k))) for k in range(4)]
     assert any(diffs)
 
 
@@ -417,24 +418,78 @@ def oracle_typical_set(channel, scheme, y, eps):
     return hits
 
 
-def test_typicality_decode_matches_set_oracle():
-    src = make_additive_triple(0.3, 0.4)
+def scheme_of(kind, n, seed):
+    """(source, scheme) of each scheme kind on a small source."""
+    if kind == "linear":
+        src = make_additive_triple(0.3, 0.4)
+        return src, build_linear_jscc(src, 2, n, seed)
+    if kind == "unstructured":
+        src = make_sigma_gamma_triple(0.1, 0.2)
+        return src, build_unstructured_jscc(src, [np.array([[0.8, 0.2], [0.25, 0.75]])] * 3, n, seed)
+    builder = build_layered_ces if kind == "layered" else build_hybrid_scheme
+    return diag_source(), builder(diag_source(), random_layered_dist(kind == "hybrid"), n, seed)
+
+
+@pytest.mark.parametrize("kind", ["linear", "unstructured", "layered", "hybrid"])
+def test_typicality_decode_matches_set_oracle(kind):
+    # thresholds scale with the design support, which grows with the layers; at
+    # n = 5 some unstructured verdicts hang on a cell that recurs at non-adjacent positions
+    n, eps_list = {"linear": (3, (0.5, 2.0, 8.0, 32.0)), "unstructured": (5, (6.0, 8.0)),
+                   "layered": (3, (32.0, 128.0, 512.0)), "hybrid": (3, (128.0, 512.0, 2048.0))}[kind]
+    outcomes = set()
+    for ch in (build_additive_pair_channel(0.1), pair_identity_channel()):
+        for seed in range(4):
+            src, scheme = scheme_of(kind, n, seed)
+            s = sample_iid(src, n, seed + 11)
+            y = transmit(ch, scheme.encode(*s), seed + 22)
+            for eps in eps_list:
+                res = typicality_decode(ch, scheme, y, eps=eps)
+                hits = oracle_typical_set(ch, scheme, y, eps)
+                if len(hits) == 1:
+                    assert res.ok
+                    for a, b in zip(res.blocks, hits[0]):
+                        assert np.array_equal(a, b)
+                elif len(hits) == 0:
+                    assert res.failure == "none-typical"
+                else:
+                    assert res.failure == "ambiguous"
+                outcomes.add(res.failure)
+    # the cases reach a unique typical candidate and at least one failure
+    assert None in outcomes and len(outcomes) >= 2
+
+
+@pytest.mark.parametrize("kind", ["linear", "unstructured", "layered", "hybrid"])
+def test_stacked_blocks_expand_row_by_row(kind):
+    src, scheme = scheme_of(kind, 5, seed=3)
+    blocks = [sample_iid(src, 5, seed) for seed in range(4)]
+    rows = [0, 1, 0, 2, 3, 3, 1]
+    stacked = [np.stack([blocks[r][i] for r in rows]) for i in range(3)]
+    xs = scheme.encode(*stacked)
+    layers = scheme.layer_blocks(*stacked)
+    for k, r in enumerate(rows):
+        for a, b in zip(xs, scheme.encode(*blocks[r])):
+            assert np.array_equal(a[k], b)
+        single = scheme.layer_blocks(*blocks[r])
+        assert layers.keys() == single.keys()
+        for name, arr in single.items():
+            assert np.array_equal(layers[name][k], arr)
+
+
+def test_hybrid_typicality_decode_memory_is_bounded():
+    n = 9
+    src = make_sigma_gamma_triple(0.1, 0.15)
     ch = build_additive_pair_channel(0.1)
-    for seed in range(4):
-        scheme = build_linear_jscc(src, 2, 3, seed)
-        s = sample_iid(src, 3, seed + 11)
-        y = transmit(ch, scheme.encode(*s), seed + 22)
-        for eps in (0.5, 2.0, 8.0):
-            res = typicality_decode(ch, scheme, y, eps=eps)
-            hits = oracle_typical_set(ch, scheme, y, eps)
-            if len(hits) == 1:
-                assert res.ok
-                for a, b in zip(res.blocks, hits[0]):
-                    assert np.array_equal(a, b)
-            elif len(hits) == 0:
-                assert res.failure == "none-typical"
-            else:
-                assert res.failure == "ambiguous"
+    scheme = build_hybrid_scheme(src, hybrid_dist_passthrough(), n, seed=2)
+    y = transmit(ch, scheme.encode(*sample_iid(src, n, seed=9)), seed=4)
+    tracemalloc.start()
+    try:
+        # 4^9 candidates, each through all 21 design axes
+        res = typicality_decode(ch, scheme, y, eps=64.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.failure == "ambiguous"
+    assert peak < 256 * 2**20
 
 
 # ---------------------------------------------------------------- monte carlo

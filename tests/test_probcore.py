@@ -149,7 +149,7 @@ def test_cell_cap_fires_before_the_product_is_allocated():
         with pytest.raises(ValueError, match="cap"):
             chain(base, wide)
         with pytest.raises(ValueError, match="cap"):
-            add_derived_axis(base, "D", 10000, lambda a: a % 10000, vectorized=True)
+            add_derived_axis(base, "D", 10000, lambda a: a % 10000)
         with pytest.raises(ValueError, match="cap"):
             chain_all([ConditionalPMF.from_joint(base), wide])
         peak = tracemalloc.get_traced_memory()[1]
@@ -186,7 +186,7 @@ def test_marginalize_orders_axes_as_requested():
 def test_add_derived_axis_mod_sum():
     rng = np.random.default_rng(7)
     p = random_joint(rng, (3, 3), names=["A", "B"])
-    out = add_derived_axis(p, "S", 3, lambda a, b: (a + b) % 3, vectorized=True)
+    out = add_derived_axis(p, "S", 3, lambda a, b: (a + b) % 3)
     assert out.names == ("A", "B", "S")
     for a in range(3):
         for b in range(3):

@@ -982,8 +982,7 @@ def dense_entropy(joint, derived, group):
         idx = [m.axis_index(b) for b in bases]
         m = add_derived_axis(
             m, name, q,
-            lambda *g, idx=idx, coeffs=coeffs, q=q: sum(c * g[i] for i, c in zip(idx, coeffs)) % q,
-            vectorized=True)
+            lambda *g, idx=idx, coeffs=coeffs, q=q: sum(c * g[i] for i, c in zip(idx, coeffs)) % q)
     return entropy(m, tuple(group))
 
 
@@ -1027,8 +1026,7 @@ def dense_fb_joint(dist, channel):
     joint = chain(joint, ConditionalPMF((), [("U", nu)], dist.p_u.probs))
     joint = chain(joint, deterministic_conditional(
         [(f"T{i}t", q) for i in (1, 2, 3)], [(f"V{i}", q) for i in (1, 2, 3)],
-        lambda *t: tuple(sum(t[r] * a[r, c] for r in range(3)) % q for c in range(3)),
-        vectorized=True))
+        lambda *t: tuple(sum(t[r] * a[r, c] for r in range(3)) % q for c in range(3))))
     joint = chain(joint, ConditionalPMF((), [("T1", q), ("T2", q), ("T3", q)],
                                         np.full((q,) * 3, 1.0 / q**3)))
     return fb_block(joint, dist, channel, "")
@@ -1040,7 +1038,7 @@ def dense_hybrid_joint(source, channel, dist):
 
     def label(joint, name, size, labels, pos):
         lab = np.asarray(labels)
-        return add_derived_axis(joint, name, size, lambda *g: lab[g[pos]], vectorized=True)
+        return add_derived_axis(joint, name, size, lambda *g: lab[g[pos]])
 
     mutual = gkw_mutual(source)
     joint = label(source.joint, "W123", mutual.component_count, mutual.labelings[0], 0)
