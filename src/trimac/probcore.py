@@ -99,8 +99,8 @@ class JointPMF:
         shape = tuple(a.size for _, a in self.axes)
         check_cells(shape)
         p = np.array(probs, dtype=np.float64, copy=True).reshape(shape)
-        if p.size and p.min() < 0.0:
-            raise ValueError("negative probability mass")
+        if p.size and not p.min() >= 0.0:
+            raise ValueError("negative or NaN probability mass")
         total = float(p.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total!r} is not 1 within {MASS_TOL}")
@@ -165,8 +165,8 @@ class ConditionalPMF:
         g_shape = tuple(a.size for _, a in self.given_axes)
         t_shape = tuple(a.size for _, a in self.target_axes)
         tab = np.array(table, dtype=np.float64, copy=True).reshape(g_shape + t_shape)
-        if tab.size and tab.min() < 0.0:
-            raise ValueError("negative conditional mass")
+        if tab.size and not tab.min() >= 0.0:
+            raise ValueError("negative or NaN conditional mass")
         flat = tab.reshape(int(np.prod([*g_shape, 1], dtype=np.int64)), -1)
         sums = flat.sum(axis=1)
         if sums.size and np.abs(sums - 1.0).max() > MASS_TOL:

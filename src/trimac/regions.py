@@ -18,10 +18,11 @@ on a two-copy joint in which the current block's V is a fixed linear image
 of the previous block's T.
 
 The quaternary example gets dedicated helpers: the noise-threshold
-gamma_star, the eta penalty curves, the three reduced conditions of the
-X1 = V1 xor E1 construction, the sigma0 frontier, the product-strategy
-mutual-information search, and the total-variation separation check
-between structured and product input laws.
+gamma_star, the eta penalty curves (over arrays of alphas), the three
+reduced conditions of the X1 = V1 xor E1 construction, the sigma0 frontier,
+the product-strategy mutual-information search, and the total-variation
+separation check between structured and product input laws.  The frontier
+and the product search share one lockstep golden-section kernel.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .probcore import (
     deterministic_conditional,
     entropy,
     marginalize,
+    mixed_radix,
     push_forward,
 )
 from .rng import stream
@@ -580,8 +582,8 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
     x conditionals are laid out (|U|, |X_i|); channel as in eval_ces2.
     """
     r1, r2 = (float(r) for r in rates)
-    if min(r1, r2) < 0.0:
-        raise ValueError("rates must be non-negative")
+    if not all(math.isfinite(r) and r >= 0.0 for r in (r1, r2)):
+        raise ValueError("rates must be finite and non-negative")
     if len(p_u.shape) != 1:
         raise FactorizationError("p_u must be a one-axis law")
     nu = p_u.shape[0]
@@ -788,25 +790,38 @@ def _noise_entropy(delta: float) -> float:
     return entropy(JointPMF([("N", 4)], quaternary_noise_law(delta)))
 
 
-def eta1(alpha: float, delta: float) -> float:
-    """Entropy cost H((E + N) mod 4) - H(N) of a Bernoulli(alpha) corruption."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    noise = quaternary_noise_law(delta)
-    base = JointPMF([("E", 2), ("N", 4)], np.outer([1.0 - alpha, alpha], noise))
-    image = push_forward(base, lambda e, n: ((e + n) % 4,), [("Z", 4)])
-    return entropy(image) - _noise_entropy(delta)
+def _row_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each last-axis row, 0 log 0 = 0 (a row of zero terms gives -0.0)."""
+    return -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
 
 
-def eta2(alpha: float, delta: float) -> float:
-    """Output-uniformity penalty 2 - H(((V xor E) + V + N) mod 4)."""
-    if not 0.0 <= alpha <= 1.0:
+def _eta_image_entropies(alpha, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """H((E + N) mod 4) and H(((V xor E) + V + N) mod 4) for E ~ Ber(alpha), V uniform.
+
+    Floats for a scalar alpha, else arrays of its shape.  Shifted noise rows are
+    added in push_forward's np.add.at cell order: bit for bit the image laws.
+    """
+    a = np.asarray(alpha, dtype=np.float64)[..., None]
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     noise = quaternary_noise_law(delta)
-    probs = np.multiply.outer([0.5, 0.5], np.outer([1.0 - alpha, alpha], noise))
-    base = JointPMF([("V", 2), ("E", 2), ("N", 4)], probs)
-    image = push_forward(base, lambda v, e, n: (((v ^ e) + v + n) % 4,), [("Z", 4)])
-    return 2.0 - entropy(image)
+    keep, flip = (1.0 - a) * noise, a * noise
+    z1 = keep + np.roll(flip, 1, axis=-1)
+    keep, flip = 0.5 * keep, 0.5 * flip
+    # (v, e) = (0, 0), (0, 1), (1, 0), (1, 1) shift the noise by 0, 1, 2, 1
+    z2 = keep + np.roll(flip, 1, axis=-1) + np.roll(keep, 2, axis=-1) + np.roll(flip, 1, axis=-1)
+    h1, h2 = _row_entropy(z1), _row_entropy(z2)
+    return (h1, h2) if np.ndim(alpha) else (float(h1), float(h2))
+
+
+def eta1(alpha, delta: float):
+    """Entropy cost H((E + N) mod 4) - H(N) of a Bernoulli(alpha) corruption; alpha may be an array."""
+    return _eta_image_entropies(alpha, delta)[0] - _noise_entropy(delta)
+
+
+def eta2(alpha, delta: float):
+    """Output-uniformity penalty 2 - H(((V xor E) + V + N) mod 4); alpha may be an array."""
+    return 2.0 - _eta_image_entropies(alpha, delta)[1]
 
 
 def gamma_star(delta: float) -> float:
@@ -839,32 +854,41 @@ class FrontierPoint:
     level: float
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
+def _golden_max(f, lo, hi, iters: int):
+    """Golden-section (argmax, max) on every lane of [lo, hi], f scoring all lanes' points per call.
+
+    Each lane follows the one-lane search's trajectory bit for bit.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
+        left = f1 >= f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        fx = f(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     mid = 0.5 * (lo + hi)
     return mid, f(mid)
+
+
+def _check_grid_step(grid_step: float) -> None:
+    if not 0.0 < grid_step <= 0.5:
+        raise ValueError("grid_step must lie in (0, 1/2]")
 
 
 def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> FrontierPoint:
     """Largest sigma the construction supports at bias gamma.
 
     Maximizes min(eta1(a), cap - eta2(a) - h_b(gamma)) over the admissible
-    corruption rates a, by dense grid plus golden refinement, then inverts
-    h_b.  gamma must not exceed gamma_star(delta).
+    corruption rates a, by one batch over a dense grid plus a golden
+    refinement, then inverts h_b.  gamma must not exceed gamma_star(delta).
     """
-    cap = 2.0 - _noise_entropy(delta)
+    _check_grid_step(grid_step)
+    h_noise = _noise_entropy(delta)
+    cap = 2.0 - h_noise
     gstar = binary_entropy_inverse(cap)
     if gamma > gstar + 1e-12:
         raise ValueError(f"gamma {gamma} exceeds the threshold {gstar}")
@@ -873,20 +897,21 @@ def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> Fron
     hg = binary_entropy(min(gamma, 0.5))
     alpha_max = max(0.0, 1.0 - hg / cap)
 
-    def objective(a: float) -> float:
-        return min(eta1(a, delta), cap - eta2(a, delta) - hg)
+    def objective(a):
+        h1, h2 = _eta_image_entropies(a, delta)
+        return np.minimum(h1 - h_noise, cap - (2.0 - h2) - hg)
 
     count = max(2, int(math.ceil(alpha_max / grid_step)) + 1) if alpha_max > 0.0 else 1
     alphas = np.linspace(0.0, alpha_max, count)
-    values = np.array([objective(float(a)) for a in alphas])
+    values = objective(alphas)
     best = int(np.argmax(values))
     alpha_hat, level = float(alphas[best]), float(values[best])
     if count > 1:
-        lo = float(alphas[max(0, best - 1)])
-        hi = float(alphas[min(count - 1, best + 1)])
+        lo = alphas[max(0, best - 1)]
+        hi = alphas[min(count - 1, best + 1)]
         a_ref, v_ref = _golden_max(objective, lo, hi, iters=48)
         if v_ref > level:
-            alpha_hat, level = a_ref, v_ref
+            alpha_hat, level = float(a_ref), float(v_ref)
     # At the threshold bias the admissible interval collapses to {0} and the
     # objective is zero up to bisection residue; snap that residue to an
     # exact endpoint rather than reporting h_b^{-1}(1e-13).
@@ -923,24 +948,22 @@ class ProductSearchResult:
     candidates: tuple
 
 
-def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
-    """Batch map from 6 flip parameters to I(X1X2X3; Y), in bits.
-
-    Parameter layout per row: (p1|s=0, p1|s=1, p2|s=0, ..., p3|s=1) where
-    p_i|s = P(X_i = 1 | S_i = s).
+def _flip_tables(params) -> list[np.ndarray]:
+    """The three users' (..., 2, 2) tables P(X_i | S_i) from (..., 6) flip rows
+    (p1|s=0, p1|s=1, p2|s=0, ..., p3|s=1), where p_i|s = P(X_i = 1 | S_i = s).
     """
-    w = channel_table
-    wpos = np.where(w > 0.0, w, 1.0)
-    hcond = -(w * np.log2(wpos)).sum(axis=-1)
+    return [np.stack([1.0 - params[..., 2 * u:2 * u + 2], params[..., 2 * u:2 * u + 2]], axis=-1)
+            for u in range(3)]
+
+
+def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
+    """Batch map from rows of 6 flip parameters (see _flip_tables) to I(X1X2X3; Y), in bits."""
+    hcond = _row_entropy(channel_table)
 
     def batch(params: np.ndarray) -> np.ndarray:
-        cs = [np.stack([1.0 - params[:, 2 * u:2 * u + 2], params[:, 2 * u:2 * u + 2]], axis=2)
-              for u in range(3)]
-        induced = np.einsum("abc,gaw,gbx,gcy->gwxy", source_probs, cs[0], cs[1], cs[2])
-        ylaw = np.einsum("gwxy,wxyz->gz", induced, w)
-        hy = -np.where(ylaw > 0.0, ylaw * np.log2(np.where(ylaw > 0.0, ylaw, 1.0)), 0.0).sum(axis=1)
-        hyx = np.einsum("gwxy,wxy->g", induced, hcond)
-        return hy - hyx
+        induced = np.einsum("abc,gaw,gbx,gcy->gwxy", source_probs, *_flip_tables(params))
+        ylaw = np.einsum("gwxy,wxyz->gz", induced, channel_table)
+        return _row_entropy(ylaw) - np.einsum("gwxy,wxy->g", induced, hcond)
 
     return batch
 
@@ -950,8 +973,10 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
     """Deterministic maximization of I(inputs; output) over product strategies.
 
     Coarse 6-dimensional grid, then coordinate-wise golden refinement of
-    the best grid points.  candidates holds every refined (value, params)
-    pair, best first.
+    the top_k grid points in lockstep.  candidates holds every refined
+    (value, params) pair, best first.  Tie rule: each _GRID_CHUNK chunk keeps
+    its top_k by argpartition, then stable sorts rank the kept rows in chunk
+    order and the refined rows in that selection order.
     """
     if channel.input_sizes != (2, 2, 2) or source.sizes != (2, 2, 2):
         raise ValueError("product search expects binary sources and binary channel inputs")
@@ -959,46 +984,33 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
     batch = _mi_kernel(source.joint.probs, channel.transition.table)
 
     m = int(round(1.0 / cfg.coarse_step)) + 1
-    values = np.linspace(0.0, 1.0, m)
+    grid = np.linspace(0.0, 1.0, m)
     total = m**6
     kept_vals: list[np.ndarray] = []
     kept_params: list[np.ndarray] = []
     for start in range(0, total, _GRID_CHUNK):
-        ids = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
-        params = np.empty((ids.shape[0], 6))
-        rest = ids
-        for pos in range(5, -1, -1):
-            params[:, pos] = values[rest % m]
-            rest = rest // m
+        params = grid[mixed_radix(np.arange(start, min(start + _GRID_CHUNK, total)), m, 6)]
         vals = batch(params)
         take = min(cfg.top_k, vals.shape[0])
         part = np.argpartition(-vals, take - 1)[:take]
         kept_vals.append(vals[part])
         kept_params.append(params[part])
     all_vals = np.concatenate(kept_vals)
-    all_params = np.concatenate(kept_params)
     order = np.argsort(-all_vals, kind="stable")[:cfg.top_k]
+    vals, params = all_vals[order], np.concatenate(kept_params)[order]
 
-    refined = []
-    for idx in order:
-        p = all_params[idx].copy()
-        val = float(all_vals[idx])
-        for _ in range(cfg.sweeps):
-            for c in range(6):
-                lo = max(0.0, p[c] - cfg.coarse_step)
-                hi = min(1.0, p[c] + cfg.coarse_step)
-
-                def line(t: float, c=c, p=p) -> float:
-                    row = p.copy()
-                    row[c] = t
-                    return float(batch(row[None, :])[0])
-
-                t_best, v_best = _golden_max(line, lo, hi, cfg.golden_iters)
-                if v_best > val:
-                    p[c] = t_best
-                    val = v_best
-        refined.append((val, tuple(float(x) for x in p)))
-    refined.sort(key=lambda r: -r[0])
+    for _ in range(cfg.sweeps):
+        for c in range(6):
+            lo = np.maximum(0.0, params[:, c] - cfg.coarse_step)
+            hi = np.minimum(1.0, params[:, c] + cfg.coarse_step)
+            # each lane scores its candidate's row with coordinate c moved to the lane's point
+            t_best, v_best = _golden_max(
+                lambda t, c=c: batch(np.where(np.arange(6) == c, t[:, None], params)),
+                lo, hi, cfg.golden_iters)
+            better = v_best > vals
+            params[better, c] = t_best[better]
+            vals = np.where(better, v_best, vals)
+    refined = sorted(zip(vals.tolist(), map(tuple, params.tolist())), key=lambda r: -r[0])
     best_val, best_params = refined[0]
     return ProductSearchResult(best_val, best_params, tuple(refined))
 
@@ -1008,12 +1020,8 @@ def product_conditionals(params) -> tuple[ConditionalPMF, ConditionalPMF, Condit
     params = tuple(float(x) for x in params)
     if len(params) != 6 or not all(0.0 <= x <= 1.0 for x in params):
         raise ValueError("params must be six probabilities")
-    conds = []
-    for u in range(3):
-        p0, p1 = params[2 * u], params[2 * u + 1]
-        table = np.array([[1.0 - p0, p0], [1.0 - p1, p1]])
-        conds.append(_cond(table, [(f"S{u + 1}", 2)], [(f"X{u + 1}", 2)]))
-    return tuple(conds)
+    return tuple(_cond(table, [(f"S{u}", 2)], [(f"X{u}", 2)])
+                 for u, table in enumerate(_flip_tables(np.array(params)), start=1))
 
 
 def _trivial_layers(source: SourceModel):
@@ -1104,6 +1112,7 @@ def min_tv_to_structured(input_joint: JointPMF, grid_step: float = 1.0 / 400.0):
     """
     if input_joint.shape != (2, 2, 2):
         raise ValueError("input law must be over three binary axes")
+    _check_grid_step(grid_step)
     p = input_joint.probs
     a00, a11, a01, a10 = p[0, 0, 0], p[1, 1, 0], p[0, 1, 1], p[1, 0, 1]
     off = 1.0 - (a00 + a11 + a01 + a10)
@@ -1149,6 +1158,7 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
+    _check_grid_step(grid_step)
     gstar = gamma_star(delta)
     bound = 1.0 / 6.0 - gstar / 3.0
     rng = stream(seed, 40)
@@ -1158,9 +1168,7 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
         gamma = gstar * (1.0 - float(rng.random()))
         params = rng.random(6)
         source = make_sigma_gamma_triple(sigma, gamma)
-        cs = [np.array([[1.0 - params[2 * u], params[2 * u]],
-                        [1.0 - params[2 * u + 1], params[2 * u + 1]]]) for u in range(3)]
-        induced = np.einsum("abc,aw,bx,cy->wxy", source.joint.probs, cs[0], cs[1], cs[2])
+        induced = np.einsum("abc,aw,bx,cy->wxy", source.joint.probs, *_flip_tables(params))
         law = JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], induced)
         tv, _ = min_tv_to_structured(law, grid_step)
         samples.append(TVSample(sigma, gamma, tuple(float(x) for x in params), tv))
@@ -1220,10 +1228,10 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     stays factored: no term needs it multiplied out.
     """
     rates = tuple(float(r) for r in rates)
-    if len(rates) != 3 or min(rates) < 0.0:
-        raise ValueError("rates must be three non-negative numbers")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    if len(rates) != 3 or not all(math.isfinite(r) and r >= 0.0 for r in rates):
+        raise ValueError("rates must be three finite non-negative numbers")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError("alpha must be finite and non-negative")
     q = dist.q
     nu = dist.p_u.shape[0]
     for i in (1, 2, 3):

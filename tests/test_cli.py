@@ -200,3 +200,15 @@ def test_simulate_mac_refuses_oversized_binary_enumeration(tmp_path, capsys):
             "--out-dir", str(tmp_path)]
     assert run(argv) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_non_finite_inputs_and_bad_grid_steps_exit_2(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    assert run(["structure-measure", "--law", ",".join(["nan"] * 8)] + out) == 2
+    assert run(["region", "--family", "cl2", "--r1", "nan"] + out) == 2
+    assert run(["region", "--family", "macfb", "--alpha", "nan"] + out) == 2
+    for step in ("0", "-0.001", "2", "nan"):
+        assert run(["structure-measure", "--count", "2", "--grid-step", step] + out) == 2
+        assert run(["structure-measure", "--law", "0.25,0,0,0.25,0,0.25,0.25,0",
+                    "--grid-step", step] + out) == 2
+    assert not any(tmp_path.iterdir())

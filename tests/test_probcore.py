@@ -228,6 +228,15 @@ def test_mass_validation_rejects_bad_tensors():
         JointPMF([("X", 2), ("X", 3)], np.full((2, 3), 1 / 6))
 
 
+def test_mass_validation_rejects_non_finite_masses():
+    # NaN fails every comparison, so a bare `< 0` or `> tol` test lets it through
+    for bad in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf]):
+        with pytest.raises(ValueError):
+            JointPMF([("X", 2)], bad)
+        with pytest.raises(ValueError):
+            ConditionalPMF([("U", 1)], [("X", 2)], [bad])
+
+
 def test_sample_cells_frequencies():
     rng = np.random.default_rng(9)
     p = JointPMF([("X", 2), ("Y", 2)], [[0.1, 0.2], [0.3, 0.4]])

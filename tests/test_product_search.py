@@ -1,0 +1,279 @@
+"""The batched line searches against the per-point code they replaced.
+
+The reference functions below are the former implementations, kept as
+oracles: the one-lane golden-section search, the product search that refined
+one candidate row at a time through one-row kernel calls, and eta1/eta2 as
+entropies of push_forward image laws.  The batched code must equal them
+exactly, not within a tolerance: on the small-gamma plateau of the frontier
+and among the tied maxima of the product search, the last bit decides which
+point is reported.
+
+product_search_pins.json holds max_product_mi results recorded from the
+per-row implementation on the acceptance-test sources and on a source whose
+quick search has three exactly tied maxima; they pin the tie order.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from trimac.channels import DMChannel, build_quaternary_channel, quaternary_noise_law
+from trimac.probcore import (
+    ConditionalPMF,
+    JointPMF,
+    binary_entropy,
+    binary_entropy_inverse,
+    entropy,
+    push_forward,
+)
+from trimac.regions import (
+    FrontierPoint,
+    ProductSearchConfig,
+    _golden_max,
+    eta1,
+    eta2,
+    gamma_star,
+    max_product_mi,
+    sigma0_frontier,
+)
+from trimac.sources import SourceModel, make_sigma_gamma_triple
+
+PINS = json.loads((Path(__file__).parent / "product_search_pins.json").read_text())
+QUICK = ProductSearchConfig(coarse_step=0.2, top_k=12, sweeps=2, golden_iters=32)
+SMALL = ProductSearchConfig(coarse_step=0.25, top_k=4, sweeps=2, golden_iters=24)
+TIED = (0.40036971481613076, 0.44812267709330644)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def golden_max_oracle(f, lo, hi, iters):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def noise_entropy(delta):
+    return entropy(JointPMF([("N", 4)], quaternary_noise_law(delta)))
+
+
+def eta1_oracle(alpha, delta):
+    noise = quaternary_noise_law(delta)
+    base = JointPMF([("E", 2), ("N", 4)], np.outer([1.0 - alpha, alpha], noise))
+    image = push_forward(base, lambda e, n: ((e + n) % 4,), [("Z", 4)])
+    return entropy(image) - noise_entropy(delta)
+
+
+def eta2_oracle(alpha, delta):
+    noise = quaternary_noise_law(delta)
+    probs = np.multiply.outer([0.5, 0.5], np.outer([1.0 - alpha, alpha], noise))
+    base = JointPMF([("V", 2), ("E", 2), ("N", 4)], probs)
+    image = push_forward(base, lambda v, e, n: (((v ^ e) + v + n) % 4,), [("Z", 4)])
+    return 2.0 - entropy(image)
+
+
+def frontier_oracle(gamma, delta, grid_step=1e-3):
+    cap = 2.0 - noise_entropy(delta)
+    hg = binary_entropy(min(gamma, 0.5))
+    alpha_max = max(0.0, 1.0 - hg / cap)
+
+    def objective(a):
+        return min(eta1_oracle(a, delta), cap - eta2_oracle(a, delta) - hg)
+
+    count = max(2, int(math.ceil(alpha_max / grid_step)) + 1) if alpha_max > 0.0 else 1
+    alphas = np.linspace(0.0, alpha_max, count)
+    values = np.array([objective(float(a)) for a in alphas])
+    best = int(np.argmax(values))
+    alpha_hat, level = float(alphas[best]), float(values[best])
+    if count > 1:
+        lo = float(alphas[max(0, best - 1)])
+        hi = float(alphas[min(count - 1, best + 1)])
+        a_ref, v_ref = golden_max_oracle(objective, lo, hi, iters=48)
+        if v_ref > level:
+            alpha_hat, level = a_ref, v_ref
+    if level <= 1e-11:
+        return FrontierPoint(gamma, delta, 0.0, alpha_hat, level)
+    return FrontierPoint(gamma, delta, binary_entropy_inverse(level), alpha_hat, level)
+
+
+def mi_kernel_oracle(source_probs, channel_table):
+    w = channel_table
+    wpos = np.where(w > 0.0, w, 1.0)
+    hcond = -(w * np.log2(wpos)).sum(axis=-1)
+
+    def batch(params):
+        cs = [np.stack([1.0 - params[:, 2 * u:2 * u + 2], params[:, 2 * u:2 * u + 2]], axis=2)
+              for u in range(3)]
+        induced = np.einsum("abc,gaw,gbx,gcy->gwxy", source_probs, cs[0], cs[1], cs[2])
+        ylaw = np.einsum("gwxy,wxyz->gz", induced, w)
+        hy = -np.where(ylaw > 0.0, ylaw * np.log2(np.where(ylaw > 0.0, ylaw, 1.0)), 0.0).sum(axis=1)
+        hyx = np.einsum("gwxy,wxy->g", induced, hcond)
+        return hy - hyx
+
+    return batch
+
+
+def product_search_oracle(channel, source, cfg, chunk=1 << 18):
+    batch = mi_kernel_oracle(source.joint.probs, channel.transition.table)
+    m = int(round(1.0 / cfg.coarse_step)) + 1
+    values = np.linspace(0.0, 1.0, m)
+    total = m**6
+    kept_vals, kept_params = [], []
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        params = np.empty((ids.shape[0], 6))
+        rest = ids
+        for pos in range(5, -1, -1):
+            params[:, pos] = values[rest % m]
+            rest = rest // m
+        vals = batch(params)
+        take = min(cfg.top_k, vals.shape[0])
+        part = np.argpartition(-vals, take - 1)[:take]
+        kept_vals.append(vals[part])
+        kept_params.append(params[part])
+    all_vals = np.concatenate(kept_vals)
+    all_params = np.concatenate(kept_params)
+    order = np.argsort(-all_vals, kind="stable")[:cfg.top_k]
+
+    refined = []
+    for idx in order:
+        p = all_params[idx].copy()
+        val = float(all_vals[idx])
+        for _ in range(cfg.sweeps):
+            for c in range(6):
+                lo = max(0.0, p[c] - cfg.coarse_step)
+                hi = min(1.0, p[c] + cfg.coarse_step)
+
+                def line(t, c=c, p=p):
+                    row = p.copy()
+                    row[c] = t
+                    return float(batch(row[None, :])[0])
+
+                t_best, v_best = golden_max_oracle(line, lo, hi, cfg.golden_iters)
+                if v_best > val:
+                    p[c] = t_best
+                    val = v_best
+        refined.append((val, tuple(float(x) for x in p)))
+    refined.sort(key=lambda r: -r[0])
+    return refined[0][0], refined[0][1], tuple(refined)
+
+
+# ---------------------------------------------------------------------------
+# eta curves and the frontier
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.25])
+def test_eta_curves_equal_the_push_forward_laws_exactly(delta):
+    alphas = np.linspace(0.0, 1.0, 2001)
+    want1 = [eta1_oracle(float(a), delta) for a in alphas]
+    want2 = [eta2_oracle(float(a), delta) for a in alphas]
+    assert [eta1(float(a), delta) for a in alphas] == want1
+    assert [eta2(float(a), delta) for a in alphas] == want2
+    assert eta1(alphas, delta).tolist() == want1
+    assert eta2(alphas, delta).tolist() == want2
+
+
+def test_eta_shapes_types_and_range_check():
+    assert type(eta1(0.3, 0.25)) is float
+    assert type(eta2(0.3, 0.25)) is float
+    assert type(eta1(np.float64(0.3), 0.25)) is float
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert eta1(grid, 0.25).shape == (2, 3)
+    assert eta2(grid, 0.25).shape == (2, 3)
+    for bad in (-0.1, 1.5, float("nan"), np.array([0.2, 1.01])):
+        with pytest.raises(ValueError):
+            eta1(bad, 0.25)
+        with pytest.raises(ValueError):
+            eta2(bad, 0.25)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25])
+def test_frontier_equals_the_per_point_search(delta):
+    for g in np.linspace(0.0, gamma_star(delta), 50):
+        got, want = sigma0_frontier(float(g), delta), frontier_oracle(float(g), delta)
+        assert repr(got) == repr(want)
+
+
+def test_golden_lanes_follow_the_scalar_search():
+    # step functions make f1 == f2 ties common, which pick the left bracket
+    rng = np.random.default_rng(5)
+    scale, shift = rng.uniform(1.0, 9.0, 40), rng.uniform(0.0, 6.0, 40)
+    lo, hi = rng.uniform(-1.0, 0.5, 40), rng.uniform(0.6, 2.0, 40)
+
+    def f(x, lanes=slice(None)):
+        return np.round(4.0 * np.sin(scale[lanes] * x + shift[lanes])) / 4.0
+
+    mids, vals = _golden_max(f, lo, hi, 30)
+    for i in range(40):
+        mid, val = golden_max_oracle(lambda x, i=i: float(f(x, i)), float(lo[i]), float(hi[i]), 30)
+        assert (mids[i], vals[i]) == (mid, val)
+
+
+# ---------------------------------------------------------------------------
+# product search
+
+
+def _dead_channel():
+    table = np.zeros((2, 2, 2, 2))
+    table[..., 0] = 1.0
+    return DMChannel("dead", ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)], [("Y", 2)], table))
+
+
+def _random_case():
+    rng = np.random.default_rng(11)
+    source = SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], rng.dirichlet(np.ones(8))))
+    table = rng.dirichlet(np.ones(3), size=(2, 2, 2))
+    channel = DMChannel("random", ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)], [("Y", 3)], table))
+    return channel, source
+
+
+def _cases():
+    quaternary = build_quaternary_channel(0.25)
+    cases = [
+        pytest.param(quaternary, make_sigma_gamma_triple(s, g), QUICK, id=f"quick-{s}-{g}")
+        for s, g in ((0.05, 0.1), (0.3, 0.2), TIED)
+    ]
+    return cases + [
+        pytest.param(quaternary, make_sigma_gamma_triple(0.1, 0.1), SMALL, id="small"),
+        pytest.param(*_random_case(), SMALL, id="small-random-channel"),
+        pytest.param(_dead_channel(), make_sigma_gamma_triple(0.1, 0.1), QUICK, id="quick-dead"),
+    ]
+
+
+@pytest.mark.parametrize("channel,source,cfg", _cases())
+def test_product_search_equals_the_per_row_refinement(channel, source, cfg):
+    value, params, candidates = product_search_oracle(channel, source, cfg)
+    got = max_product_mi(channel, source, cfg)
+    assert repr((got.value, got.params, got.candidates)) == repr((value, params, candidates))
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_product_search_keeps_the_recorded_tie_order(case):
+    pin = PINS[case]
+    cfg = ProductSearchConfig(**pin["config"]) if pin["config"] else None
+    got = max_product_mi(build_quaternary_channel(pin["delta"]),
+                         make_sigma_gamma_triple(pin["sigma"], pin["gamma"]), cfg)
+    assert got.value == pin["value"]
+    assert list(got.params) == pin["params"]
+    assert [[v, list(p)] for v, p in got.candidates] == pin["candidates"]
+    if case == "quick-exact-tie":  # three distinct maxima tie exactly: only the tie rule orders them
+        top = pin["candidates"][:3]
+        assert len({v for v, _ in top}) == 1 and len({tuple(p) for _, p in top}) == 3

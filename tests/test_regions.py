@@ -678,6 +678,20 @@ def test_members_have_zero_distance_and_bound_check_passes():
         min_tv_to_structured(JointPMF([("X1", 2), ("X2", 2)], np.full((2, 2), 0.25)))
 
 
+def test_grid_steps_outside_the_half_open_half_unit_are_refused():
+    law = structured_pair_joint(0.5, 0.0)
+    for bad in (0.0, -1e-3, 0.75, 2.0, float("nan")):
+        with pytest.raises(ValueError):
+            min_tv_to_structured(law, bad)
+        with pytest.raises(ValueError):
+            tv_bound_check(0.25, 2, seed=0, grid_step=bad)
+        with pytest.raises(ValueError):
+            sigma0_frontier(0.05, 0.25, grid_step=bad)
+    assert min_tv_to_structured(law, 0.5)[0] == 0.0
+    assert tv_bound_check(0.25, 2, seed=0, grid_step=0.5).min_tv > 0.0
+    assert sigma0_frontier(0.05, 0.25, grid_step=0.5).sigma0 > 0.0
+
+
 @given(st.integers(0, 200), st.integers(0, 200))
 @settings(max_examples=30, deadline=None)
 def test_grid_aligned_members_have_zero_grid_distance(i, j):
@@ -933,6 +947,27 @@ def test_macfb_dead_channel_kills_every_mi_row():
         assert rep.record(f"rate-match-{i}").satisfied
     assert not rep.record("sum-decode-3").satisfied
     assert not rep.satisfied
+
+
+def test_non_finite_rates_and_alpha_are_refused():
+    table = np.zeros((2, 2, 3))
+    for x1, x2 in itertools.product(range(2), repeat=2):
+        table[x1, x2, x1 + x2] = 1.0
+    adder = ConditionalPMF([("X1", 2), ("X2", 2)], [("Y", 3)], table)
+    p_u = JointPMF([("U", 1)], [1.0])
+    half = ConditionalPMF([("U", 1)], [("X1", 2)], [[0.5, 0.5]])
+    rng = np.random.default_rng(37)
+    dist = MacFBDist(2, JointPMF([("U", 2)], rows_normalized(rng, (2,))),
+                     tuple(ConditionalPMF([("U", 2), ("T", 2), ("V", 2)], [(f"X{i}", 2)],
+                                          rows_normalized(rng, (2, 2, 2, 2)))
+                           for i in (1, 2, 3)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            eval_cl2((bad, 0.2), adder, p_u, half, half)
+        with pytest.raises(ValueError):
+            eval_macfb((0.1, bad, 0.1), 0.2, dist, xor_bsc_channel())
+        with pytest.raises(ValueError):
+            eval_macfb((0.1, 0.1, 0.1), bad, dist, xor_bsc_channel())
 
 
 def test_macfb_coupling_matrix_must_preserve_the_plane():
