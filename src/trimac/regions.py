@@ -32,6 +32,7 @@ import functools
 import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -923,8 +924,17 @@ def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> Fron
 # ---------------------------------------------------------------------------
 # product-strategy search
 
-# coarse grid rows evaluated per kernel call
+# Coarse grid rows per top_k selection.  The chunks fix only the tie rule: each
+# keeps its top_k by argpartition, and kept rows are ranked in chunk order.
 _GRID_CHUNK = 1 << 18
+# Largest coarse grid searched, about a minute at about 0.5 us a row: m = 22
+# points a coordinate (coarse_step 1/21) is admitted, m = 23 is not.
+_MAX_GRID_ROWS = 1 << 27
+# Grid rows per kernel call: small enough for each (rows, 8) temporary to stay in
+# cache (at m = 21, ~4k-row slices ran ~35% faster than 194k-row ones).
+_SLICE_ROWS = 1 << 12
+# source cells (a, b, c) in the order their terms are added
+_SOURCE_CELLS = tuple(itertools.product(range(2), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -939,6 +949,14 @@ class ProductSearchConfig:
             raise ValueError("coarse_step must lie in (0, 1/2]")
         if self.top_k < 1 or self.sweeps < 1 or self.golden_iters < 1:
             raise ValueError("search sizes must be positive")
+        if self.grid_points**6 > _MAX_GRID_ROWS:
+            raise ValueError(f"coarse_step {self.coarse_step} gives {self.grid_points}^6 grid "
+                             f"rows, above the {_MAX_GRID_ROWS} row cap")
+
+    @property
+    def grid_points(self) -> int:
+        """Points per coordinate of the coarse grid, 0 and 1 included."""
+        return int(round(1.0 / self.coarse_step)) + 1
 
 
 @dataclass(frozen=True)
@@ -948,56 +966,134 @@ class ProductSearchResult:
     candidates: tuple
 
 
+def _flip_table(pairs) -> np.ndarray:
+    """(..., 2, 2) table P(X | S) from (..., 2) rows (p|s=0, p|s=1), p|s = P(X = 1 | S = s)."""
+    return np.stack([1.0 - pairs, pairs], axis=-1)
+
+
 def _flip_tables(params) -> list[np.ndarray]:
     """The three users' (..., 2, 2) tables P(X_i | S_i) from (..., 6) flip rows
     (p1|s=0, p1|s=1, p2|s=0, ..., p3|s=1), where p_i|s = P(X_i = 1 | S_i = s).
     """
-    return [np.stack([1.0 - params[..., 2 * u:2 * u + 2], params[..., 2 * u:2 * u + 2]], axis=-1)
-            for u in range(3)]
+    return [_flip_table(params[..., 2 * u:2 * u + 2]) for u in range(3)]
 
 
 def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
-    """Batch map from rows of 6 flip parameters (see _flip_tables) to I(X1X2X3; Y), in bits."""
+    """Map from the users' flip tables to I(X1X2X3; Y) in bits, one value per row.
+
+    Each table is cell-major, (2, 2, *rows) with P(X_i = x | S_i = s) at
+    [s, x]; the three row shapes broadcast together and the values come out
+    flattened row-major.  The input law sums the source cells' terms
+    ((P(a, b, c) t1[a, w]) t2[b, x]) t3[c, y] one at a time in lexicographic
+    order, then its rows are laid out row-major: that arithmetic is the
+    batched einsum's bit for bit, whatever the rows.  Pass C-contiguous
+    tables: transposed views made the grid twice as slow.
+    """
     hcond = _row_entropy(channel_table)
 
-    def batch(params: np.ndarray) -> np.ndarray:
-        induced = np.einsum("abc,gaw,gbx,gcy->gwxy", source_probs, *_flip_tables(params))
+    def tables_mi(t1, t2, t3) -> np.ndarray:
+        total = None
+        for a, b, c in _SOURCE_CELLS:
+            term = (source_probs[a, b, c] * t1[a][:, None, None]) * t2[b][None, :, None]
+            term = term * t3[c][None, None]
+            if total is None:
+                total = term
+            else:
+                total += term
+        induced = np.ascontiguousarray(total.reshape(8, -1).T).reshape(-1, 2, 2, 2)
         ylaw = np.einsum("gwxy,wxyz->gz", induced, channel_table)
         return _row_entropy(ylaw) - np.einsum("gwxy,wxy->g", induced, hcond)
 
-    return batch
+    return tables_mi
+
+
+def _rows_mi(tables_mi, params: np.ndarray) -> np.ndarray:
+    """tables_mi (see _mi_kernel) of each row of 6 flip parameters (see _flip_tables)."""
+    return tables_mi(*(np.ascontiguousarray(t.transpose(1, 2, 0)) for t in _flip_tables(params)))
+
+
+def _grid_slices(tables_mi, m: int):
+    """Values of the m^6-row coarse grid in row order, one slice per yield.
+
+    Grid row r has digits mixed_radix(r, m, 6) over np.linspace(0, 1, m), so
+    user u's table is digit pair u, one of m^2.  A slice is one user-1 table
+    against a run of user-2 tables and every user-3 table, each on its own
+    broadcast axis: about _SLICE_ROWS rows, whatever m.  Its values equal
+    tables_mi on those rows' own tables.
+    """
+    grid = np.linspace(0.0, 1.0, m)
+    tables = _flip_table(grid[mixed_radix(np.arange(m * m), m, 2)])
+    cells = np.ascontiguousarray(tables.transpose(1, 2, 0))
+    t3 = cells[:, :, None, :]
+    run = max(1, _SLICE_ROWS // (m * m))
+    for i1 in range(m * m):
+        t1 = cells[:, :, i1, None, None]
+        for i2 in range(0, m * m, run):
+            yield tables_mi(t1, cells[:, :, i2:i2 + run, None], t3)
+
+
+def _grid_top(slices, total: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, grid row ids) of the coarse grid's top_k under the tie rule (see _GRID_CHUNK).
+
+    The streamed slices fill one _GRID_CHUNK buffer at a time.
+    """
+    chunk = np.empty(min(_GRID_CHUNK, total))
+    kept_vals: list[np.ndarray] = []
+    kept_ids: list[np.ndarray] = []
+    start = filled = 0
+    for vals in slices:
+        while vals.size:
+            size = min(_GRID_CHUNK, total - start)
+            n = min(size - filled, vals.size)
+            chunk[filled:filled + n] = vals[:n]
+            filled, vals = filled + n, vals[n:]
+            if filled == size:
+                take = min(top_k, size)
+                part = np.argpartition(-chunk[:size], take - 1)[:take]
+                kept_vals.append(chunk[part])
+                kept_ids.append(start + part)
+                start, filled = start + size, 0
+    all_vals = np.concatenate(kept_vals)
+    order = np.argsort(-all_vals, kind="stable")[:top_k]
+    return all_vals[order], np.concatenate(kept_ids)[order]
 
 
 def max_product_mi(channel: DMChannel, source: SourceModel,
                    config: ProductSearchConfig | None = None) -> ProductSearchResult:
     """Deterministic maximization of I(inputs; output) over product strategies.
 
-    Coarse 6-dimensional grid, then coordinate-wise golden refinement of
-    the top_k grid points in lockstep.  candidates holds every refined
-    (value, params) pair, best first.  Tie rule: each _GRID_CHUNK chunk keeps
-    its top_k by argpartition, then stable sorts rank the kept rows in chunk
-    order and the refined rows in that selection order.
+    Coarse 6-dimensional grid, then coordinate-wise golden refinement of the
+    top_k grid points in lockstep.  The grid is evaluated separably: each
+    user's m^2 distinct tables are built once and combined on broadcast
+    axes, one user-1 table and a run of user-2 tables per slice (see
+    _grid_slices), with the refinement's kernel arithmetic, so every grid
+    value is bit for bit its own row's and ties cannot reorder.  Only one
+    _GRID_CHUNK value buffer and the kept rows are held; params are rebuilt
+    for the kept rows only.  A grid above _MAX_GRID_ROWS rows is refused
+    when the config is built, before any work.  candidates holds every
+    refined (value, params) pair, best first.  Tie rule: each _GRID_CHUNK
+    chunk keeps its top_k by argpartition, then stable sorts rank the kept
+    rows in chunk order and the refined rows in that selection order.  One
+    DEBUG line on the trimac logger gives the grid rows, slices, refinement
+    kernel calls and each phase's seconds.
     """
     if channel.input_sizes != (2, 2, 2) or source.sizes != (2, 2, 2):
         raise ValueError("product search expects binary sources and binary channel inputs")
     cfg = config or ProductSearchConfig()
-    batch = _mi_kernel(source.joint.probs, channel.transition.table)
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    calls = rows = 0
 
-    m = int(round(1.0 / cfg.coarse_step)) + 1
-    grid = np.linspace(0.0, 1.0, m)
-    total = m**6
-    kept_vals: list[np.ndarray] = []
-    kept_params: list[np.ndarray] = []
-    for start in range(0, total, _GRID_CHUNK):
-        params = grid[mixed_radix(np.arange(start, min(start + _GRID_CHUNK, total)), m, 6)]
-        vals = batch(params)
-        take = min(cfg.top_k, vals.shape[0])
-        part = np.argpartition(-vals, take - 1)[:take]
-        kept_vals.append(vals[part])
-        kept_params.append(params[part])
-    all_vals = np.concatenate(kept_vals)
-    order = np.argsort(-all_vals, kind="stable")[:cfg.top_k]
-    vals, params = all_vals[order], np.concatenate(kept_params)[order]
+    def tables_mi(*tables):
+        nonlocal calls, rows
+        vals = kernel(*tables)
+        calls, rows = calls + 1, rows + vals.size
+        return vals
+
+    started = time.perf_counter()
+    m = cfg.grid_points
+    vals, ids = _grid_top(_grid_slices(tables_mi, m), m**6, cfg.top_k)
+    params = np.linspace(0.0, 1.0, m)[mixed_radix(ids, m, 6)]
+    slices, grid_rows, grid_s = calls, rows, time.perf_counter() - started
 
     for _ in range(cfg.sweeps):
         for c in range(6):
@@ -1005,11 +1101,14 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
             hi = np.minimum(1.0, params[:, c] + cfg.coarse_step)
             # each lane scores its candidate's row with coordinate c moved to the lane's point
             t_best, v_best = _golden_max(
-                lambda t, c=c: batch(np.where(np.arange(6) == c, t[:, None], params)),
+                lambda t, c=c: _rows_mi(tables_mi, np.where(np.arange(6) == c, t[:, None], params)),
                 lo, hi, cfg.golden_iters)
             better = v_best > vals
             params[better, c] = t_best[better]
             vals = np.where(better, v_best, vals)
+    _LOG.debug("product search: %d grid rows in %d slices, %.3f s; %d refinement kernel calls, "
+               "%.3f s", grid_rows, slices, grid_s, calls - slices,
+               time.perf_counter() - started - grid_s)
     refined = sorted(zip(vals.tolist(), map(tuple, params.tolist())), key=lambda r: -r[0])
     best_val, best_params = refined[0]
     return ProductSearchResult(best_val, best_params, tuple(refined))

@@ -11,30 +11,41 @@ point is reported.
 product_search_pins.json holds max_product_mi results recorded from the
 per-row implementation on the acceptance-test sources and on a source whose
 quick search has three exactly tied maxima; they pin the tie order.
+
+The coarse grid is evaluated separably, slice by slice; every streamed
+value must equal the row kernel's on that row, and the row kernel must equal
+the batched einsum it replaced, so grid ties cannot reorder.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trimac.channels import DMChannel, build_quaternary_channel, quaternary_noise_law
+from trimac.cli import run
 from trimac.probcore import (
     ConditionalPMF,
     JointPMF,
     binary_entropy,
     binary_entropy_inverse,
     entropy,
+    mixed_radix,
     push_forward,
 )
 from trimac.regions import (
     FrontierPoint,
     ProductSearchConfig,
     _golden_max,
+    _grid_slices,
+    _mi_kernel,
+    _rows_mi,
     eta1,
     eta2,
     gamma_star,
@@ -277,3 +288,90 @@ def test_product_search_keeps_the_recorded_tie_order(case):
     if case == "quick-exact-tie":  # three distinct maxima tie exactly: only the tie rule orders them
         top = pin["candidates"][:3]
         assert len({v for v, _ in top}) == 1 and len({tuple(p) for _, p in top}) == 3
+
+
+# ---------------------------------------------------------------------------
+# the separable coarse grid
+
+
+def _kernel_cases():
+    return [pytest.param(*case.values[:2], id=case.id) for case in _cases()]
+
+
+def _grid_params(m, ids):
+    return np.linspace(0.0, 1.0, m)[mixed_radix(ids, m, 6)]
+
+
+@pytest.mark.parametrize("m", [6, 11])
+@pytest.mark.parametrize("channel,source", _kernel_cases())
+def test_streamed_grid_equals_the_row_kernel_on_every_row(channel, source, m):
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    streamed = np.concatenate(list(_grid_slices(kernel, m)))
+    assert streamed.shape == (m**6,)
+    for start in range(0, m**6, 1 << 18):
+        ids = np.arange(start, min(start + (1 << 18), m**6))
+        assert np.array_equal(streamed[ids], _rows_mi(kernel, _grid_params(m, ids)))
+    if m == 6:
+        oracle = mi_kernel_oracle(source.joint.probs, channel.transition.table)
+        assert np.array_equal(streamed, oracle(_grid_params(m, np.arange(m**6))))
+
+
+@pytest.mark.parametrize("channel,source", _kernel_cases())
+def test_mi_kernel_equals_the_einsum_oracle_on_random_rows(channel, source):
+    rng = np.random.default_rng(23)
+    rows = rng.uniform(size=(50_000, 6))
+    rows[rng.random(rows.shape) < 0.15] = 0.0
+    rows[rng.random(rows.shape) < 0.15] = 1.0
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    oracle = mi_kernel_oracle(source.joint.probs, channel.transition.table)
+    assert np.array_equal(_rows_mi(kernel, rows), oracle(rows))
+    for n in (1, 2, 12, 32):  # the refinement's batch sizes
+        assert np.array_equal(_rows_mi(kernel, rows[-n:]), oracle(rows[-n:]))
+
+
+def test_grid_cap_refuses_before_any_allocation():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for step in (0.01, 0.04, 1.0 / 22.0):
+            with pytest.raises(ValueError, match="row cap"):
+                ProductSearchConfig(coarse_step=step)
+        grew = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grew < 64 * 1024  # a kernel slice alone is 256 KiB
+    assert ProductSearchConfig(coarse_step=0.05).grid_points == 21
+    assert ProductSearchConfig(coarse_step=1.0 / 21.0).grid_points == 22
+
+
+def test_default_search_peak_memory_stays_bounded():
+    channel, source = build_quaternary_channel(0.25), make_sigma_gamma_triple(0.3, 0.2)
+    tracemalloc.start()
+    try:
+        max_product_mi(channel, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 11^6-row grid's full value vector alone would be 13.5 MiB
+    assert peak < 12 * 2**20
+
+
+def test_search_logs_one_line_and_debug_leaves_region_bytes_unchanged(tmp_path, caplog):
+    argv = ["region", "--family", "ces3", "--sigma", "0.3", "--gamma", "0.2", "--delta", "0.25",
+            "--search", "full"]
+    outputs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        out = tmp_path / logging.getLevelName(level)
+        out.mkdir()
+        with caplog.at_level(level, logger="trimac"):
+            assert run(argv + ["--out-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["region.csv", "region.json"]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "trimac" and r.getMessage().startswith("product search: ")]
+    assert len(lines) == 1
+    head, tail = lines[0].split("; ")
+    assert head.startswith("product search: 1771561 grid rows in 484 slices, ")
+    assert tail.startswith("1224 refinement kernel calls, ")
+    assert float(head.split(", ")[1].split()[0]) > 0.0 and float(tail.split(", ")[1].split()[0]) > 0.0
