@@ -31,6 +31,7 @@ failures, never silent guesses.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,7 +50,7 @@ from .probcore import (
     sample_given,
 )
 from .regions import PAIRS, USER_PAIRS, _plane_probs, three_user_factors
-from .rng import stream
+from .rng import stream, sub_seeds, tally, uniforms
 from .sources import SourceModel, sample_iid
 
 __all__ = [
@@ -139,7 +140,9 @@ def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
 
 def _draw(table: np.ndarray, given, seed: int, tag: int, content: np.ndarray) -> np.ndarray:
     """sample_given on stacked rows, row r from stream (seed, tag, *content[r])."""
-    return sample_given(table, given, [stream(seed, tag, *row) for row in content.tolist()])
+    shape = np.shape(given[0])
+    paths = np.column_stack((np.full(len(content), tag, dtype=np.int64), content))
+    return sample_given(table, given, uniforms(seed, paths, math.prod(shape[1:])).reshape(shape))
 
 
 def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingScheme:
@@ -399,14 +402,17 @@ def ml_decode_additive_pair(channel: DMChannel, scheme: CodingScheme, y_block) -
     return DecodeResult((s1, s2, s1 ^ s2), popcount_cells=cells)
 
 
-def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: float) -> DecodeResult:
+def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: float,
+                      design: JointPMF | None = None) -> DecodeResult:
     """Unique strongly typical candidate decoding.
 
     A candidate passes when the empirical type of the full per-symbol tuple
     (sources, layer variables, inputs, output) deviates from the design law
     by at most eps divided by the design support size in every cell, with no
     mass on null cells.  No typical candidate is an E0 failure; more than
-    one is an E1 failure.
+    one is an E1 failure.  design is scheme.design_joint(channel), built here
+    unless passed in; schemes of one factory share it across seeds, so a
+    caller decoding many trials builds it once.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -414,7 +420,8 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
     n = y.shape[0]
     if n != scheme.n:
         raise ValueError("block length mismatch")
-    design = scheme.design_joint(channel)
+    if design is None:
+        design = scheme.design_joint(channel)
     probs = design.probs
     thr = eps / float((probs > 0).sum())
     support, tables, chunks = _candidates(scheme, n)
@@ -519,19 +526,24 @@ def monte_carlo_error(
     Every trial draws fresh codebooks, a fresh source block and fresh
     channel noise, matching the random-coding ensembles.  All randomness is
     derived from (seed, trial index), so the result is independent of the
-    worker partition.
+    worker partition.  Trial t's scheme, source and noise seeds are
+    _sub_seed(seed, t, 0..2), all drawn up front in one kernel call.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    seeds = sub_seeds(seed, np.stack(np.divmod(np.arange(3 * trials), 3), axis=1)).tolist()
 
-    def run_trial(t: int) -> tuple[int, int]:
-        scheme = scheme_factory(_sub_seed(seed, t, 0))
-        s = sample_iid(source, n, _sub_seed(seed, t, 1))
+    def run_trial(t: int) -> tuple:
+        start = tally()
+        scheme_seed, source_seed, noise_seed = seeds[3 * t:3 * t + 3]
+        scheme = scheme_factory(scheme_seed)
+        s = sample_iid(source, n, source_seed)
         x = scheme.encode(*s)
-        y = transmit(channel, x, _sub_seed(seed, t, 2))
+        y = transmit(channel, x, noise_seed)
         res = decoder(channel, scheme, y)
         wrong = not res.ok or not all(np.array_equal(a, b) for a, b in zip(res.blocks, s))
-        return int(wrong), res.popcount_cells
+        # the tally is per thread, so a worker's trial counts only its own draws
+        return int(wrong), res.popcount_cells, np.subtract(tally(), start), scheme.kind
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -540,9 +552,14 @@ def monte_carlo_error(
             outcomes = list(pool.map(run_trial, range(trials)))
     else:
         outcomes = [run_trial(t) for t in range(trials)]
-    errors = sum(wrong for wrong, _ in outcomes)
-    _LOG.debug("monte_carlo_error n=%d: %d decodes, %d popcount cells scored",
-               n, trials, sum(cells for _, cells in outcomes))
+    wrong, cells, drawn, kinds = zip(*outcomes)
+    errors = sum(wrong)
+    # plus the one kernel call that drew the 3 * trials sub-seeds
+    streams, calls = np.sum(drawn, axis=0) + (3 * trials, 1)
+    _LOG.debug(
+        "monte_carlo_error n=%d: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
+        "%d kernel calls", n, trials, sum(cells), streams, calls,
+    )
 
     lo, hi = wilson_interval(errors, trials)
     return SimReport(
@@ -553,7 +570,7 @@ def monte_carlo_error(
         ci_lo=lo,
         ci_hi=hi,
         seed=seed,
-        scheme_kind=scheme_factory(_sub_seed(seed, 0, 0)).kind,
+        scheme_kind=kinds[0],
         channel_kind=channel.kind,
     )
 

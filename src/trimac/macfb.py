@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import build_fb_parallel_channel, transmit
+from .channels import build_fb_parallel_channel
 from .coding import SimReport, _sub_seed, wilson_interval
 from .gfcore import (
     MAX_PACKED_BITS,
@@ -41,7 +41,8 @@ from .gfcore import (
     xor_closure,
     xor_codebook,
 )
-from .rng import stream
+from .probcore import _pinned_cdf
+from .rng import stream, sub_seeds, tally, uniforms
 
 __all__ = [
     "MAX_SUM_MESSAGE_BITS",
@@ -60,6 +61,10 @@ __all__ = [
 
 MAX_SUM_MESSAGE_BITS = 20  # exhaustive decoders enumerate 2^k candidates
 MAX_SUMSET_PAIRS = 10**8  # pairwise-XOR enumeration guard
+# The feedback run draws its channel uniforms this many doubles per kernel
+# call: a whole run's noise held through the block loop leaves a heap hole
+# that the receiver pass cannot reuse, raising the run's peak RSS.
+_NOISE_CHUNK = 1 << 15
 
 _LOG = logging.getLogger("trimac")
 _EVENT_KINDS = ("sum", "pair", "third", "message")
@@ -353,13 +358,19 @@ def run_fb_simulation(
         raise ValueError("sum_decoder must be 'ml' or 'typicality'")
     if typicality_margin <= 0.0:
         raise ValueError("typicality_margin must be positive")
+    start = tally()
     k, n, blocks = config.k, config.n, config.blocks
     g = sample_uniform_matrix(2, k, n, _sub_seed(config.seed, 60)).as_array()
     book = xor_codebook(g)
-    channel = build_fb_parallel_channel(config.delta)
+    cdf = _pinned_cdf(build_fb_parallel_channel(config.delta).transition.table)
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
     first = unpack_bits(book[msgs], n)  # (blocks, 3, n) first-component codewords
     radius = None if sum_decoder == "ml" else n * (config.delta + typicality_margin)
+    # block b's n channel uses take the uniforms of stream(_sub_seed(seed, 62, b)), as
+    # transmit(..., _sub_seed(seed, 62, b)) draws them: every block's sub-seed in one
+    # kernel call, the uniforms for a chunk of blocks per call
+    noise_seeds = sub_seeds(config.seed, np.stack((np.full(blocks, 62), np.arange(blocks)), axis=1))
+    chunk = max(1, _NOISE_CHUNK // n)
 
     y = np.empty((blocks, n), dtype=np.int64)
     sum_errors = np.zeros(blocks - 1, dtype=bool)
@@ -371,13 +382,18 @@ def run_fb_simulation(
             if not sum_errors[prev] and hat != book[msgs[prev, 0]] ^ book[msgs[prev, 1]]:
                 raise RuntimeError(f"block {block}: correct sum decode left channel 2 unclean")
             second = np.vstack((first[prev, :2], unpack_bits(hat, n)))
-        y[block] = transmit(channel, 2 * first[block] + second, _sub_seed(config.seed, 62, block))
+        if block % chunk == 0:
+            seeds = noise_seeds[block:block + chunk]
+            u = uniforms(seeds, np.empty((seeds.size, 0), dtype=np.int64), n)
+        # sample_given's inverse-CDF row lookup, on the CDF pinned once per run
+        y[block] = (cdf[tuple(2 * first[block] + second)] < u[block % chunk, :, None]).sum(axis=-1)
         if block < blocks - 1:
             # feedback leg: cancel own codeword, decode the running sum
             z = pack_bits(y[block] >> 2) ^ book[msgs[block, 2]]
             (idx,), (failed,) = nearest_codeword(book, [z], radius)
             hat = book[idx]  # user 3's next channel-2 word
             sum_errors[block] = failed or idx != msgs[block, 0] ^ msgs[block, 1]
+    del u  # the receiver pass sets the run's memory peak
 
     y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
     pair_errors, third_errors = _receive(book, pack_bits(y >> 2), y_pair, msgs)
@@ -386,7 +402,9 @@ def run_fb_simulation(
     if 4**k <= MAX_SUMSET_PAIRS:
         code_sumset = _closure(book, book, n)[0]
     decodes = 4 * (blocks - 1)
-    _LOG.debug("fb run: %d decodes, %d popcount cells scored", decodes, decodes * book.size)
+    streams, calls = np.subtract(tally(), start)
+    _LOG.debug("fb run: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
+               "%d kernel calls", decodes, decodes * book.size, streams, calls)
     events = (tuple(e.astype(np.int64).tolist()) for e in (sum_errors, pair_errors, third_errors))
     return FBReport(config, *events, code_sumset)
 

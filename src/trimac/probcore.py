@@ -391,18 +391,20 @@ def sample_cells(p: JointPMF, size, rng: np.random.Generator) -> tuple[np.ndarra
     return np.unravel_index(flat, p.shape)
 
 
-def sample_given(table: np.ndarray, given, rng: np.random.Generator) -> np.ndarray:
+def sample_given(table: np.ndarray, given, rng) -> np.ndarray:
     """One target symbol per cell of the given index arrays, from a conditional table.
 
     table is laid out given axes first, target axis last; given holds one
     index array per given axis, all of one shape, which the result takes.
-    rng is one generator, or a list of generators, one per leading row of
-    the given arrays: row r is then drawn from rng[r] as if drawn alone.
+    rng is one generator, or an array of uniforms in [0, 1) of that shape,
+    one per drawn symbol (for instance rows of rng.uniforms, one stream each).
     """
     rows = _pinned_cdf(np.asarray(table))[tuple(given)]
     shape = rows.shape[:-1]
-    if isinstance(rng, list):
-        u = np.array([g.random(shape[1:]) for g in rng]).reshape(shape)
+    if isinstance(rng, np.ndarray):
+        if rng.shape != shape:
+            raise ValueError(f"uniforms of shape {rng.shape} for draws of shape {shape}")
+        u = rng
     else:
         u = rng.random(shape)
     return (rows < u[..., None]).sum(axis=-1, dtype=np.int64)

@@ -2,9 +2,9 @@
 
 Each fast path is checked against the old implementation, kept here as an
 oracle: bit-row enumeration times the generator, `count_nonzero` scans of
-bit rows, the per-block receiver loop, the float32 matmul additive-pair
-decoder, the per-trial ptp noise draws and the full popcount scan of the
-codebook probe.
+bit rows, the per-block receiver loop, the per-block `transmit` loop of the
+feedback run, the float32 matmul additive-pair decoder, the per-trial ptp
+noise draws and the full popcount scan of the codebook probe.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from trimac import gfcore, macfb
-from trimac.channels import build_additive_pair_channel, transmit
+from trimac.channels import build_additive_pair_channel, build_fb_parallel_channel, transmit
 from trimac.cli import run
 from trimac.coding import (
     DecodeResult,
     build_linear_jscc,
+    build_unstructured_jscc,
     ml_decode,
     ml_decode_additive_pair,
     monte_carlo_error,
@@ -36,7 +37,7 @@ from trimac.gfcore import (
 from trimac.macfb import FBConfig, ptp_simulation, run_fb_simulation, structure_necessity_probe
 from trimac.probcore import marginalize, mixed_radix
 from trimac.rng import stream
-from trimac.sources import make_additive_triple, sample_iid
+from trimac.sources import make_additive_triple, make_sigma_gamma_triple, sample_iid
 
 
 # ---------------------------------------------------------------- old code
@@ -104,6 +105,33 @@ def old_receiver(codebook, y_first, y_pair, msgs):
         i3, t3 = old_nearest(codebook, cleaned)
         third_errors.append(int(t3 or not np.array_equal(words[i3], msgs[block, 2])))
     return pair_errors, third_errors
+
+
+def old_fb_run(config, sum_decoder):
+    """run_fb_simulation's forward pass with one _sub_seed and one transmit per block."""
+    k, n, blocks = config.k, config.n, config.blocks
+    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(config.seed, 60)).as_array()
+    book = xor_codebook(g)
+    channel = build_fb_parallel_channel(config.delta)
+    msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
+    first = unpack_bits(book[msgs], n)
+    radius = None if sum_decoder == "ml" else n * (config.delta + 0.08)
+    y = np.empty((blocks, n), dtype=np.int64)
+    sums = []
+    second = np.zeros((3, n), dtype=np.int64)
+    for block in range(blocks):
+        if block:
+            second = np.vstack((first[block - 1, :2], unpack_bits(hat, n)))
+        y[block] = transmit(channel, 2 * first[block] + second,
+                            macfb._sub_seed(config.seed, 62, block))
+        if block < blocks - 1:
+            z = pack_bits(y[block] >> 2) ^ book[msgs[block, 2]]
+            (idx,), (failed,) = nearest_codeword(book, [z], radius)
+            hat = book[idx]
+            sums.append(int(failed or idx != msgs[block, 0] ^ msgs[block, 1]))
+    y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
+    pair, third = macfb._receive(book, pack_bits(y >> 2), y_pair, msgs)
+    return sums, pair.astype(int).tolist(), third.astype(int).tolist()
 
 
 def old_ptp_errors(config):
@@ -302,6 +330,20 @@ def test_batched_receiver_matches_per_block_loop():
             assert 0 < sum(want[0]) < blocks - 1
 
 
+@pytest.mark.parametrize("noise_chunk", [macfb._NOISE_CHUNK, 100])
+def test_fb_run_matches_the_per_block_transmit_loop(monkeypatch, noise_chunk):
+    # a 100-double chunk draws the uniforms of 7 to 12 blocks per kernel call
+    monkeypatch.setattr(macfb, "_NOISE_CHUNK", noise_chunk)
+    for cfg in (FBConfig(3, 8, 301, 0.1, 0), FBConfig(6, 14, 201, 0.0, 4),
+                FBConfig(5, 12, 150, 0.2, 2**40 + 3)):
+        for decoder in ("ml", "typicality"):
+            rep = run_fb_simulation(cfg, sum_decoder=decoder)
+            got = (list(rep.sum_errors), list(rep.pair_errors), list(rep.third_errors))
+            assert got == old_fb_run(cfg, decoder)
+            if cfg.delta > 0:
+                assert 0 < sum(got[0]) < len(got[0]) and 0 < sum(got[2]) < len(got[2])
+
+
 def test_packed_pair_decoder_matches_float32_matmul_and_generic_ml():
     channel = build_additive_pair_channel(0.1)
     generic = 0
@@ -370,10 +412,34 @@ def test_each_simulation_logs_one_kernel_line(caplog):
     assert len(lines) == 3
     assert lines[0].startswith("monte_carlo_error n=6: 10 decodes, ")
     assert int(lines[0].split(", ")[1].split()[0]) > 0
-    assert lines[1] == f"fb run: 80 decodes, {80 * 8} popcount cells scored"
+    # 30 sub-seeds in one kernel call; per trial the matrix, the offsets, the
+    # source block and the noise each open one stream (counted on the workers)
+    assert lines[0].endswith(", 70 keyed streams drawn, 1 kernel calls")
+    # seeds 60 and 61 and the uniform matrix, then 21 sub-seeds and 21 noise rows,
+    # all 21 blocks' uniforms in one chunk
+    assert lines[1] == (f"fb run: 80 decodes, {80 * 8} popcount cells scored, "
+                        "45 keyed streams drawn, 2 kernel calls")
     assert lines[2].startswith("codebook probe: 100 decodes, ")
     resolved, scanned = (int(lines[2].split(", ")[i].split()[0]) for i in (2, 3))
     assert resolved + scanned == 100
+
+
+def test_stream_counts_do_not_depend_on_the_worker_count(caplog):
+    src = make_sigma_gamma_triple(0.1, 0.2)
+    channel = build_additive_pair_channel(0.1)
+    table = np.array([[0.9, 0.1], [0.1, 0.9]])
+    lines = []
+    for workers in (1, 3):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="trimac"):
+            monte_carlo_error(src, channel, lambda s: build_unstructured_jscc(src, [table] * 3, 4, s),
+                              ml_decode, 4, 7, seed=2, workers=workers)
+        lines += [r.getMessage() for r in caplog.records if r.name == "trimac"]
+    # per trial: three one-row encodes (too few rows for the kernel) and three
+    # 2^4-row decode tables (one kernel call each), plus the source and noise streams
+    streams = 3 * 7 + 7 * (3 + 3 * 16 + 2)
+    assert lines == [f"monte_carlo_error n=4: 7 decodes, 0 popcount cells scored, "
+                     f"{streams} keyed streams drawn, {1 + 3 * 7} kernel calls"] * 2
 
 
 def test_debug_logging_leaves_csv_and_json_bytes_unchanged(tmp_path, caplog):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from trimac import coding
 from trimac.channels import DMChannel, build_additive_pair_channel, transmit
 from trimac.coding import (
     MAX_CANDIDATES,
@@ -517,6 +518,56 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     assert a == b == c
     assert a.ci_lo <= a.p_hat <= a.ci_hi
     assert a.scheme_kind == "linear-jscc" and a.channel_kind == "additive-pair"
+
+
+def test_monte_carlo_error_builds_one_scheme_per_trial():
+    src = make_additive_triple(0.1, 0.2)
+    ch = build_additive_pair_channel(0.1)
+    table = np.array([[0.9, 0.1], [0.1, 0.9]])
+    cases = (
+        (lambda s: build_linear_jscc(src, 2, 6, s), ml_decode_additive_pair, 6,
+         SimReport(6, 12, 7, 0.5833333333333334, 0.31951131254954973, 0.8067396863412435, 3,
+                   "linear-jscc", "additive-pair")),
+        (lambda s: build_unstructured_jscc(make_sigma_gamma_triple(0.1, 0.2), [table] * 3, 4, s),
+         ml_decode, 4,
+         SimReport(4, 12, 9, 0.75, 0.46769466506643426, 0.9110583316059453, 3,
+                   "unstructured-jscc", "additive-pair")),
+    )
+    for build, decoder, n, pinned in cases:
+        seeds = []
+
+        def factory(seed):
+            seeds.append(seed)
+            return build(seed)
+
+        source = src if n == 6 else make_sigma_gamma_triple(0.1, 0.2)
+        assert monte_carlo_error(source, ch, factory, decoder, n, 12, seed=3) == pinned
+        assert seeds == [coding._sub_seed(3, t, 0) for t in range(12)]
+
+
+def test_typicality_decode_takes_the_design_law_once_per_run(monkeypatch):
+    src = diag_source()
+    ch = pair_identity_channel()
+    dist = random_layered_dist(True)
+
+    def factory(seed):
+        return build_hybrid_scheme(src, dist, 4, seed)
+
+    chained = []
+    real_chain_all = coding.chain_all
+    monkeypatch.setattr(coding, "chain_all", lambda f: chained.append(1) or real_chain_all(f))
+    law = factory(0).design_joint(ch)
+    assert len(chained) == 1
+    reports = [
+        monte_carlo_error(src, ch, factory,
+                          lambda c, sc, y: typicality_decode(c, sc, y, 512.0, design=law), 4, 6, 1),
+        monte_carlo_error(src, ch, factory,
+                          lambda c, sc, y: typicality_decode(c, sc, y, 512.0), 4, 6, 1),
+    ]
+    # the law passed in is built once; left to the decoder, once per trial
+    assert len(chained) == 1 + 6
+    assert reports[0] == reports[1]
+    assert 0 < reports[0].errors < 6
 
 
 def test_monte_carlo_error_orders_by_noise_and_source_entropy():

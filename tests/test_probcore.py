@@ -274,6 +274,16 @@ def test_conditional_draw_stays_inside_a_short_row():
     assert drawn.tolist() == [1, 1, 1, 1]
 
 
+def test_conditional_draw_takes_an_array_of_uniforms():
+    table = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
+    given = (np.array([[0, 1, 1, 0], [1, 0, 0, 1]]),)
+    want = sample_given(table, given, np.random.default_rng(4))
+    u = np.random.default_rng(4).random((2, 4))
+    assert np.array_equal(sample_given(table, given, u), want)
+    with pytest.raises(ValueError, match="shape"):
+        sample_given(table, given, u.ravel())
+
+
 def test_joint_draw_skips_trailing_zero_mass_cells():
     p = JointPMF([("A", 3)], [0.5, 0.5 - 5e-13, 0.0])
     (cells,) = sample_cells(p, (2, 3), _TopDraw())
