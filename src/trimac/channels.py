@@ -140,7 +140,7 @@ def transmit(channel: DMChannel, blocks, seed: int) -> np.ndarray:
     for x, m in zip((x1, x2, x3), sizes):
         if x.size and (x.min() < 0 or x.max() >= m):
             raise ValueError("input symbol out of range")
-    return sample_given(channel.transition.table, (x1, x2, x3), stream(seed))
+    return sample_given(channel.transition.table, (x1, x2, x3), stream(seed).random(x1.shape))
 
 
 def output_distribution(channel: DMChannel, input_joint: JointPMF) -> JointPMF:

@@ -39,7 +39,13 @@ import numpy as np
 
 from .channels import DMChannel, transmit
 from .commonparts import additive_common_search, gkw_mutual, gkw_pairs
-from .gfcore import pack_bits, unpack_bits, xor_codebook
+from .gfcore import (
+    pack_bits,
+    sample_uniform_matrix,
+    sample_zero_sum_offsets,
+    unpack_bits,
+    xor_codebook,
+)
 from .probcore import (
     ConditionalPMF,
     JointPMF,
@@ -130,12 +136,8 @@ def _sub_seed(seed: int, *path: int) -> int:
 
 
 def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
-    """Uniform n x n matrix from stream (seed, tag); zero-sum offsets from (seed, tag + 1)."""
-    g = stream(seed, tag).integers(0, q, size=(n, n))
-    off_rng = stream(seed, tag + 1)
-    b1 = off_rng.integers(0, q, size=n)
-    b2 = off_rng.integers(0, q, size=n)
-    return g, (b1, b2, (-(b1 + b2)) % q)
+    """Uniform n x n matrix from stream (seed, tag); 3 zero-sum offset rows from (seed, tag + 1)."""
+    return sample_uniform_matrix(q, n, n, seed, tag), sample_zero_sum_offsets(q, n, 3, seed, tag + 1)
 
 
 def _draw(table: np.ndarray, given, seed: int, tag: int, content: np.ndarray) -> np.ndarray:

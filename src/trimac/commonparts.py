@@ -238,7 +238,8 @@ def memoryless_conditional_sampler(conditionals) -> StrategySampler:
     sizes = tuple(t.shape[1] for t in tables)
 
     def apply_blocks(rng: np.random.Generator, s1, s2, s3):
-        return tuple(sample_given(t, (s,), rng) for t, s in zip(tables, (s1, s2, s3)))
+        return tuple(sample_given(t, (s,), rng.random(s.shape))
+                     for t, s in zip(tables, (s1, s2, s3)))
 
     return StrategySampler("memoryless-conditional", sizes, apply_blocks)
 

@@ -1,9 +1,9 @@
-"""Prime-field vectors, matrices, the joint image law of random linear maps,
-and the packed binary-code kernel.
+"""Uniform random linear maps over a prime field, the joint image law of
+such maps, and the packed binary-code kernel.
 
-Elements live in Z_q for prime q and are stored as machine-int residues in
-[0, q).  Everything here is exact integer arithmetic; probabilities returned
-by :func:`joint_image_probability` are the only floats.
+Vectors and matrices over Z_q, q prime, are plain int64 arrays of residues
+in [0, q).  Everything here is exact integer arithmetic; probabilities
+returned by :func:`joint_image_probability` are the only floats.
 
 The binary-code kernel serves every binary decoder.  A word of n <= 62 bits
 is one int64 key, most significant bit first, so a k x n generator's 2^k
@@ -14,7 +14,7 @@ XOR, and a set of words is a sorted array of distinct keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .rng import stream
 
 __all__ = [
     "FieldSpec",
-    "FieldVector",
-    "FieldMatrix",
-    "vec_mat_mul",
     "sample_uniform_matrix",
     "sample_zero_sum_offsets",
     "joint_image_probability",
@@ -46,6 +43,8 @@ __all__ = [
 MAX_ENUM_MATRICES = 2**24
 # Secondary guard: cells of the (s1, s2, v1, v2) count table kept in memory.
 MAX_COUNT_CELLS = 2**26
+# Flat cell ids the verifier's tally adds per chunk of matrices.
+_TALLY_CELLS = 1 << 16
 # Binary words are packed into signed int64 keys.
 MAX_PACKED_BITS = 62
 # Largest temporary of the popcount and closure kernels, in cells.
@@ -77,180 +76,93 @@ class FieldSpec:
         if not _is_prime(self.q):
             raise ValueError(f"q = {self.q} is not prime")
 
-    def neg(self, x: int) -> int:
-        return (-x) % self.q
 
-    def inv(self, x: int) -> int:
-        if x % self.q == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(x, self.q - 2, self.q)
-
-
-def _as_residues(spec: FieldSpec, elems) -> tuple[int, ...]:
-    out = tuple(int(e) for e in elems)
-    for e in out:
-        if not 0 <= e < spec.q:
-            raise ValueError(f"element {e} out of range [0, {spec.q})")
-    return out
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Immutable vector over Z_q."""
-
-    spec: FieldSpec
-    elems: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "elems", _as_residues(self.spec, self.elems))
-
-    def __len__(self) -> int:
-        return len(self.elems)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.elems, dtype=np.int64)
-
-    @classmethod
-    def from_array(cls, spec: FieldSpec, arr) -> "FieldVector":
-        return cls(spec, tuple(int(x) % spec.q for x in np.asarray(arr).ravel()))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.elems)
-
-    def scale(self, a: int) -> "FieldVector":
-        q = self.spec.q
-        return FieldVector(self.spec, tuple((a * e) % q for e in self.elems))
-
-    def add(self, other: "FieldVector") -> "FieldVector":
-        if self.spec != other.spec or len(self) != len(other):
-            raise ValueError("mismatched vectors")
-        q = self.spec.q
-        return FieldVector(self.spec, tuple((a + b) % q for a, b in zip(self.elems, other.elems)))
-
-    def neg(self) -> "FieldVector":
-        return self.scale(self.spec.q - 1)
-
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """Immutable matrix over Z_q, stored row-major."""
-
-    spec: FieldSpec
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(_as_residues(self.spec, r) for r in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-
-    @classmethod
-    def from_array(cls, spec: FieldSpec, arr) -> "FieldMatrix":
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ValueError("need a 2-D array")
-        return cls(spec, tuple(tuple(int(x) % spec.q for x in row) for row in a))
-
-
-def vec_mat_mul(v: FieldVector, g: FieldMatrix) -> FieldVector:
-    """v @ g over Z_q.  len(v) must equal g.rows."""
-    if v.spec != g.spec:
-        raise ValueError("mismatched field specs")
-    if len(v) != g.rows:
-        raise ValueError(f"length {len(v)} vector against {g.rows}-row matrix")
-    prod = (v.as_array() @ g.as_array()) % v.spec.q
-    return FieldVector.from_array(v.spec, prod)
-
-
-def sample_uniform_matrix(q: int, k: int, n: int, seed: int) -> FieldMatrix:
-    """k x n matrix with iid uniform Z_q entries from the given seed."""
+def sample_uniform_matrix(q: int, k: int, n: int, seed: int, *path: int) -> np.ndarray:
+    """k x n int64 matrix with iid uniform Z_q entries from stream(seed, *path)."""
     if k < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    spec = FieldSpec(q)
-    g = stream(seed).integers(0, q, size=(k, n))
-    return FieldMatrix.from_array(spec, g)
+    FieldSpec(q)
+    return stream(seed, *path).integers(0, q, size=(k, n))
 
 
-def sample_zero_sum_offsets(q: int, n: int, t: int, seed: int) -> list[FieldVector]:
-    """t offset vectors of length n that sum to zero in Z_q.
+def sample_zero_sum_offsets(q: int, n: int, t: int, seed: int, *path: int) -> np.ndarray:
+    """(t, n) int64 offset rows that sum to zero in Z_q, from stream(seed, *path).
 
-    The first t - 1 are iid uniform; the last is the negated sum of the
-    others, so the list is uniform on the zero-sum subspace.
+    The first t - 1 rows are iid uniform; the last is the negated sum of the
+    others, so the rows are uniform on the zero-sum subspace.
     """
-    if t < 1:
-        raise ValueError("need at least one offset")
-    if n < 1:
-        raise ValueError("offset length must be positive")
-    spec = FieldSpec(q)
-    rng = stream(seed)
-    head = rng.integers(0, q, size=(t - 1, n)) if t > 1 else np.zeros((0, n), dtype=np.int64)
-    last = (-head.sum(axis=0)) % q
-    out = [FieldVector.from_array(spec, row) for row in head]
-    out.append(FieldVector.from_array(spec, last))
-    return out
+    if t < 1 or n < 1:
+        raise ValueError("need at least one offset, of positive length")
+    FieldSpec(q)
+    head = stream(seed, *path).integers(0, q, size=(t - 1, n))
+    return np.vstack((head, (-head.sum(axis=0)) % q))
 
 
-def image_probability_case(s1: FieldVector, s2: FieldVector) -> tuple[str, int | None]:
+def image_probability_case(s1, s2, q: int) -> tuple[str, int | None]:
     """Classify the index pair for the joint image law.
 
+    s1 and s2 are int vectors of one length, read as residues mod q.
     Returns (case, a) where case is one of "zero-zero", "left-zero",
     "right-zero", "proportional", "independent" and a is the scalar with
     s1 = a * s2 in the proportional case, else None.
     """
-    if s1.spec != s2.spec or len(s1) != len(s2):
+    FieldSpec(q)
+    s1, s2 = np.asarray(s1, dtype=np.int64) % q, np.asarray(s2, dtype=np.int64) % q
+    if s1.shape != s2.shape:
         raise ValueError("mismatched index vectors")
-    z1, z2 = s1.is_zero(), s2.is_zero()
+    z1, z2 = not s1.any(), not s2.any()
     if z1 and z2:
         return "zero-zero", None
     if z1:
         return "left-zero", None
     if z2:
         return "right-zero", None
-    q = s1.spec.q
-    pivot = next(i for i, e in enumerate(s2.elems) if e != 0)
-    a = (s1.elems[pivot] * s1.spec.inv(s2.elems[pivot])) % q
-    if s2.scale(a).elems == s1.elems:
+    pivot = int(np.flatnonzero(s2)[0])
+    a = int(s1[pivot]) * pow(int(s2[pivot]), -1, q) % q
+    if np.array_equal(a * s2 % q, s1):
         return "proportional", a
     return "independent", None
 
 
-def joint_image_probability(
-    s1: FieldVector, s2: FieldVector, v1: FieldVector, v2: FieldVector
-) -> float:
-    """P{s1 G = v1 and s2 G = v2} over a uniform k x n matrix G.
+def _image_support(s1, s2, q: int, n: int) -> tuple[str, np.ndarray]:
+    """The pair's case and the (q^n, q^n) support mask of (s1 G, s2 G), G uniform k x n.
 
-    The law depends only on the linear relation between s1 and s2:
+    Images are indexed as mixed_radix tuples, most significant entry first.
+    The law depends only on the linear relation between s1 and s2, and it is
+    uniform on this mask:
 
-      * s1 = s2 = 0: point mass at (v1, v2) = (0, 0);
-      * exactly one s zero: its image must be zero, the other is uniform;
-      * s1 = a s2 with a != 0: uniform on the coupled slice v1 = a v2;
-      * linearly independent: (v1, v2) is uniform on all q^{2n} pairs.
+      * s1 = s2 = 0: the point (0, 0);
+      * exactly one s zero: its image is zero, the other's is any vector;
+      * s1 = a s2 with a != 0: the coupled slice v1 = a v2;
+      * linearly independent: all q^{2n} pairs.
     """
-    if v1.spec != s1.spec or v2.spec != s1.spec or len(v1) != len(v2):
-        raise ValueError("mismatched image vectors")
-    q = float(s1.spec.q)
-    n = len(v1)
-    case, a = image_probability_case(s1, s2)
+    case, a = image_probability_case(s1, s2, q)
+    n_v = q**n
+    check_cells((n_v, n_v))
+    support = np.full((n_v, n_v), case == "independent")
     if case == "zero-zero":
-        return 1.0 if (v1.is_zero() and v2.is_zero()) else 0.0
-    if case == "left-zero":
-        return q**-n if v1.is_zero() else 0.0
-    if case == "right-zero":
-        return q**-n if v2.is_zero() else 0.0
-    if case == "proportional":
-        return q**-n if v2.scale(a).elems == v1.elems else 0.0
-    return q ** (-2 * n)
+        support[0, 0] = True
+    elif case == "left-zero":
+        support[0, :] = True
+    elif case == "right-zero":
+        support[:, 0] = True
+    elif case == "proportional":
+        support[_encode_tuples(a * mixed_radix(np.arange(n_v), q, n) % q, q), np.arange(n_v)] = True
+    return case, support
+
+
+def joint_image_probability(s1, s2, v1, v2, q: int) -> float:
+    """P{s1 G = v1 and s2 G = v2} over a uniform k x n matrix G over Z_q.
+
+    Vectors are read as residues mod q.  A lookup in the support mask of
+    the pair's image law (see _image_support), which is built whole: q^{2n}
+    cells, refused above the dense-tensor cap.
+    """
+    v1, v2 = np.asarray(v1, dtype=np.int64) % q, np.asarray(v2, dtype=np.int64) % q
+    if v1.shape != v2.shape:
+        raise ValueError("mismatched image vectors")
+    _, support = _image_support(s1, s2, q, v1.size)
+    return float(support[_encode_tuples(v1, q), _encode_tuples(v2, q)]) / int(support.sum())
 
 
 @dataclass(frozen=True)
@@ -277,14 +189,15 @@ def _encode_tuples(digits: np.ndarray, q: int) -> np.ndarray:
 def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
     """Enumerate every k x n matrix over Z_q and tally the joint image law.
 
-    For each index pair (s1, s2) the empirical count of (s1 G, s2 G) over
-    all matrices is compared with q^{kn} times the closed form.  The check
-    is exact integer arithmetic; max_abs_deviation is 0.0 iff the closed
-    form is correct cell-for-cell.
+    For each index pair (s1, s2) the count of every image pair (s1 G, s2 G)
+    over all matrices is compared with the closed form's exact integer
+    count: q^{kn} / |support| on the support mask of _image_support, 0 off
+    it.  max_abs_deviation is 0.0 iff the closed form is correct
+    cell-for-cell.
 
     Guards: q^{kn} <= 2^24 matrices and q^{2k+2n} <= 2^26 count cells.
     """
-    spec = FieldSpec(q)
+    FieldSpec(q)
     m_total = q ** (k * n)
     if m_total > MAX_ENUM_MATRICES:
         raise ValueError(f"q^(k*n) = {m_total} exceeds enumeration guard {MAX_ENUM_MATRICES}")
@@ -295,40 +208,25 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
         raise ValueError(f"count table of {cells} cells exceeds guard {MAX_COUNT_CELLS}")
 
     all_s = mixed_radix(np.arange(n_s), q, k)  # (n_s, k)
-    all_v = mixed_radix(np.arange(n_v), q, n)  # (n_v, n)
-
-    counts = np.zeros((n_s, n_s, n_v, n_v), dtype=np.int64)
-    i_grid, j_grid = np.meshgrid(np.arange(n_s), np.arange(n_s), indexing="ij")
-    chunk = max(1, min(m_total, 4096))
+    # flat id of cell (i, j, v1, v2) is pair_base[i, j] + v1 * n_v + v2
+    pair_base = np.arange(n_s * n_s, dtype=np.int64).reshape(n_s, n_s) * (n_v * n_v)
+    counts = np.zeros(cells, dtype=np.int64)
+    chunk = max(1, _TALLY_CELLS // (n_s * n_s))
     for start in range(0, m_total, chunk):
-        ids = np.arange(start, min(start + chunk, m_total))
-        mats = mixed_radix(ids, q, k * n).reshape(-1, k, n)
-        images = np.einsum("sk,ckn->csn", all_s, mats) % q  # (c, n_s, n)
-        vids = _encode_tuples(images, q)  # (c, n_s)
-        for row in vids:
-            np.add.at(counts, (i_grid, j_grid, row[i_grid], row[j_grid]), 1)
+        mats = mixed_radix(np.arange(start, min(start + chunk, m_total)), q, k * n)
+        vids = _encode_tuples(all_s @ mats.reshape(-1, k, n) % q, q)  # (c, n_s)
+        flat_ids = pair_base + (vids * n_v)[:, :, None] + vids[:, None, :]
+        np.add.at(counts, flat_ids.ravel(), 1)
+    counts = counts.reshape(n_s, n_s, n_v, n_v)
 
-    svecs = [FieldVector.from_array(spec, r) for r in all_s]
     case_counts: dict[str, int] = {}
     max_dev = 0
     for i in range(n_s):
         for j in range(n_s):
-            case, a = image_probability_case(svecs[i], svecs[j])
+            case, support = _image_support(all_s[i], all_s[j], q, n)
             case_counts[case] = case_counts.get(case, 0) + 1
-            expected = np.zeros((n_v, n_v), dtype=np.int64)
-            if case == "zero-zero":
-                expected[0, 0] = m_total
-            elif case == "left-zero":
-                expected[0, :] = m_total // n_v
-            elif case == "right-zero":
-                expected[:, 0] = m_total // n_v
-            elif case == "proportional":
-                v1_ids = _encode_tuples((a * all_v) % q, q)
-                expected[v1_ids, np.arange(n_v)] = m_total // n_v
-            else:
-                expected[:, :] = m_total // (n_v * n_v)
-            dev = int(np.abs(counts[i, j] - expected).max())
-            max_dev = max(max_dev, dev)
+            expected = support * (m_total // int(support.sum()))
+            max_dev = max(max_dev, int(np.abs(counts[i, j] - expected).max()))
 
     return ImageProbabilityReport(
         q=q,

@@ -310,6 +310,11 @@ def linear_codebook(generator) -> np.ndarray:
     return unpack_bits(xor_codebook(g), g.shape[-1])
 
 
+def _seeded_linear_book(k: int, n: int, seed: int) -> np.ndarray:
+    """Codeword keys of the run's uniform binary k x n generator, drawn from sub-seed (seed, 60)."""
+    return xor_codebook(sample_uniform_matrix(2, k, n, _sub_seed(seed, 60)))
+
+
 def sumset(code_a, code_b) -> SumsetReport:
     """Exact pairwise-XOR set of two binary codebooks (rows are words).
 
@@ -360,8 +365,7 @@ def run_fb_simulation(
         raise ValueError("typicality_margin must be positive")
     start = tally()
     k, n, blocks = config.k, config.n, config.blocks
-    g = sample_uniform_matrix(2, k, n, _sub_seed(config.seed, 60)).as_array()
-    book = xor_codebook(g)
+    book = _seeded_linear_book(k, n, config.seed)
     cdf = _pinned_cdf(build_fb_parallel_channel(config.delta).transition.table)
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
     first = unpack_bits(book[msgs], n)  # (blocks, 3, n) first-component codewords
@@ -421,8 +425,7 @@ def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
         trials = config.blocks - 1
     if trials < 1:
         raise ValueError("trials must be positive")
-    g = sample_uniform_matrix(2, config.k, config.n, _sub_seed(config.seed, 60)).as_array()
-    book = xor_codebook(g)
+    book = _seeded_linear_book(config.k, config.n, config.seed)
     sent = pack_bits(stream(config.seed, 63).integers(0, 2, size=(trials, config.k)))
     noise = stream(config.seed, 64).random((trials, config.n)) < config.delta
     idx, tie = nearest_codeword(book, book[sent] ^ pack_bits(noise))
@@ -486,8 +489,7 @@ def structure_necessity_probe(
         raise ValueError("trials must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    g = sample_uniform_matrix(2, k, n, _sub_seed(seed, 60)).as_array()
-    linear = xor_codebook(g)
+    linear = _seeded_linear_book(k, n, seed)
     random_books = pack_bits(stream(seed, 65).integers(0, 2, size=(2, 2**k, n)))
     arms = (
         ("identical-linear", linear, linear),

@@ -391,20 +391,16 @@ def sample_cells(p: JointPMF, size, rng: np.random.Generator) -> tuple[np.ndarra
     return np.unravel_index(flat, p.shape)
 
 
-def sample_given(table: np.ndarray, given, rng) -> np.ndarray:
+def sample_given(table: np.ndarray, given, u: np.ndarray) -> np.ndarray:
     """One target symbol per cell of the given index arrays, from a conditional table.
 
     table is laid out given axes first, target axis last; given holds one
     index array per given axis, all of one shape, which the result takes.
-    rng is one generator, or an array of uniforms in [0, 1) of that shape,
-    one per drawn symbol (for instance rows of rng.uniforms, one stream each).
+    u holds one uniform in [0, 1) per drawn symbol, in that shape: for
+    instance generator.random(shape), or rows of rng.uniforms.
     """
     rows = _pinned_cdf(np.asarray(table))[tuple(given)]
     shape = rows.shape[:-1]
-    if isinstance(rng, np.ndarray):
-        if rng.shape != shape:
-            raise ValueError(f"uniforms of shape {rng.shape} for draws of shape {shape}")
-        u = rng
-    else:
-        u = rng.random(shape)
+    if u.shape != shape:
+        raise ValueError(f"uniforms of shape {u.shape} for draws of shape {shape}")
     return (rows < u[..., None]).sum(axis=-1, dtype=np.int64)

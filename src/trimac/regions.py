@@ -978,28 +978,37 @@ def _flip_tables(params) -> list[np.ndarray]:
     return [_flip_table(params[..., 2 * u:2 * u + 2]) for u in range(3)]
 
 
+def _induced_law(source_probs: np.ndarray, t1, t2, t3) -> np.ndarray:
+    """The input law P(X1 = w, X2 = x, X3 = y) of the users' flip tables: (2, 2, 2, *rows).
+
+    Each table is cell-major, (2, 2, *rows) with P(X_i = x | S_i = s) at [s, x],
+    and the row shapes broadcast.  The source cells' terms
+    ((P(a, b, c) t1[a, w]) t2[b, x]) t3[c, y] are summed in lexicographic order.
+    """
+    total = None
+    for a, b, c in _SOURCE_CELLS:
+        term = (source_probs[a, b, c] * t1[a][:, None, None]) * t2[b][None, :, None]
+        term = term * t3[c][None, None]
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
+
+
 def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
     """Map from the users' flip tables to I(X1X2X3; Y) in bits, one value per row.
 
-    Each table is cell-major, (2, 2, *rows) with P(X_i = x | S_i = s) at
-    [s, x]; the three row shapes broadcast together and the values come out
-    flattened row-major.  The input law sums the source cells' terms
-    ((P(a, b, c) t1[a, w]) t2[b, x]) t3[c, y] one at a time in lexicographic
-    order, then its rows are laid out row-major: that arithmetic is the
-    batched einsum's bit for bit, whatever the rows.  Pass C-contiguous
-    tables: transposed views made the grid twice as slow.
+    The tables are cell-major (see _induced_law) and the values come out
+    flattened row-major.  The input law's rows are laid out row-major after
+    the lexicographic term sum: that arithmetic is the batched einsum's bit
+    for bit, whatever the rows.  Pass C-contiguous tables: transposed views
+    made the grid twice as slow.
     """
     hcond = _row_entropy(channel_table)
 
     def tables_mi(t1, t2, t3) -> np.ndarray:
-        total = None
-        for a, b, c in _SOURCE_CELLS:
-            term = (source_probs[a, b, c] * t1[a][:, None, None]) * t2[b][None, :, None]
-            term = term * t3[c][None, None]
-            if total is None:
-                total = term
-            else:
-                total += term
+        total = _induced_law(source_probs, t1, t2, t3)
         induced = np.ascontiguousarray(total.reshape(8, -1).T).reshape(-1, 2, 2, 2)
         ylaw = np.einsum("gwxy,wxyz->gz", induced, channel_table)
         return _row_entropy(ylaw) - np.einsum("gwxy,wxy->g", induced, hcond)
@@ -1267,7 +1276,7 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
         gamma = gstar * (1.0 - float(rng.random()))
         params = rng.random(6)
         source = make_sigma_gamma_triple(sigma, gamma)
-        induced = np.einsum("abc,aw,bx,cy->wxy", source.joint.probs, *_flip_tables(params))
+        induced = _induced_law(source.joint.probs, *_flip_tables(params))
         law = JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], induced)
         tv, _ = min_tv_to_structured(law, grid_step)
         samples.append(TVSample(sigma, gamma, tuple(float(x) for x in params), tv))

@@ -110,7 +110,7 @@ def old_receiver(codebook, y_first, y_pair, msgs):
 def old_fb_run(config, sum_decoder):
     """run_fb_simulation's forward pass with one _sub_seed and one transmit per block."""
     k, n, blocks = config.k, config.n, config.blocks
-    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(config.seed, 60)).as_array()
+    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(config.seed, 60))
     book = xor_codebook(g)
     channel = build_fb_parallel_channel(config.delta)
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
@@ -136,7 +136,7 @@ def old_fb_run(config, sum_decoder):
 
 def old_ptp_errors(config):
     g = gfcore.sample_uniform_matrix(2, config.k, config.n,
-                                     macfb._sub_seed(config.seed, 60)).as_array()
+                                     macfb._sub_seed(config.seed, 60))
     codebook = old_codebook(g)
     words = mixed_radix(np.arange(2**config.k), 2, config.k)
     trials = config.blocks - 1
@@ -161,7 +161,7 @@ def scan_in_set(members, received):
 
 def old_probe_errors(k, n, delta, trials, seed):
     """The probe's error counts by a full popcount scan over bit-row books."""
-    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(seed, 60)).as_array()
+    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(seed, 60))
     linear = old_codebook(g)
     random_books = stream(seed, 65).integers(0, 2, size=(2, 2**k, n))
     out = []

@@ -270,16 +270,17 @@ class _TopDraw:
 def test_conditional_draw_stays_inside_a_short_row():
     # rows may miss mass 1 by up to MASS_TOL; a draw above the total must not land past the row
     cond = ConditionalPMF([("S", 1)], [("X", 2)], [[0.3, 0.7 - 5e-13]])
-    drawn = sample_given(cond.table, (np.zeros(4, dtype=np.int64),), _TopDraw())
+    drawn = sample_given(cond.table, (np.zeros(4, dtype=np.int64),), np.full(4, 1.0 - 2.0**-53))
     assert drawn.tolist() == [1, 1, 1, 1]
 
 
 def test_conditional_draw_takes_an_array_of_uniforms():
     table = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
     given = (np.array([[0, 1, 1, 0], [1, 0, 0, 1]]),)
-    want = sample_given(table, given, np.random.default_rng(4))
+    # recorded when sample_given still drew from a generator, default_rng(4)
+    want = [[2, 0, 2, 0], [2, 1, 2, 0]]
     u = np.random.default_rng(4).random((2, 4))
-    assert np.array_equal(sample_given(table, given, u), want)
+    assert sample_given(table, given, u).tolist() == want
     with pytest.raises(ValueError, match="shape"):
         sample_given(table, given, u.ravel())
 
