@@ -124,45 +124,64 @@ def image_probability_case(s1, s2, q: int) -> tuple[str, int | None]:
     return "independent", None
 
 
-def _image_support(s1, s2, q: int, n: int) -> tuple[str, np.ndarray]:
-    """The pair's case and the (q^n, q^n) support mask of (s1 G, s2 G), G uniform k x n.
+def _in_support(case: str, a: int | None, v1: np.ndarray, v2: np.ndarray, q: int) -> np.ndarray:
+    """Whether image pairs (v1, v2) lie in the support of the case's law.
 
-    Images are indexed as mixed_radix tuples, most significant entry first.
-    The law depends only on the linear relation between s1 and s2, and it is
-    uniform on this mask:
+    This is the closed form of the joint image law of (s1 G, s2 G), G a
+    uniform k x n matrix over Z_q: it depends only on the linear relation
+    between s1 and s2, and it is uniform on this support, whose size is
+    _support_size:
 
       * s1 = s2 = 0: the point (0, 0);
       * exactly one s zero: its image is zero, the other's is any vector;
       * s1 = a s2 with a != 0: the coupled slice v1 = a v2;
       * linearly independent: all q^{2n} pairs.
+
+    v1 and v2 are residue arrays with entries on the last axis and leading
+    axes that broadcast; pairs are compared by their mixed-radix ids, so the
+    entry axis is never broadcast.
+    """
+    id1, id2 = _encode_tuples(v1, q), _encode_tuples(v2, q)
+    if case == "proportional":
+        return id1 == _encode_tuples(a * v2 % q, q)
+    # a zero index pins its image to 0; otherwise every id (all are >= 0) fits
+    fit1 = id1 == 0 if case in ("zero-zero", "left-zero") else id1 >= 0
+    fit2 = id2 == 0 if case in ("zero-zero", "right-zero") else id2 >= 0
+    return fit1 & fit2
+
+
+def _support_size(case: str, q: int, n: int) -> int:
+    """Number of image pairs in the support of the case's law (see _in_support)."""
+    if case == "zero-zero":
+        return 1
+    return q ** (2 * n if case == "independent" else n)
+
+
+def _image_support(s1, s2, q: int, n: int) -> tuple[str, np.ndarray]:
+    """The pair's case and the (q^n, q^n) support mask of its image law.
+
+    Images are indexed as mixed_radix tuples, most significant entry first.
     """
     case, a = image_probability_case(s1, s2, q)
     n_v = q**n
     check_cells((n_v, n_v))
-    support = np.full((n_v, n_v), case == "independent")
-    if case == "zero-zero":
-        support[0, 0] = True
-    elif case == "left-zero":
-        support[0, :] = True
-    elif case == "right-zero":
-        support[:, 0] = True
-    elif case == "proportional":
-        support[_encode_tuples(a * mixed_radix(np.arange(n_v), q, n) % q, q), np.arange(n_v)] = True
-    return case, support
+    images = mixed_radix(np.arange(n_v), q, n)
+    return case, _in_support(case, a, images[:, None], images[None, :], q)
 
 
 def joint_image_probability(s1, s2, v1, v2, q: int) -> float:
     """P{s1 G = v1 and s2 G = v2} over a uniform k x n matrix G over Z_q.
 
-    Vectors are read as residues mod q.  A lookup in the support mask of
-    the pair's image law (see _image_support), which is built whole: q^{2n}
-    cells, refused above the dense-tensor cap.
+    Vectors are read as residues mod q.  One lookup of the closed form
+    (see _in_support) in O(n): images up to q^n = 2^63 vectors.
     """
     v1, v2 = np.asarray(v1, dtype=np.int64) % q, np.asarray(v2, dtype=np.int64) % q
-    if v1.shape != v2.shape:
+    if v1.shape != v2.shape or v1.ndim != 1:
         raise ValueError("mismatched image vectors")
-    _, support = _image_support(s1, s2, q, v1.size)
-    return float(support[_encode_tuples(v1, q), _encode_tuples(v2, q)]) / int(support.sum())
+    case, a = image_probability_case(s1, s2, q)
+    if q**v1.size > 2**63:
+        raise ValueError(f"images of q^n = {q}^{v1.size} vectors do not index as int64")
+    return float(_in_support(case, a, v1, v2, q)) / _support_size(case, q, v1.size)
 
 
 @dataclass(frozen=True)
@@ -191,8 +210,8 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
 
     For each index pair (s1, s2) the count of every image pair (s1 G, s2 G)
     over all matrices is compared with the closed form's exact integer
-    count: q^{kn} / |support| on the support mask of _image_support, 0 off
-    it.  max_abs_deviation is 0.0 iff the closed form is correct
+    count: q^{kn} / _support_size on the support mask of _image_support, 0
+    off it.  max_abs_deviation is 0.0 iff the closed form is correct
     cell-for-cell.
 
     Guards: q^{kn} <= 2^24 matrices and q^{2k+2n} <= 2^26 count cells.
@@ -225,7 +244,7 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
         for j in range(n_s):
             case, support = _image_support(all_s[i], all_s[j], q, n)
             case_counts[case] = case_counts.get(case, 0) + 1
-            expected = support * (m_total // int(support.sum()))
+            expected = support * (m_total // _support_size(case, q, n))
             max_dev = max(max_dev, int(np.abs(counts[i, j] - expected).max()))
 
     return ImageProbabilityReport(

@@ -14,10 +14,11 @@ linear code keeps the sum-candidate set as small as the code itself,
 while independent codebooks nearly square it.
 
 Every decoder here runs on gfcore's packed binary-code kernel: codewords
-are int64 keys indexed by message, distances are popcounts.  Only the
-forward and feedback pass of the feedback run goes block by block, since
-each block's channel-2 input needs the previous block's sum decode; the
-receiver pass and the point-to-point reference decode all blocks at once.
+are int64 keys indexed by message, distances are popcounts.  Each block's
+channel-2 input needs the previous block's sum decode, so the forward and
+feedback pass of the feedback run speculates and verifies a chunk of blocks
+at a time (see run_fb_simulation); the receiver pass and the point-to-point
+reference decode all blocks at once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .gfcore import (
     xor_closure,
     xor_codebook,
 )
-from .probcore import _pinned_cdf
+from .probcore import _pinned_cdf, check_cells
 from .rng import stream, sub_seeds, tally, uniforms
 
 __all__ = [
@@ -61,9 +62,10 @@ __all__ = [
 
 MAX_SUM_MESSAGE_BITS = 20  # exhaustive decoders enumerate 2^k candidates
 MAX_SUMSET_PAIRS = 10**8  # pairwise-XOR enumeration guard
-# The feedback run draws its channel uniforms this many doubles per kernel
-# call: a whole run's noise held through the block loop leaves a heap hole
-# that the receiver pass cannot reuse, raising the run's peak RSS.
+# Channel uses per chunk of the feedback run's speculate-and-verify pass, and
+# so the doubles drawn per uniforms call: a whole run's noise held through the
+# forward pass leaves a heap hole that the receiver pass cannot reuse, raising
+# the run's peak RSS.
 _NOISE_CHUNK = 1 << 15
 
 _LOG = logging.getLogger("trimac")
@@ -91,6 +93,7 @@ class FBConfig:
             raise ValueError(f"words longer than {MAX_PACKED_BITS} bits do not pack into int64")
         if self.blocks < 2:
             raise ValueError("need at least two blocks to deliver a message")
+        check_cells((self.blocks + 1, 3, self.n))  # the run's codeword bits
         if not 0.0 <= self.delta < 0.5:
             raise ValueError("delta must lie in [0, 1/2)")
         if self.seed < 0:
@@ -356,8 +359,18 @@ def run_fb_simulation(
     accepts only a unique codeword within radius n*(delta + margin) and
     declares failure otherwise.  Either way user 3 transmits the nearest
     codeword, so the channel-2 state stays well defined after a failure.
-    Blocks run sequentially by construction: each one needs the previous
-    block's feedback.
+
+    Block b's channel-2 input carries user 3's decode of block b - 1's sum,
+    and that decode reads only block b - 1's first-component output.  That
+    output, cdf[x, 3] < u for input cell x, sees the channel-2 inputs only
+    through round-off in the pinned CDF entry.  So each chunk of blocks runs
+    as one speculate-and-verify pass: take every channel-2 word to be the
+    clean state, look up the chunk's first-component outputs at once, decode
+    every sum in one call, rebuild the channel-2 words from those decodes and
+    look the outputs up again, until they stop changing.  Each round fixes
+    at least one more leading block, so the pass ends on the block loop's
+    unique fixed point, bit for bit.  Only user 3's last channel-2 word
+    carries from one chunk to the next.
     """
     if sum_decoder not in ("ml", "typicality"):
         raise ValueError("sum_decoder must be 'ml' or 'typicality'")
@@ -366,9 +379,13 @@ def run_fb_simulation(
     start = tally()
     k, n, blocks = config.k, config.n, config.blocks
     book = _seeded_linear_book(k, n, config.seed)
+    # columns[c][x] is the pinned CDF at output c of the flat input cell x = (x1*4 + x2)*4 + x3
     cdf = _pinned_cdf(build_fb_parallel_channel(config.delta).transition.table)
+    columns = np.ascontiguousarray(cdf.reshape(64, 8).T)
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
-    first = unpack_bits(book[msgs], n)  # (blocks, 3, n) first-component codewords
+    # bits[b + 1] holds block b's three first-component codewords, bits[0] zero words
+    bits = unpack_bits(np.concatenate((np.zeros((1, 3), dtype=np.int64), book[msgs])), n)
+    clean = book[msgs[:, 0]] ^ book[msgs[:, 1]]  # user 3's word after a correct sum decode
     radius = None if sum_decoder == "ml" else n * (config.delta + typicality_margin)
     # block b's n channel uses take the uniforms of stream(_sub_seed(seed, 62, b)), as
     # transmit(..., _sub_seed(seed, 62, b)) draws them: every block's sub-seed in one
@@ -378,26 +395,45 @@ def run_fb_simulation(
 
     y = np.empty((blocks, n), dtype=np.int64)
     sum_errors = np.zeros(blocks - 1, dtype=bool)
-    second = np.zeros((3, n), dtype=np.int64)
-    for block in range(blocks):
-        if block:
-            prev = block - 1
+    hat = np.zeros(1, dtype=np.int64)  # user 3's last channel-2 word; block 0 sends zeros
+    sum_decodes = rounds = 0
+    for lo in range(0, blocks, chunk):
+        hi = min(lo + chunk, blocks)
+        u = uniforms(noise_seeds[lo:hi], np.empty((hi - lo, 0), dtype=np.int64), n)
+        # every input bit of the chunk's cells but user 3's channel-2 bit: users 1
+        # and 2 resend their previous first-component words on channel 2
+        prev, cur = bits[lo:hi], bits[lo + 1:hi + 1]
+        base = 16 * (2 * cur[:, 0] + prev[:, 0]) + 4 * (2 * cur[:, 1] + prev[:, 1]) + 2 * cur[:, 2]
+        sent = msgs[lo:min(hi, blocks - 1)]  # the blocks whose sum user 3 decodes
+        hats = np.concatenate((hat, clean[lo:hi - 1]))  # speculate: every sum decoded right
+        # the first-component output bits y >> 2, as each pinned CDF row never falls
+        ones = columns[3][base + unpack_bits(hats, n)] < u
+        while True:
+            # feedback leg: cancel own codeword, decode the running sums
+            z = pack_bits(ones[:sent.shape[0]]) ^ book[sent[:, 2]]
+            idx, failed = nearest_codeword(book, z, radius)
+            sum_decodes += idx.size
+            rounds += 1
+            hats = np.concatenate((hat, book[idx[:hi - lo - 1]]))
+            cell = base + unpack_bits(hats, n)
+            check = columns[3][cell] < u
+            if np.array_equal(check, ones):
+                break
+            ones = check
+        # sample_given's inverse-CDF row lookup, one output column at a time
+        y[lo:hi] = 0
+        for column in columns:
+            y[lo:hi] += column[cell] < u
+        if idx.size:
+            errors = sum_errors[lo:lo + idx.size]
+            errors[:] = failed | (idx != sent[:, 0] ^ sent[:, 1])
             # a correct sum decode must leave channel 2 in the clean state
-            if not sum_errors[prev] and hat != book[msgs[prev, 0]] ^ book[msgs[prev, 1]]:
+            unclean = ~errors & (book[idx] != clean[lo:lo + idx.size])
+            if unclean.any():
+                block = lo + 1 + int(np.argmax(unclean))
                 raise RuntimeError(f"block {block}: correct sum decode left channel 2 unclean")
-            second = np.vstack((first[prev, :2], unpack_bits(hat, n)))
-        if block % chunk == 0:
-            seeds = noise_seeds[block:block + chunk]
-            u = uniforms(seeds, np.empty((seeds.size, 0), dtype=np.int64), n)
-        # sample_given's inverse-CDF row lookup, on the CDF pinned once per run
-        y[block] = (cdf[tuple(2 * first[block] + second)] < u[block % chunk, :, None]).sum(axis=-1)
-        if block < blocks - 1:
-            # feedback leg: cancel own codeword, decode the running sum
-            z = pack_bits(y[block] >> 2) ^ book[msgs[block, 2]]
-            (idx,), (failed,) = nearest_codeword(book, [z], radius)
-            hat = book[idx]  # user 3's next channel-2 word
-            sum_errors[block] = failed or idx != msgs[block, 0] ^ msgs[block, 1]
-    del u  # the receiver pass sets the run's memory peak
+            hat = book[idx[-1:]]
+    del u, base, ones, check, cell  # the receiver pass sets the run's memory peak
 
     y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
     pair_errors, third_errors = _receive(book, pack_bits(y >> 2), y_pair, msgs)
@@ -405,10 +441,11 @@ def run_fb_simulation(
     code_sumset = None
     if 4**k <= MAX_SUMSET_PAIRS:
         code_sumset = _closure(book, book, n)[0]
-    decodes = 4 * (blocks - 1)
+    decodes = sum_decodes + 3 * (blocks - 1)
     streams, calls = np.subtract(tally(), start)
     _LOG.debug("fb run: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
-               "%d kernel calls", decodes, decodes * book.size, streams, calls)
+               "%d kernel calls, %d verify rounds",
+               decodes, decodes * book.size, streams, calls, rounds)
     events = (tuple(e.astype(np.int64).tolist()) for e in (sum_errors, pair_errors, third_errors))
     return FBReport(config, *events, code_sumset)
 

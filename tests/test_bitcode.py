@@ -10,12 +10,18 @@ noise draws and the full popcount scan of the codebook probe.
 from __future__ import annotations
 
 import logging
+import sys
 
 import numpy as np
 import pytest
 
-from trimac import gfcore, macfb
-from trimac.channels import build_additive_pair_channel, build_fb_parallel_channel, transmit
+from trimac import channels, gfcore, macfb
+from trimac.channels import (
+    DMChannel,
+    build_additive_pair_channel,
+    build_fb_parallel_channel,
+    transmit,
+)
 from trimac.cli import run
 from trimac.coding import (
     DecodeResult,
@@ -35,7 +41,7 @@ from trimac.gfcore import (
     xor_codebook,
 )
 from trimac.macfb import FBConfig, ptp_simulation, run_fb_simulation, structure_necessity_probe
-from trimac.probcore import marginalize, mixed_radix
+from trimac.probcore import ConditionalPMF, marginalize, mixed_radix
 from trimac.rng import stream
 from trimac.sources import make_additive_triple, make_sigma_gamma_triple, sample_iid
 
@@ -344,6 +350,43 @@ def test_fb_run_matches_the_per_block_transmit_loop(monkeypatch, noise_chunk):
                 assert 0 < sum(got[0]) < len(got[0]) and 0 < sum(got[2]) < len(got[2])
 
 
+def leaky_fb_channel(delta):
+    """The parallel feedback channel, but where user 3's second input bit is 1
+    the first component's output law is mixed 6:4 with its flip."""
+    channel = channels.build_fb_parallel_channel(delta)
+    table = channel.transition.table.copy()
+    leaky = table[:, :, 1::2]
+    table[:, :, 1::2] = 0.6 * leaky + 0.4 * np.roll(leaky, 4, axis=-1)
+    law = ConditionalPMF(channel.transition.given_axes, channel.transition.target_axes, table)
+    return DMChannel(channel.kind, law, channel.params)
+
+
+@pytest.mark.parametrize("noise_chunk", [macfb._NOISE_CHUNK, 100, "n"])
+def test_fb_verify_pass_matches_the_block_loop_when_channel_1_reads_channel_2(
+        monkeypatch, caplog, noise_chunk):
+    # the first-component output now depends on user 3's fed-back word, so the
+    # speculated clean state is often wrong and chunks need more verify rounds;
+    # at n doubles per chunk every block is its own chunk, carried state only
+    monkeypatch.setattr(macfb, "build_fb_parallel_channel", leaky_fb_channel)
+    monkeypatch.setattr(sys.modules[__name__], "build_fb_parallel_channel", leaky_fb_channel)
+    for cfg in (FBConfig(3, 8, 301, 0.1, 0), FBConfig(5, 12, 150, 0.2, 2**40 + 3)):
+        per_chunk = cfg.n if noise_chunk == "n" else noise_chunk
+        monkeypatch.setattr(macfb, "_NOISE_CHUNK", per_chunk)
+        chunks = -(-cfg.blocks // max(1, per_chunk // cfg.n))
+        for decoder in ("ml", "typicality"):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="trimac"):
+                rep = run_fb_simulation(cfg, sum_decoder=decoder)
+            got = (list(rep.sum_errors), list(rep.pair_errors), list(rep.third_errors))
+            assert got == old_fb_run(cfg, decoder)
+            (line,) = [r.getMessage() for r in caplog.records if r.name == "trimac"]
+            rounds = int(line.rsplit(", ", 1)[1].split()[0])
+            if noise_chunk == "n":
+                assert rounds == chunks == cfg.blocks
+            else:
+                assert rounds > chunks
+
+
 def test_packed_pair_decoder_matches_float32_matmul_and_generic_ml():
     channel = build_additive_pair_channel(0.1)
     generic = 0
@@ -416,9 +459,9 @@ def test_each_simulation_logs_one_kernel_line(caplog):
     # source block and the noise each open one stream (counted on the workers)
     assert lines[0].endswith(", 70 keyed streams drawn, 1 kernel calls")
     # seeds 60 and 61 and the uniform matrix, then 21 sub-seeds and 21 noise rows,
-    # all 21 blocks' uniforms in one chunk
+    # all 21 blocks' uniforms in one chunk, whose first lookup needs no second round
     assert lines[1] == (f"fb run: 80 decodes, {80 * 8} popcount cells scored, "
-                        "45 keyed streams drawn, 2 kernel calls")
+                        "45 keyed streams drawn, 2 kernel calls, 1 verify rounds")
     assert lines[2].startswith("codebook probe: 100 decodes, ")
     resolved, scanned = (int(lines[2].split(", ")[i].split()[0]) for i in (2, 3))
     assert resolved + scanned == 100

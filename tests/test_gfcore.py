@@ -24,6 +24,7 @@ from trimac.gfcore import (
     sample_zero_sum_offsets,
     verify_image_probability,
 )
+from trimac.probcore import MAX_CELLS
 from trimac.rng import stream
 
 
@@ -53,6 +54,29 @@ def test_joint_image_probability_matches_bruteforce(q, k, n):
                     got = joint_image_probability(s1, s2, v1, v2, q)
                     want = Fraction(counts.get((s1, s2, v1, v2), 0), total)
                     assert Fraction(got).limit_denominator(total * 4) == want
+
+
+def test_lookup_needs_no_mask_past_the_cell_cap():
+    # q^{2n} = 2^80 and 251^14 cells: far past MAX_CELLS, looked up in O(n)
+    rng = stream(3)
+    for q, n in ((2, 40), (251, 7)):
+        assert q ** (2 * n) > MAX_CELLS
+        v = rng.integers(0, q, size=n)
+        w = (v + 1) % q
+        zero = np.zeros(n, dtype=np.int64)
+        assert joint_image_probability((1, 0), (0, 1), v, w, q) == q ** (-2.0 * n)
+        a = q - 1  # s1 = a s2, so the image pair must satisfy v1 = a v2
+        assert joint_image_probability((a, a), (1, 1), a * v, v, q) == q ** (-1.0 * n)
+        assert joint_image_probability((a, a), (1, 1), a * v + 1, v, q) == 0.0
+        assert joint_image_probability((0, 0), (1, 0), zero, w, q) == q ** (-1.0 * n)
+        assert joint_image_probability((0, 0), (1, 0), w, w, q) == 0.0
+        assert joint_image_probability((1, 0), (0, 0), w, zero, q) == q ** (-1.0 * n)
+        assert joint_image_probability((0, 0), (0, 0), zero, zero, q) == 1.0
+        assert joint_image_probability((0, 0), (0, 0), zero, w, q) == 0.0
+    # ids of 2^63 vectors still fit int64; past that the lookup refuses
+    assert joint_image_probability((1,), (1,), [1] * 63, [1] * 63, 2) == 2.0**-63
+    with pytest.raises(ValueError, match="int64"):
+        joint_image_probability((1,), (1,), [1] * 64, [1] * 64, 2)
 
 
 @pytest.mark.parametrize("q,k,n", [(2, 1, 1), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2)])

@@ -13,12 +13,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimac.cli import run
 from trimac.coding import wilson_interval
 from trimac.macfb import (
     FBConfig,
@@ -229,6 +231,32 @@ def test_fb_config_validation():
         kwargs = dict(k=4, n=8, blocks=5, delta=0.1, seed=0) | bad
         with pytest.raises(ValueError):
             FBConfig(**kwargs)
+
+
+def test_fb_config_refuses_blocks_past_the_cell_cap_before_allocating():
+    # 10^9 blocks of 3 x 24 codeword bits would be 576 GB of int64
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            FBConfig(10, 24, 10**9, 0.1, 0)
+        assert run(["simulate-macfb", "--k", "10", "--n", "24", "--blocks", str(10**9)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert FBConfig(10, 24, 10**8 // 72 - 1, 0.1, 0).blocks == 1388887
+
+
+def test_fb_run_memory_stays_bounded():
+    # the receiver's popcount chunks (2^22 cells of int64) set the peak
+    cfg = FBConfig(10, 24, 6001, 0.1, 0)
+    tracemalloc.start()
+    try:
+        run_fb_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
 
 
 def test_probe_separates_linear_from_random_books():
