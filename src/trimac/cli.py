@@ -175,10 +175,7 @@ def _handle_simulate_mac(args) -> _Emission:
         decoder = ml_decode
     workers = args.workers or os.cpu_count() or 1
     runs = [
-        monte_carlo_error(
-            source, channel, factory_for(n), decoder, n, args.trials, args.seed,
-            workers=workers,
-        )
+        monte_carlo_error(channel, factory_for(n), decoder, args.trials, args.seed, workers=workers)
         for n in n_list
     ]
     header = [

@@ -53,10 +53,11 @@ from .probcore import (
     check_cells,
     marginalize,
     mixed_radix,
+    radix_ids,
     sample_given,
 )
 from .regions import PAIRS, USER_PAIRS, _plane_probs, three_user_factors
-from .rng import stream, sub_seeds, tally, uniforms
+from .rng import sub_seeds, tally, uniforms
 from .sources import SourceModel, sample_iid
 
 __all__ = [
@@ -129,10 +130,6 @@ class DecodeResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-
-def _sub_seed(seed: int, *path: int) -> int:
-    return int(stream(seed, *path).integers(0, 2**62))
 
 
 def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
@@ -304,12 +301,11 @@ def _candidates(scheme: CodingScheme, n: int):
     for user, sym in enumerate(symbols, start=1):
         blocks = sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
         tables.append({f"S{user}": blocks, **scheme.expand(user, blocks)})
-    place = [len(sym) ** np.arange(n - 1, -1, -1) for sym in symbols]
 
     def chunks():
         for start in range(0, total, _CHUNK):
             digits = mixed_radix(np.arange(start, min(start + _CHUNK, total)), m, n)
-            yield digits, [code[digits] @ w for code, w in zip(codes, place)]
+            yield digits, [radix_ids(code[digits], len(sym)) for code, sym in zip(codes, symbols)]
 
     return support, tables, chunks()
 
@@ -491,8 +487,6 @@ class SimReport:
     scheme_kind: str
     channel_kind: str
 
-    CSV_HEADER = "n,trials,errors,p_hat,ci_lo,ci_hi,seed,scheme_kind,channel_kind"
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -506,19 +500,11 @@ class SimReport:
             "channel_kind": self.channel_kind,
         }
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.n},{self.trials},{self.errors},{self.p_hat!r},{self.ci_lo!r},"
-            f"{self.ci_hi!r},{self.seed},{self.scheme_kind},{self.channel_kind}"
-        )
-
 
 def monte_carlo_error(
-    source: SourceModel,
     channel: DMChannel,
     scheme_factory: Callable[[int], CodingScheme],
     decoder: Callable,
-    n: int,
     trials: int,
     seed: int,
     workers: int = 1,
@@ -526,10 +512,12 @@ def monte_carlo_error(
     """Block error rate of (scheme, decoder) over independent trials.
 
     Every trial draws fresh codebooks, a fresh source block and fresh
-    channel noise, matching the random-coding ensembles.  All randomness is
-    derived from (seed, trial index), so the result is independent of the
-    worker partition.  Trial t's scheme, source and noise seeds are
-    _sub_seed(seed, t, 0..2), all drawn up front in one kernel call.
+    channel noise, matching the random-coding ensembles; the source block
+    is drawn from the scheme's own source, at its block length.  All
+    randomness is derived from (seed, trial index), so the result is
+    independent of the worker partition.  Trial t's scheme, source and
+    noise seeds are the sub-seeds (rng.sub_seeds) of paths (t, 0), (t, 1)
+    and (t, 2), every trial's drawn up front in one kernel call.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -539,13 +527,13 @@ def monte_carlo_error(
         start = tally()
         scheme_seed, source_seed, noise_seed = seeds[3 * t:3 * t + 3]
         scheme = scheme_factory(scheme_seed)
-        s = sample_iid(source, n, source_seed)
+        s = sample_iid(scheme.source, scheme.n, source_seed)
         x = scheme.encode(*s)
         y = transmit(channel, x, noise_seed)
         res = decoder(channel, scheme, y)
         wrong = not res.ok or not all(np.array_equal(a, b) for a, b in zip(res.blocks, s))
         # the tally is per thread, so a worker's trial counts only its own draws
-        return int(wrong), res.popcount_cells, np.subtract(tally(), start), scheme.kind
+        return int(wrong), res.popcount_cells, np.subtract(tally(), start), scheme.kind, scheme.n
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -554,18 +542,18 @@ def monte_carlo_error(
             outcomes = list(pool.map(run_trial, range(trials)))
     else:
         outcomes = [run_trial(t) for t in range(trials)]
-    wrong, cells, drawn, kinds = zip(*outcomes)
+    wrong, cells, drawn, kinds, ns = zip(*outcomes)
     errors = sum(wrong)
     # plus the one kernel call that drew the 3 * trials sub-seeds
     streams, calls = np.sum(drawn, axis=0) + (3 * trials, 1)
     _LOG.debug(
         "monte_carlo_error n=%d: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
-        "%d kernel calls", n, trials, sum(cells), streams, calls,
+        "%d kernel calls", ns[0], trials, sum(cells), streams, calls,
     )
 
     lo, hi = wilson_interval(errors, trials)
     return SimReport(
-        n=n,
+        n=ns[0],
         trials=trials,
         errors=errors,
         p_hat=errors / trials,

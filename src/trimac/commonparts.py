@@ -290,7 +290,6 @@ def unstructuredness_estimate(
         raise ValueError(f"joint input alphabet {m} exceeds the {MAX_MAP_INPUT} guard")
     if trials < 1 or n < 1:
         raise ValueError("n and trials must be positive")
-    sz2, sz3 = strategy_sampler.input_sizes[1], strategy_sampler.input_sizes[2]
 
     map_count = 2**m - 2
     estimates = np.empty(map_count)
@@ -299,7 +298,7 @@ def unstructuredness_estimate(
         rng = stream(seed, idx)
         s1, s2, s3 = sample_cells(source.joint, (trials, n), rng)
         x1, x2, x3 = strategy_sampler.apply_blocks(rng, s1, s2, s3)
-        sym = (x1 * sz2 + x2) * sz3 + x3
+        sym = np.ravel_multi_index((x1, x2, x3), strategy_sampler.input_sizes)
         used = np.bitwise_or.reduce(1 << sym.astype(np.int64), axis=1)
         estimates[idx] = float(((used & mask) == 0).mean())
 

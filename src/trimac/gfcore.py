@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import check_cells, mixed_radix
+from .probcore import check_cells, mixed_radix, radix_ids
 from .rng import stream
 
 __all__ = [
@@ -141,9 +141,9 @@ def _in_support(case: str, a: int | None, v1: np.ndarray, v2: np.ndarray, q: int
     axes that broadcast; pairs are compared by their mixed-radix ids, so the
     entry axis is never broadcast.
     """
-    id1, id2 = _encode_tuples(v1, q), _encode_tuples(v2, q)
+    id1, id2 = radix_ids(v1, q), radix_ids(v2, q)
     if case == "proportional":
-        return id1 == _encode_tuples(a * v2 % q, q)
+        return id1 == radix_ids(a * v2 % q, q)
     # a zero index pins its image to 0; otherwise every id (all are >= 0) fits
     fit1 = id1 == 0 if case in ("zero-zero", "left-zero") else id1 >= 0
     fit2 = id2 == 0 if case in ("zero-zero", "right-zero") else id2 >= 0
@@ -198,13 +198,6 @@ class ImageProbabilityReport:
     ok: bool
 
 
-def _encode_tuples(digits: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of probcore.mixed_radix along the last axis."""
-    width = digits.shape[-1]
-    weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return digits @ weights
-
-
 def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
     """Enumerate every k x n matrix over Z_q and tally the joint image law.
 
@@ -233,7 +226,7 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
     chunk = max(1, _TALLY_CELLS // (n_s * n_s))
     for start in range(0, m_total, chunk):
         mats = mixed_radix(np.arange(start, min(start + chunk, m_total)), q, k * n)
-        vids = _encode_tuples(all_s @ mats.reshape(-1, k, n) % q, q)  # (c, n_s)
+        vids = radix_ids(all_s @ mats.reshape(-1, k, n) % q, q)  # (c, n_s)
         flat_ids = pair_base + (vids * n_v)[:, :, None] + vids[:, None, :]
         np.add.at(counts, flat_ids.ravel(), 1)
     counts = counts.reshape(n_s, n_s, n_v, n_v)
@@ -266,11 +259,9 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
 def pack_bits(words) -> np.ndarray:
     """Bit rows (last axis) to int64 keys, most significant bit first."""
     words = np.asarray(words)
-    n = words.shape[-1]
-    if n > MAX_PACKED_BITS:
+    if words.shape[-1] > MAX_PACKED_BITS:
         raise ValueError(f"words longer than {MAX_PACKED_BITS} bits do not pack into int64")
-    shifts = np.left_shift(np.int64(1), np.arange(n - 1, -1, -1, dtype=np.int64))
-    return words.astype(np.int64) @ shifts
+    return radix_ids(words, 2)
 
 
 def unpack_bits(keys, n: int) -> np.ndarray:

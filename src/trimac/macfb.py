@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import build_fb_parallel_channel
-from .coding import SimReport, _sub_seed, wilson_interval
+from .coding import SimReport, wilson_interval
 from .gfcore import (
     MAX_PACKED_BITS,
     distinct_keys,
@@ -42,7 +42,7 @@ from .gfcore import (
     xor_closure,
     xor_codebook,
 )
-from .probcore import _pinned_cdf, check_cells
+from .probcore import _pinned_cdf, check_cells, sample_given
 from .rng import stream, sub_seeds, tally, uniforms
 
 __all__ = [
@@ -148,8 +148,6 @@ class FBReport:
     third_errors: tuple[int, ...]
     code_sumset: SumsetReport | None
 
-    CSV_HEADER = "block,sum_error_count,pair_error_count,third_error_count,message_error_count"
-
     @property
     def delivered(self) -> int:
         return len(self.sum_errors)
@@ -202,14 +200,6 @@ class FBReport:
             }
         return out
 
-    def csv_rows(self) -> list[str]:
-        rows = []
-        for block, events in enumerate(
-            zip(self.sum_errors, self.pair_errors, self.third_errors, self.message_errors)
-        ):
-            rows.append(f"{block + 1}," + ",".join(str(e) for e in events))
-        return rows
-
 
 @dataclass(frozen=True)
 class ProbeRow:
@@ -246,10 +236,6 @@ class ProbeReport:
     seed: int
     rows: tuple[ProbeRow, ...]
 
-    CSV_HEADER = (
-        "scheme,k,n,delta,trials,errors,p_hat,ci_lo,ci_hi,sumset_size,gap_bits_per_use"
-    )
-
     def row(self, scheme: str) -> ProbeRow:
         for row in self.rows:
             if row.scheme == scheme:
@@ -265,16 +251,6 @@ class ProbeReport:
             "seed": self.seed,
             "rows": [row.to_json() for row in self.rows],
         }
-
-    def csv_rows(self) -> list[str]:
-        rows = []
-        for row in self.rows:
-            rows.append(
-                f"{row.scheme},{self.k},{self.n},{self.delta!r},{row.trials},"
-                f"{row.errors},{row.p_hat!r},{row.ci_lo!r},{row.ci_hi!r},"
-                f"{row.sumset.size_sum},{row.sumset.gap!r}"
-            )
-        return rows
 
 
 def _bit_rows(code) -> np.ndarray:
@@ -314,8 +290,8 @@ def linear_codebook(generator) -> np.ndarray:
 
 
 def _seeded_linear_book(k: int, n: int, seed: int) -> np.ndarray:
-    """Codeword keys of the run's uniform binary k x n generator, drawn from sub-seed (seed, 60)."""
-    return xor_codebook(sample_uniform_matrix(2, k, n, _sub_seed(seed, 60)))
+    """Codeword keys of the run's uniform binary k x n generator, from path (60,)'s sub-seed."""
+    return xor_codebook(sample_uniform_matrix(2, k, n, int(sub_seeds(seed, [(60,)])[0])))
 
 
 def sumset(code_a, code_b) -> SumsetReport:
@@ -362,8 +338,9 @@ def run_fb_simulation(
 
     Block b's channel-2 input carries user 3's decode of block b - 1's sum,
     and that decode reads only block b - 1's first-component output.  That
-    output, cdf[x, 3] < u for input cell x, sees the channel-2 inputs only
-    through round-off in the pinned CDF entry.  So each chunk of blocks runs
+    output is 1 exactly when cdf[x, 3] <= u for input cell x (sample_given's
+    rule: the drawn symbol is count(cdf <= u)), so it sees the channel-2
+    inputs only through round-off in the pinned CDF entry.  So each chunk of blocks runs
     as one speculate-and-verify pass: take every channel-2 word to be the
     clean state, look up the chunk's first-component outputs at once, decode
     every sum in one call, rebuild the channel-2 words from those decodes and
@@ -379,17 +356,18 @@ def run_fb_simulation(
     start = tally()
     k, n, blocks = config.k, config.n, config.blocks
     book = _seeded_linear_book(k, n, config.seed)
-    # columns[c][x] is the pinned CDF at output c of the flat input cell x = (x1*4 + x2)*4 + x3
-    cdf = _pinned_cdf(build_fb_parallel_channel(config.delta).transition.table)
-    columns = np.ascontiguousarray(cdf.reshape(64, 8).T)
+    # row x of the table is the output law of the flat input cell x = (x1*4 + x2)*4 + x3;
+    # y >> 2 is 1 exactly where its pinned CDF at output 3 is <= u
+    table = build_fb_parallel_channel(config.delta).transition.table.reshape(64, 8)
+    cdf3 = _pinned_cdf(table)[:, 3]
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
     # bits[b + 1] holds block b's three first-component codewords, bits[0] zero words
     bits = unpack_bits(np.concatenate((np.zeros((1, 3), dtype=np.int64), book[msgs])), n)
     clean = book[msgs[:, 0]] ^ book[msgs[:, 1]]  # user 3's word after a correct sum decode
     radius = None if sum_decoder == "ml" else n * (config.delta + typicality_margin)
-    # block b's n channel uses take the uniforms of stream(_sub_seed(seed, 62, b)), as
-    # transmit(..., _sub_seed(seed, 62, b)) draws them: every block's sub-seed in one
-    # kernel call, the uniforms for a chunk of blocks per call
+    # block b's n channel uses take the uniforms of stream(s), s the sub-seed of path
+    # (62, b), as transmit(..., s) draws them: every block's sub-seed in one kernel
+    # call, the uniforms for a chunk of blocks per call
     noise_seeds = sub_seeds(config.seed, np.stack((np.full(blocks, 62), np.arange(blocks)), axis=1))
     chunk = max(1, _NOISE_CHUNK // n)
 
@@ -406,8 +384,7 @@ def run_fb_simulation(
         base = 16 * (2 * cur[:, 0] + prev[:, 0]) + 4 * (2 * cur[:, 1] + prev[:, 1]) + 2 * cur[:, 2]
         sent = msgs[lo:min(hi, blocks - 1)]  # the blocks whose sum user 3 decodes
         hats = np.concatenate((hat, clean[lo:hi - 1]))  # speculate: every sum decoded right
-        # the first-component output bits y >> 2, as each pinned CDF row never falls
-        ones = columns[3][base + unpack_bits(hats, n)] < u
+        ones = cdf3[base + unpack_bits(hats, n)] <= u  # the first-component bits y >> 2
         while True:
             # feedback leg: cancel own codeword, decode the running sums
             z = pack_bits(ones[:sent.shape[0]]) ^ book[sent[:, 2]]
@@ -416,14 +393,11 @@ def run_fb_simulation(
             rounds += 1
             hats = np.concatenate((hat, book[idx[:hi - lo - 1]]))
             cell = base + unpack_bits(hats, n)
-            check = columns[3][cell] < u
+            check = cdf3[cell] <= u
             if np.array_equal(check, ones):
                 break
             ones = check
-        # sample_given's inverse-CDF row lookup, one output column at a time
-        y[lo:hi] = 0
-        for column in columns:
-            y[lo:hi] += column[cell] < u
+        y[lo:hi] = sample_given(table, (cell,), u)
         if idx.size:
             errors = sum_errors[lo:lo + idx.size]
             errors[:] = failed | (idx != sent[:, 0] ^ sent[:, 1])

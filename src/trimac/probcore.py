@@ -8,9 +8,12 @@ marginal contracted from the factors it needs.  Tensors are capped at 1e8
 cells, checked before anything is allocated; axis names are unique per
 tensor; all masses are validated at construction.
 
-The module also owns the package's two inverse-CDF samplers, `sample_cells`
-for a joint and `sample_given` for a conditional table, and its one
-enumerator of digit tuples, `mixed_radix`.
+The module also owns the package's one inverse-CDF draw, `sample_given`,
+whose rule is count(cdf <= u): a uniform u picks the first symbol whose
+cumulative mass exceeds it, so a zero-mass symbol is never drawn.
+`sample_cells` is that draw over a flattened joint.  Beside it sits the
+one digit codec: `mixed_radix` enumerates digit tuples and `radix_ids`
+inverts it.
 
 Entropies are in bits throughout, with the 0 log 0 = 0 convention.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "entropy",
     "conditional_entropy",
     "mutual_information",
+    "clamp_mi",
     "binary_entropy",
     "binary_entropy_inverse",
     "tv_distance",
@@ -40,6 +44,7 @@ __all__ = [
     "add_derived_axis",
     "deterministic_conditional",
     "mixed_radix",
+    "radix_ids",
     "sample_cells",
     "sample_given",
 ]
@@ -228,7 +233,11 @@ def mutual_information(p: JointPMF, a, b, given=()) -> float:
     given = _norm_names(given)
     if (set(a) & set(b)) or (set(a) & set(given)) or (set(b) & set(given)):
         raise ValueError("a, b, given must be pairwise disjoint")
-    mi = conditional_entropy(p, a, given) - conditional_entropy(p, a, b + given)
+    return clamp_mi(conditional_entropy(p, a, given) - conditional_entropy(p, a, b + given))
+
+
+def clamp_mi(mi: float) -> float:
+    """A mutual information difference with round-off below zero set to 0; raises below MI_CLAMP."""
     if mi < 0.0:
         if mi < MI_CLAMP:
             raise ValueError(f"mutual information {mi!r} below round-off clamp {MI_CLAMP}")
@@ -374,6 +383,12 @@ def mixed_radix(ids, base: int, width: int) -> np.ndarray:
     return out
 
 
+def radix_ids(digits, base: int) -> np.ndarray:
+    """Inverse of mixed_radix along the last axis: the id of each base-`base` digit row."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ base ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def _pinned_cdf(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis, every entry at or past its row total set to 1.
 
@@ -387,20 +402,33 @@ def _pinned_cdf(probs: np.ndarray) -> np.ndarray:
 
 def sample_cells(p: JointPMF, size, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Draw iid cells from the joint, `size` a count or a shape; one index array per axis."""
-    flat = np.searchsorted(_pinned_cdf(p.probs.ravel()), rng.random(size), side="right")
-    return np.unravel_index(flat, p.shape)
+    return np.unravel_index(sample_given(p.probs.ravel(), (), rng.random(size)), p.shape)
 
 
 def sample_given(table: np.ndarray, given, u: np.ndarray) -> np.ndarray:
     """One target symbol per cell of the given index arrays, from a conditional table.
 
     table is laid out given axes first, target axis last; given holds one
-    index array per given axis, all of one shape, which the result takes.
+    index array per given axis, all of one shape, which the result takes
+    (no arrays for a table with no given axes: the result takes u's shape).
     u holds one uniform in [0, 1) per drawn symbol, in that shape: for
     instance generator.random(shape), or rows of rng.uniforms.
+
+    The drawn symbol is count(cdf <= u) over the row's pinned CDF, the rule
+    of np.searchsorted(cdf, u, side="right"): symbol t is drawn for u in
+    [cdf[t-1], cdf[t]), which is empty when t has no mass.  The cells of a
+    row with cdf <= u are a prefix of it, so a table with one row is
+    bisected; otherwise the draw adds one target column at a time, read at
+    the flat given cell.
     """
-    rows = _pinned_cdf(np.asarray(table))[tuple(given)]
-    shape = rows.shape[:-1]
-    if u.shape != shape:
-        raise ValueError(f"uniforms of shape {u.shape} for draws of shape {shape}")
-    return (rows < u[..., None]).sum(axis=-1, dtype=np.int64)
+    cdf = _pinned_cdf(np.asarray(table))
+    cell = np.ravel_multi_index(tuple(given), cdf.shape[:-1])
+    if np.shape(cell) not in ((), u.shape):
+        raise ValueError(f"uniforms of shape {u.shape} for draws of shape {np.shape(cell)}")
+    rows = cdf.reshape(-1, cdf.shape[-1])
+    if rows.shape[0] == 1:
+        return np.searchsorted(rows[0], u, side="right")
+    out = np.zeros(u.shape, dtype=np.int64)
+    for column in rows.T[:-1]:  # the last entry is pinned to 1, above every uniform
+        out += column[cell] <= u
+    return out

@@ -41,7 +41,6 @@ from .channels import DMChannel, quaternary_noise_law
 from .commonparts import additive_common_search, gkw_mutual, gkw_pairs, gkw_pairwise
 from .gfcore import FieldSpec
 from .probcore import (
-    MI_CLAMP,
     ConditionalPMF,
     JointPMF,
     add_derived_axis,
@@ -49,6 +48,7 @@ from .probcore import (
     binary_entropy_inverse,
     chain_all,
     check_cells,
+    clamp_mi,
     deterministic_conditional,
     entropy,
     marginalize,
@@ -66,7 +66,6 @@ __all__ = [
     "W_SUBSETS",
     "USER_SUBSETS",
     "HYBRID_CES3_SHARED",
-    "CSV_HEADER",
     "FactorizationError",
     "InequalityRecord",
     "RegionReport",
@@ -124,8 +123,6 @@ USER_SUBSETS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
 
 PAIR_USERS = {"12": (1, 2), "13": (1, 3), "23": (2, 3)}
 PAIR_COMPLEMENT = {"12": 3, "13": 2, "23": 1}
-
-CSV_HEADER = ("inequality", "lhs_bits", "rhs_bits", "slack_bits")
 
 
 class FactorizationError(ValueError):
@@ -197,10 +194,6 @@ class RegionReport:
                 for r in self.records
             ],
         }
-
-    def csv_rows(self) -> list[tuple[str, str, str, str]]:
-        """Data rows for CSV_HEADER; floats via repr for byte stability."""
-        return [(r.ineq_id, repr(r.lhs), repr(r.rhs), repr(r.slack)) for r in self.records]
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +496,7 @@ class _EntropyLedger:
 
     def mi(self, a, b, given=()) -> float:
         """I(a; b | given), in probcore.mutual_information's arithmetic."""
-        val = self.cond_entropy(a, given) - self.cond_entropy(a, tuple(b) + tuple(given))
-        if val < 0.0:
-            if val < MI_CLAMP:
-                raise ValueError(f"mutual information {val!r} below round-off clamp {MI_CLAMP}")
-            val = 0.0
-        return val
+        return clamp_mi(self.cond_entropy(a, given) - self.cond_entropy(a, tuple(b) + tuple(given)))
 
     def log(self, family: str) -> None:
         _LOG.debug("%s: %d entropy groups requested, %d computed, %d einsum contractions, "

@@ -83,11 +83,10 @@ def make_sigma_gamma_triple(sigma: float, gamma: float) -> SourceModel:
 
 
 def sample_iid(model: SourceModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n iid triples by inverse-CDF over the flattened joint."""
+    """n iid triples, drawn by sample_cells from stream(seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s1, s2, s3 = sample_cells(model.joint, n, stream(seed))
-    return s1.astype(np.int64), s2.astype(np.int64), s3.astype(np.int64)
+    return sample_cells(model.joint, n, stream(seed))
 
 
 def source_to_json(model: SourceModel) -> dict:

@@ -115,8 +115,7 @@ def test_identical_linear_error_decreases_with_blocklength():
         src = make_additive_triple(p, p)
         return [
             monte_carlo_error(
-                src, chan, lambda s, n=n: build_linear_jscc(src, 2, n, s),
-                ml_decode_additive_pair, n, 2000, 0,
+                chan, lambda s, n=n: build_linear_jscc(src, 2, n, s), ml_decode_additive_pair, 2000, 0
             )
             for n in (8, 12, 16)
         ]

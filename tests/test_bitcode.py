@@ -49,6 +49,11 @@ from trimac.sources import make_additive_triple, make_sigma_gamma_triple, sample
 # ---------------------------------------------------------------- old code
 
 
+def sub_seed(seed, *path):
+    """One generator per sub-seed, the rule rng.sub_seeds draws in one batched kernel."""
+    return int(stream(seed, *path).integers(0, 2**62))
+
+
 def old_codebook(g):
     g = np.asarray(g, dtype=np.int64)
     return (mixed_radix(np.arange(2 ** g.shape[0]), 2, g.shape[0]) @ g) % 2
@@ -114,9 +119,9 @@ def old_receiver(codebook, y_first, y_pair, msgs):
 
 
 def old_fb_run(config, sum_decoder):
-    """run_fb_simulation's forward pass with one _sub_seed and one transmit per block."""
+    """run_fb_simulation's forward pass with one sub_seed and one transmit per block."""
     k, n, blocks = config.k, config.n, config.blocks
-    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(config.seed, 60))
+    g = gfcore.sample_uniform_matrix(2, k, n, sub_seed(config.seed, 60))
     book = xor_codebook(g)
     channel = build_fb_parallel_channel(config.delta)
     msgs = pack_bits(stream(config.seed, 61).integers(0, 2, size=(blocks, 3, k)))
@@ -129,7 +134,7 @@ def old_fb_run(config, sum_decoder):
         if block:
             second = np.vstack((first[block - 1, :2], unpack_bits(hat, n)))
         y[block] = transmit(channel, 2 * first[block] + second,
-                            macfb._sub_seed(config.seed, 62, block))
+                            sub_seed(config.seed, 62, block))
         if block < blocks - 1:
             z = pack_bits(y[block] >> 2) ^ book[msgs[block, 2]]
             (idx,), (failed,) = nearest_codeword(book, [z], radius)
@@ -142,7 +147,7 @@ def old_fb_run(config, sum_decoder):
 
 def old_ptp_errors(config):
     g = gfcore.sample_uniform_matrix(2, config.k, config.n,
-                                     macfb._sub_seed(config.seed, 60))
+                                     sub_seed(config.seed, 60))
     codebook = old_codebook(g)
     words = mixed_radix(np.arange(2**config.k), 2, config.k)
     trials = config.blocks - 1
@@ -167,7 +172,7 @@ def scan_in_set(members, received):
 
 def old_probe_errors(k, n, delta, trials, seed):
     """The probe's error counts by a full popcount scan over bit-row books."""
-    g = gfcore.sample_uniform_matrix(2, k, n, macfb._sub_seed(seed, 60))
+    g = gfcore.sample_uniform_matrix(2, k, n, sub_seed(seed, 60))
     linear = old_codebook(g)
     random_books = stream(seed, 65).integers(0, 2, size=(2, 2**k, n))
     out = []
@@ -447,8 +452,8 @@ def test_each_simulation_logs_one_kernel_line(caplog):
     src = make_additive_triple(0.1, 0.2)
     channel = build_additive_pair_channel(0.1)
     with caplog.at_level(logging.DEBUG, logger="trimac"):
-        monte_carlo_error(src, channel, lambda s: build_linear_jscc(src, 2, 6, s),
-                          ml_decode_additive_pair, 6, 10, seed=1, workers=2)
+        monte_carlo_error(channel, lambda s: build_linear_jscc(src, 2, 6, s),
+                          ml_decode_additive_pair, 10, seed=1, workers=2)
         run_fb_simulation(FBConfig(3, 8, 21, 0.1, 0))
         structure_necessity_probe(6, 12, 0.1, 50, 0)
     lines = [r.getMessage() for r in caplog.records if r.name == "trimac"]
@@ -475,8 +480,8 @@ def test_stream_counts_do_not_depend_on_the_worker_count(caplog):
     for workers in (1, 3):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="trimac"):
-            monte_carlo_error(src, channel, lambda s: build_unstructured_jscc(src, [table] * 3, 4, s),
-                              ml_decode, 4, 7, seed=2, workers=workers)
+            monte_carlo_error(channel, lambda s: build_unstructured_jscc(src, [table] * 3, 4, s),
+                              ml_decode, 7, seed=2, workers=workers)
         lines += [r.getMessage() for r in caplog.records if r.name == "trimac"]
     # per trial: three one-row encodes (too few rows for the kernel) and three
     # 2^4-row decode tables (one kernel call each), plus the source and noise streams

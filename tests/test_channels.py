@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from trimac import channels
 from trimac.channels import (
     build_additive_pair_channel,
     build_fb_parallel_channel,
@@ -138,3 +139,22 @@ def test_transmit_pinned_draws():
     pairs = [2 * a + b for a, b in zip(x, x[1:] + x[:1])]
     y = transmit(build_fb_parallel_channel(0.15), pairs, 5)
     assert y.tolist() == [5, 6, 1, 0, 2, 0, 3, 3, 6, 5]
+
+
+class _ZeroDraw:
+    """Stub generator whose uniforms are all 0.0, the smallest double a generator returns."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_transmit_at_u_zero_outputs_the_first_symbol_with_mass(monkeypatch):
+    channel = build_quaternary_channel(0.2)
+    table = channel.transition.table
+    # Y = 1 + N at x = (0, 0, 1), and the noise law puts no mass on N = 3
+    assert table[0, 0, 1, 0] == 0.0
+    monkeypatch.setattr(channels, "stream", lambda seed: _ZeroDraw())
+    x = np.indices((2, 2, 2)).reshape(3, -1)
+    y = transmit(channel, x, 0)
+    assert y[1] == 1  # the cell x = (0, 0, 1)
+    assert np.array_equal(y, (table[x[0], x[1], x[2]] > 0).argmax(axis=1))

@@ -6,6 +6,9 @@ import csv
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +215,13 @@ def test_non_finite_inputs_and_bad_grid_steps_exit_2(tmp_path):
         assert run(["structure-measure", "--law", "0.25,0,0,0.25,0,0.25,0.25,0",
                     "--grid-step", step] + out) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("trimac ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert run([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0, line

@@ -512,9 +512,9 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     def factory(seed):
         return build_linear_jscc(src, 2, 6, seed)
 
-    a = monte_carlo_error(src, ch, factory, ml_decode_additive_pair, 6, 60, seed=5)
-    b = monte_carlo_error(src, ch, factory, ml_decode_additive_pair, 6, 60, seed=5)
-    c = monte_carlo_error(src, ch, factory, ml_decode_additive_pair, 6, 60, seed=5, workers=3)
+    a = monte_carlo_error(ch, factory, ml_decode_additive_pair, 60, seed=5)
+    b = monte_carlo_error(ch, factory, ml_decode_additive_pair, 60, seed=5)
+    c = monte_carlo_error(ch, factory, ml_decode_additive_pair, 60, seed=5, workers=3)
     assert a == b == c
     assert a.ci_lo <= a.p_hat <= a.ci_hi
     assert a.scheme_kind == "linear-jscc" and a.channel_kind == "additive-pair"
@@ -525,24 +525,23 @@ def test_monte_carlo_error_builds_one_scheme_per_trial():
     ch = build_additive_pair_channel(0.1)
     table = np.array([[0.9, 0.1], [0.1, 0.9]])
     cases = (
-        (lambda s: build_linear_jscc(src, 2, 6, s), ml_decode_additive_pair, 6,
+        (lambda s: build_linear_jscc(src, 2, 6, s), ml_decode_additive_pair,
          SimReport(6, 12, 7, 0.5833333333333334, 0.31951131254954973, 0.8067396863412435, 3,
                    "linear-jscc", "additive-pair")),
         (lambda s: build_unstructured_jscc(make_sigma_gamma_triple(0.1, 0.2), [table] * 3, 4, s),
-         ml_decode, 4,
+         ml_decode,
          SimReport(4, 12, 9, 0.75, 0.46769466506643426, 0.9110583316059453, 3,
                    "unstructured-jscc", "additive-pair")),
     )
-    for build, decoder, n, pinned in cases:
+    for build, decoder, pinned in cases:
         seeds = []
 
         def factory(seed):
             seeds.append(seed)
             return build(seed)
 
-        source = src if n == 6 else make_sigma_gamma_triple(0.1, 0.2)
-        assert monte_carlo_error(source, ch, factory, decoder, n, 12, seed=3) == pinned
-        assert seeds == [coding._sub_seed(3, t, 0) for t in range(12)]
+        assert monte_carlo_error(ch, factory, decoder, 12, seed=3) == pinned
+        assert seeds == [int(stream(3, t, 0).integers(0, 2**62)) for t in range(12)]
 
 
 def test_typicality_decode_takes_the_design_law_once_per_run(monkeypatch):
@@ -559,10 +558,9 @@ def test_typicality_decode_takes_the_design_law_once_per_run(monkeypatch):
     law = factory(0).design_joint(ch)
     assert len(chained) == 1
     reports = [
-        monte_carlo_error(src, ch, factory,
-                          lambda c, sc, y: typicality_decode(c, sc, y, 512.0, design=law), 4, 6, 1),
-        monte_carlo_error(src, ch, factory,
-                          lambda c, sc, y: typicality_decode(c, sc, y, 512.0), 4, 6, 1),
+        monte_carlo_error(ch, factory,
+                          lambda c, sc, y: typicality_decode(c, sc, y, 512.0, design=law), 6, 1),
+        monte_carlo_error(ch, factory, lambda c, sc, y: typicality_decode(c, sc, y, 512.0), 6, 1),
     ]
     # the law passed in is built once; left to the decoder, once per trial
     assert len(chained) == 1 + 6
@@ -578,7 +576,7 @@ def test_monte_carlo_error_orders_by_noise_and_source_entropy():
         src = make_additive_triple(p, p)
         ch = build_additive_pair_channel(delta)
         factory = lambda seed: build_linear_jscc(src, 2, 8, seed)
-        return monte_carlo_error(src, ch, factory, ml_decode_additive_pair, 8, 400, seed=2)
+        return monte_carlo_error(ch, factory, ml_decode_additive_pair, 400, seed=2)
 
     quiet = run(p_low, 0.01)
     noisy = run(p_low, 0.1)
@@ -587,12 +585,8 @@ def test_monte_carlo_error_orders_by_noise_and_source_entropy():
     assert heavy.p_hat > 0.5
 
 
-def test_sim_report_csv_roundtrip():
+def test_sim_report_to_json():
     rep = SimReport(8, 100, 7, 0.07, 0.03, 0.14, 42, "linear-jscc", "additive-pair")
-    row = rep.to_csv_row()
-    fields = row.split(",")
-    assert fields[0] == "8" and fields[2] == "7" and fields[-2] == "linear-jscc"
-    assert len(SimReport.CSV_HEADER.split(",")) == len(fields)
     assert rep.to_json()["p_hat"] == 0.07
 
 

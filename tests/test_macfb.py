@@ -156,10 +156,6 @@ def test_fb_zero_noise_runs_clean():
     assert set(rep.third_errors) == {0}
     assert rep.error_rate("message") == 0.0
     assert rep.code_sumset is not None and rep.code_sumset.gap == 0.0
-    rows = rep.csv_rows()
-    assert len(rows) == 11
-    assert rows[0] == "1,0,0,0,0"
-    assert all(len(row.split(",")) == len(rep.CSV_HEADER.split(",")) for row in rows)
     blob = json.dumps(rep.to_json())
     assert '"delivered_blocks": 11' in blob
     with pytest.raises(ValueError):
@@ -281,10 +277,6 @@ def test_probe_gap_tracks_the_rate_at_half():
 
 def test_probe_serialization_and_validation():
     rep = structure_necessity_probe(3, 6, 0.05, 25, 2)
-    header_fields = len(rep.CSV_HEADER.split(","))
-    rows = rep.csv_rows()
-    assert len(rows) == 2
-    assert all(len(row.split(",")) == header_fields for row in rows)
     blob = json.loads(json.dumps(rep.to_json()))
     assert [row["scheme"] for row in blob["rows"]] == [
         "identical-linear",

@@ -11,7 +11,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimac import macfb
+from trimac.channels import DMChannel
+from trimac.gfcore import pack_bits
 from trimac.probcore import (
+    MI_CLAMP,
     Alphabet,
     ConditionalPMF,
     JointPMF,
@@ -20,6 +24,7 @@ from trimac.probcore import (
     binary_entropy_inverse,
     chain,
     chain_all,
+    clamp_mi,
     conditional_entropy,
     deterministic_conditional,
     entropy,
@@ -27,10 +32,13 @@ from trimac.probcore import (
     mixed_radix,
     mutual_information,
     push_forward,
+    radix_ids,
     sample_cells,
     sample_given,
     tv_distance,
+    _pinned_cdf,
 )
+from trimac.rng import stream
 
 
 def random_joint(rng, shape, names=None):
@@ -258,6 +266,12 @@ def test_mixed_radix_runs_in_product_order():
         assert np.array_equal(mixed_radix(np.arange(base**width), base, width), want)
         # a chunk starting mid-range gives the matching rows
         assert np.array_equal(mixed_radix(np.arange(3, base**width), base, width), want[3:])
+        # radix_ids inverts it along the last axis, for any leading shape
+        assert np.array_equal(radix_ids(want, base), np.arange(base**width))
+        assert np.array_equal(radix_ids(want.reshape(-1, 1, width), base).ravel(),
+                              np.arange(base**width))
+    # 62 base-2 digits, the widest word the packed binary kernel takes
+    assert radix_ids(np.ones(62, dtype=bool), 2) == 2**62 - 1
 
 
 class _TopDraw:
@@ -265,6 +279,16 @@ class _TopDraw:
 
     def random(self, size):
         return np.full(size, 1.0 - 2.0**-53)
+
+
+class _Fixed:
+    """Stub generator that hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        return self.u.reshape(size)
 
 
 def test_conditional_draw_stays_inside_a_short_row():
@@ -289,3 +313,116 @@ def test_joint_draw_skips_trailing_zero_mass_cells():
     p = JointPMF([("A", 3)], [0.5, 0.5 - 5e-13, 0.0])
     (cells,) = sample_cells(p, (2, 3), _TopDraw())
     assert cells.tolist() == [[1, 1, 1], [1, 1, 1]]
+
+
+def test_clamp_mi_zeroes_round_off_and_refuses_real_negatives():
+    assert clamp_mi(0.25) == 0.25
+    assert clamp_mi(-1e-12) == 0.0
+    assert clamp_mi(MI_CLAMP) == 0.0
+    with pytest.raises(ValueError, match="below round-off clamp"):
+        clamp_mi(2 * MI_CLAMP)
+
+
+def test_draw_at_zero_skips_leading_zero_mass_cells():
+    table = np.array([[0.0, 0.0, 0.4, 0.6], [0.5, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0]])
+    rows = (np.array([0, 1, 2]),)
+    assert sample_given(table, rows, np.zeros(3)).tolist() == [2, 0, 1]
+    # a uniform on a CDF entry takes the next cell with mass
+    assert sample_given(table, rows, np.array([0.4, 0.5, 0.5])).tolist() == [3, 3, 1]
+    # a single row, which is bisected, and the joint draw follow the same rule
+    assert sample_given(table[:1], (np.zeros(2, dtype=np.int64),), np.zeros(2)).tolist() == [2, 2]
+    (cells,) = sample_cells(JointPMF([("A", 4)], table[0]), 3, _Fixed(np.zeros(3)))
+    assert cells.tolist() == [2, 2, 2]
+
+
+def zero_mass_rows(rng, rows, width, total):
+    """Conditional rows of integer weights summing to `total`, over `total`.
+
+    Row r's zero-mass cells lead (r % 4 == 0), sit in the middle (1), trail
+    (2) or fall anywhere (3); every row keeps at least one cell with mass.
+    """
+    cols = np.arange(width)
+    out = np.zeros((rows, width))
+    for r in range(rows):
+        cut = rng.integers(1, width)
+        zero = (cols < cut, (cols > 0) & (cols < width - 1), cols >= cut,
+                rng.random(width) < 0.5)[r % 4]
+        live = np.flatnonzero(~zero) if (~zero).any() else cols[-1:]
+        out[r, live] = 1 + rng.multinomial(total - live.size, np.full(live.size, 1 / live.size))
+    return out / total
+
+
+def on_cdf_entries(rng, cdf, shape):
+    """Uniforms drawn from 0 and the CDF's own entries below 1: where u = 0 or
+    u equals an entry, count(cdf < u) and count(cdf <= u) differ."""
+    return rng.choice(np.unique(np.append(cdf[cdf < 1.0], 0.0)), size=shape)
+
+
+def searchsorted_oracle(cdf_rows, cells, u):
+    return np.array([np.searchsorted(cdf_rows[c], v, side="right")
+                     for c, v in zip(np.ravel(cells), u.ravel())]).reshape(u.shape)
+
+
+def fb_run_draws(table, rng, seed):
+    """Run the feedback simulation on a (64, 8) output table, with uniforms on
+    its CDF entries; return the drawn (cells, u, y) and the words of the last
+    chunk's last sum decode."""
+    law = ConditionalPMF([("X1", 4), ("X2", 4), ("X3", 4)], [("Y", 8)], table.reshape(4, 4, 4, 8))
+    cdf = _pinned_cdf(table)
+    draws, words = [], []
+    real_draw, real_decode = macfb.sample_given, macfb.nearest_codeword
+
+    def draw(tab, cells, u):
+        draws.append((cells[0], u, real_draw(tab, cells, u)))
+        return draws[-1][2]
+
+    def decode(book, received, radius=None):
+        words.append(np.asarray(received))
+        return real_decode(book, received, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(macfb, "build_fb_parallel_channel",
+                   lambda delta: DMChannel("fb-parallel", law, {"delta": delta}))
+        mp.setattr(macfb, "uniforms",
+                   lambda seeds, paths, count: on_cdf_entries(rng, cdf, (len(seeds), count)))
+        mp.setattr(macfb, "sample_given", draw)
+        mp.setattr(macfb, "nearest_codeword", decode)
+        macfb.run_fb_simulation(macfb.FBConfig(3, 8, 30, 0.1, seed))
+    (drawn,) = draws  # 30 blocks of 8 uses are one chunk
+    return drawn, words[-4]  # the receiver pass makes the last three decodes
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_draw_is_the_searchsorted_rule_and_skips_zero_mass(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    width = int(rng.integers(3, 9))
+    rows = zero_mass_rows(rng, shape[0] * shape[1], width, 1000)
+    cdf = _pinned_cdf(rows)
+
+    # sample_given, on one or more rows, read at the flat given cell
+    cells_in = tuple(rng.integers(0, size, (5, 7)) for size in shape)
+    cells = np.ravel_multi_index(cells_in, shape)
+    u = on_cdf_entries(rng, cdf, (5, 7))
+    drawn = sample_given(rows.reshape(*shape, width), cells_in, u)
+    assert np.array_equal(drawn, searchsorted_oracle(cdf, cells, u))
+    assert (rows[cells, drawn] > 0).all()
+
+    # sample_cells, over the flattened joint
+    joint = JointPMF([("A", rows.shape[0]), ("B", width)], rows / rows.shape[0])
+    flat = _pinned_cdf(joint.probs.ravel())
+    u = on_cdf_entries(rng, flat, 40)
+    a, b = sample_cells(joint, 40, _Fixed(u))
+    assert np.array_equal(a * width + b, np.searchsorted(flat, u, side="right"))
+    assert (joint.probs[a, b] > 0).all()
+
+    # the feedback run: its outputs, and the first-component bits y >> 2 its
+    # speculation read hands the sum decoder (eighths keep every CDF entry exact)
+    table = zero_mass_rows(rng, 64, 8, 8)
+    (cells, u, y), last_words = fb_run_draws(table, rng, seed)
+    assert np.array_equal(y, searchsorted_oracle(_pinned_cdf(table), cells, u))
+    assert (table[cells, y] > 0).all()
+    book = macfb._seeded_linear_book(3, 8, seed)
+    msgs = pack_bits(stream(seed, 61).integers(0, 2, size=(30, 3, 3)))
+    assert np.array_equal(last_words, pack_bits(y[:-1] >> 2) ^ book[msgs[:-1, 2]])
