@@ -80,7 +80,7 @@ class _ConfigError(Exception):
 class _Emission:
     summary: str
     csv_header: list[str]
-    csv_rows: list[list]
+    csv_rows: list[list] | np.ndarray  # an int array's cells need no _fmt
     json_obj: dict
     plot: list[tuple[float, float]] | None = None
     exit_code: int = 0
@@ -114,8 +114,10 @@ def _write_outputs(name: str, args, emission: _Emission) -> None:
     with open(root / f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(emission.csv_header)
-        for row in emission.csv_rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        if isinstance(emission.csv_rows, np.ndarray):
+            writer.writerows(emission.csv_rows.tolist())
+        else:
+            writer.writerows([_fmt(cell) for cell in row] for row in emission.csv_rows)
     with open(root / f"{name}.json", "w") as fh:
         json.dump(emission.json_obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -213,15 +215,11 @@ def _handle_simulate_macfb(args) -> _Emission:
         "block (index)", "sum_error (count)", "pair_error (count)",
         "third_error (count)", "message_error (count)",
     ]
-    rows = []
-    running = []
-    total = 0
-    for i, events in enumerate(
-        zip(report.sum_errors, report.pair_errors, report.third_errors, report.message_errors)
-    ):
-        rows.append([i + 1, *events])
-        total += events[3]
-        running.append((float(i + 1), total / (i + 1)))
+    block = np.arange(1, report.delivered + 1)
+    rows = np.column_stack((block, report.sum_errors, report.pair_errors, report.third_errors,
+                            report.message_errors))
+    running = list(zip(block.astype(float).tolist(),
+                       (np.cumsum(report.message_errors) / block).tolist()))
     summary = (
         f"k={config.k} n={config.n} blocks={config.blocks} "
         f"sum_rate={report.error_rate('sum')!r} message_rate={report.error_rate('message')!r}"

@@ -8,7 +8,11 @@ returned by :func:`joint_image_probability` are the only floats.
 The binary-code kernel serves every binary decoder.  A word of n <= 62 bits
 is one int64 key, most significant bit first, so a k x n generator's 2^k
 codewords are built by XOR doubling, Hamming distance is a popcount of an
-XOR, and a set of words is a sorted array of distinct keys.
+XOR, and a set of words is a sorted array of distinct keys.  Nearest
+codewords come from a popcount scan of the whole book (the oracle), a
+Hamming-ball search over a key set, or, for a linear book decoded many
+times, a coset-leader table (CosetDecoder): a word y's syndrome names its
+coset, whose minimal-weight patterns e give its nearest codewords y ^ e.
 """
 
 from __future__ import annotations
@@ -37,18 +41,21 @@ __all__ = [
     "xor_closure",
     "nearest_codeword",
     "nearest_in_set",
+    "CosetDecoder",
 ]
 
 # Enumeration guard for verify_image_probability: number of matrices.
 MAX_ENUM_MATRICES = 2**24
 # Secondary guard: cells of the (s1, s2, v1, v2) count table kept in memory.
 MAX_COUNT_CELLS = 2**26
-# Flat cell ids the verifier's tally adds per chunk of matrices.
+# Flat cell ids the verifier's tally, or a closure's presence table, marks per chunk.
 _TALLY_CELLS = 1 << 16
 # Binary words are packed into signed int64 keys.
 MAX_PACKED_BITS = 62
 # Largest temporary of the popcount and closure kernels, in cells.
 _KEY_CHUNK_CELLS = 1 << 22
+# Largest coset-leader table, as syndromes plus within-radius patterns, times n.
+_TABLE_CELLS = 1 << 24
 
 
 def _is_prime(q: int) -> bool:
@@ -286,11 +293,15 @@ def xor_codebook(generator) -> np.ndarray:
     check_cells((2**k, n))
     if not np.isin(g, (0, 1)).all():
         raise ValueError("generator entries must be bits")
-    rows = pack_bits(g)
-    book = np.zeros(2**k, dtype=np.int64)
-    for j, row in enumerate(rows[::-1]):
-        np.bitwise_xor(book[: 1 << j], row, out=book[1 << j : 2 << j])
-    return book
+    return _span(pack_bits(g)[::-1])
+
+
+def _span(rows) -> np.ndarray:
+    """The 2^len(rows) XOR combinations of packed rows; bit j of an index selects rows[j]."""
+    out = np.zeros(1 << len(rows), dtype=np.int64)
+    for j, row in enumerate(rows):
+        np.bitwise_xor(out[: 1 << j], row, out=out[1 << j : 2 << j])
+    return out
 
 
 def distinct_keys(keys) -> np.ndarray:
@@ -305,9 +316,23 @@ def distinct_keys(keys) -> np.ndarray:
 
 
 def xor_closure(keys_a, keys_b) -> np.ndarray:
-    """Sorted distinct pairwise XORs of two key sets, chunked over keys_a."""
+    """Sorted distinct pairwise XORs of two key sets, chunked over keys_a.
+
+    XORs of keys below 2^L stay below 2^L.  So where a 2^L presence table
+    is at most half the bytes of the pairs' int64 XORs, and of one sort
+    chunk, each chunk marks its XORs in it, read off in order at the end;
+    otherwise each chunk's distinct XORs are merged by sorting.
+    """
     keys_a = np.asarray(keys_a, dtype=np.int64)
     keys_b = np.asarray(keys_b, dtype=np.int64)
+    if keys_a.size and keys_b.size and min(keys_a.min(), keys_b.min()) >= 0:
+        cells = 1 << int(max(keys_a.max(), keys_b.max())).bit_length()
+        if cells <= 4 * min(keys_a.size * keys_b.size, _KEY_CHUNK_CELLS):
+            seen = np.zeros(cells, dtype=bool)
+            chunk = max(1, _TALLY_CELLS // keys_b.size)
+            for start in range(0, keys_a.size, chunk):
+                seen[np.bitwise_xor.outer(keys_a[start : start + chunk], keys_b)] = True
+            return np.flatnonzero(seen)
     out = np.zeros(0, dtype=np.int64)
     chunk = max(1, _KEY_CHUNK_CELLS // max(1, keys_b.size))
     for start in range(0, keys_a.size, chunk):
@@ -391,3 +416,153 @@ def nearest_in_set(members, received, n: int):
         tie[open_] = ambiguous
         scanned[open_] = True
     return nearest, tie, scanned
+
+
+def _echelon(rows) -> dict[int, int]:
+    """Reduced echelon basis of packed GF(2) rows, as {pivot bit: row}.
+
+    Each row's pivot is its top bit, and every pivot is clear in the other rows.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        for pivot, b in basis.items():
+            if row >> pivot & 1:
+                row ^= b
+        if row:
+            top = row.bit_length() - 1
+            for pivot, b in basis.items():
+                if b >> top & 1:
+                    basis[pivot] = b ^ row
+            basis[top] = row
+    return basis
+
+
+class CosetDecoder:
+    """nearest_codeword for one packed linear book, by a coset-leader table.
+
+    decoder(received, radius) returns exactly nearest_codeword(book,
+    received, radius) for n-bit received keys, ties included.  The book's
+    rows book[2^j] reduce to a basis of rank r with one pivot bit per row;
+    a word's syndrome is its n - r non-pivot bits after reduction by that
+    basis, and y ^ e is a codeword iff e has y's syndrome.  So the nearest
+    codewords of y are y ^ e over the minimal-weight patterns e of its
+    coset: the index is the lowest book index among them, and every
+    codeword stands at 2^(k - r) indices, so the minimum is shared iff
+    count * 2^(k - r) > 1.  Given the radius the table was built for, the
+    codewords within it number (patterns of weight <= floor(radius) in the
+    coset) * 2^(k - r).
+
+    Minimal patterns are enumerated weight by weight, each one extended by
+    the bits above its top bit: every sub-pattern of a minimal pattern is
+    minimal, so each is generated once, from itself minus its top bit.
+
+    The table is built only when it is the cheaper way to decode ``words``
+    words: about (2^(n - r) + within-radius patterns) * n cells against
+    the scan's words * 2^k, checked before anything is allocated, and under
+    _TABLE_CELLS.  Otherwise, when the book is not the span of its rows, or
+    for another radius, every call is the scan.  Counters: syndromes and
+    leaders (patterns) of the table, 0 without one; words decoded by_table
+    and scanned.
+    """
+
+    def __init__(self, book, n: int, words: int, radius: float | None = None):
+        self.book = book = np.asarray(book, dtype=np.int64)
+        self.radius = radius
+        self.syndromes = self.leaders = self.by_table = self.scanned = 0
+        self._table = None
+        if not book.size or book.size & (book.size - 1):
+            return
+        k = book.size.bit_length() - 1
+        gens = book[1 << np.arange(k)]
+        basis = _echelon(gens.tolist())
+        free = [b for b in range(n) if b not in basis]
+        within = -1 if radius is None else math.floor(min(radius, n))
+        cost = ((1 << len(free)) + sum(math.comb(n, w) for w in range(within + 1))) * n
+        budget = min(words * book.size, _TABLE_CELLS)
+        if cost > budget or not np.array_equal(book, _span(gens)):
+            return
+        # single-bit syndromes: a free bit is itself, a pivot bit its row's free bits
+        syn1 = np.zeros(-(-n // 8) * 8, dtype=np.int64)
+        for j, b in enumerate(free):
+            syn1[b] = 1 << j
+        for pivot, row in basis.items():
+            syn1[pivot] = sum(1 << j for j, b in enumerate(free) if row >> b & 1)
+        table = _leaders(syn1[:n], 1 << len(free), within, budget)
+        if table is None:
+            return
+        order = np.argsort(book, kind="stable")
+        keys = book[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self._syn_bytes = np.stack([_span(syn1[b : b + 8]) for b in range(0, syn1.size, 8)])
+        self._keys, self._first = keys[first], order[first]
+        self._copies = 1 << (k - len(basis))
+        self._table = table
+        self.syndromes, self.leaders = 1 << len(free), table[2].size
+
+    def __call__(self, received, radius: float | None = None):
+        received = np.asarray(received, dtype=np.int64).ravel()
+        if self._table is None or radius not in (None, self.radius) or not received.size:
+            self.scanned += received.size
+            return nearest_codeword(self.book, received, radius)
+        self.by_table += received.size
+        counts, starts, patterns, near = self._table
+        syn = np.zeros(received.size, dtype=np.int64)
+        for byte, tab in enumerate(self._syn_bytes):
+            syn ^= tab[(received >> 8 * byte) & 255]
+        count = counts[syn]
+        firsts = np.cumsum(count) - count
+        ids = np.arange(firsts[-1] + count[-1]) - np.repeat(firsts - starts[syn], count)
+        words = np.repeat(received, count) ^ patterns[ids]
+        index = np.minimum.reduceat(self._first[np.searchsorted(self._keys, words)], firsts)
+        if radius is None:
+            return index, count * self._copies > 1
+        return index, near[syn] * self._copies != 1
+
+
+def _leaders(syn1: np.ndarray, size: int, within: int, budget: int):
+    """Coset-leader table of the single-bit syndromes syn1 over `size` syndromes.
+
+    Returns (counts, starts, patterns, near): each syndrome's minimal
+    patterns are patterns[starts[s] : starts[s] + counts[s]], and near[s]
+    counts its patterns of weight <= within.  Levels up to weight `within`
+    keep every pattern, later levels only the minimal ones.  Returns None
+    once the levels have cost more than budget cells.
+    """
+    n = syn1.size
+    weight = np.full(size, -1, dtype=np.int8)
+    weight[0] = 0
+    pats = syns = np.zeros(1, dtype=np.int64)
+    tops = np.full(1, -1, dtype=np.int64)
+    found_p, found_s, near = [pats], [syns], [syns] if within >= 0 else []
+    w = spent = 0
+    covered = 1
+    while w < n and (covered < size or w < within):
+        w += 1
+        spent += pats.size * n
+        if spent > budget:
+            return None
+        level = []
+        for b in range(n):
+            up = tops < b
+            p, s = pats[up] | (1 << b), syns[up] ^ syn1[b]
+            if w > within:
+                new = weight[s] < 0
+                p, s = p[new], s[new]
+            level.append((p, s, np.full(p.size, b)))
+        pats, syns, tops = (np.concatenate(part) for part in zip(*level))
+        if w <= within:
+            near.append(syns)
+        new = weight[syns] < 0
+        weight[syns[new]] = w
+        covered = np.count_nonzero(weight >= 0)
+        found_p.append(pats[new])
+        found_s.append(syns[new])
+        if w >= within:
+            pats, syns, tops = pats[new], syns[new], tops[new]
+    syns = np.concatenate(found_s)
+    order = np.argsort(syns, kind="stable")
+    counts = np.bincount(syns, minlength=size)
+    starts = np.cumsum(counts) - counts
+    near = np.bincount(np.concatenate(near), minlength=size) if near else np.zeros(size, np.int64)
+    return counts, starts, np.concatenate(found_p)[order], near

@@ -14,11 +14,15 @@ linear code keeps the sum-candidate set as small as the code itself,
 while independent codebooks nearly square it.
 
 Every decoder here runs on gfcore's packed binary-code kernel: codewords
-are int64 keys indexed by message, distances are popcounts.  Each block's
-channel-2 input needs the previous block's sum decode, so the forward and
-feedback pass of the feedback run speculates and verifies a chunk of blocks
-at a time (see run_fb_simulation); the receiver pass and the point-to-point
-reference decode all blocks at once.
+are int64 keys indexed by message.  The feedback run and the point-to-point
+reference decode their one linear book by syndrome, through a coset-leader
+table built once per book (gfcore.CosetDecoder, which keeps the popcount
+scan where the table would cost more); the codebook probe searches Hamming
+balls over the sum set.  Each block's channel-2 input needs the previous
+block's sum decode, so the forward and feedback pass of the feedback run
+speculates and verifies a chunk of blocks at a time (see
+run_fb_simulation); the receiver pass and the point-to-point reference
+decode all blocks at once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +38,8 @@ from .channels import build_fb_parallel_channel
 from .coding import SimReport, wilson_interval
 from .gfcore import (
     MAX_PACKED_BITS,
+    CosetDecoder,
     distinct_keys,
-    nearest_codeword,
     nearest_in_set,
     pack_bits,
     sample_uniform_matrix,
@@ -152,7 +157,7 @@ class FBReport:
     def delivered(self) -> int:
         return len(self.sum_errors)
 
-    @property
+    @cached_property
     def message_errors(self) -> tuple[int, ...]:
         return tuple(max(p, t) for p, t in zip(self.pair_errors, self.third_errors))
 
@@ -306,7 +311,8 @@ def sumset(code_a, code_b) -> SumsetReport:
     return _closure(pack_bits(rows_a), pack_bits(rows_b), rows_a.shape[1])[0]
 
 
-def _receive(book: np.ndarray, y_first: np.ndarray, y_pair: np.ndarray, msgs: np.ndarray):
+def _receive(book: np.ndarray, y_first: np.ndarray, y_pair: np.ndarray, msgs: np.ndarray,
+             decode):
     """Receiver pass over every delivered block: pair and third error flags.
 
     Keys throughout: y_first (blocks,), y_pair (blocks, 2) and the message
@@ -314,13 +320,14 @@ def _receive(book: np.ndarray, y_first: np.ndarray, y_pair: np.ndarray, msgs: np
     b + 1's pair component; the pair likelihood factorizes under the
     clean-state model, so per-user nearest-codeword search is the joint ML
     decision.  Cancelling both decoded words from the stored first
-    component leaves the third message.
+    component leaves the third message.  decode(received) is the book's
+    nearest_codeword decoder.
     """
-    i1, t1 = nearest_codeword(book, y_pair[1:, 0])
-    i2, t2 = nearest_codeword(book, y_pair[1:, 1])
+    i1, t1 = decode(y_pair[1:, 0])
+    i2, t2 = decode(y_pair[1:, 1])
     sent = msgs[:-1]
     pair = t1 | t2 | (i1 != sent[:, 0]) | (i2 != sent[:, 1])
-    i3, t3 = nearest_codeword(book, y_first[:-1] ^ book[i1] ^ book[i2])
+    i3, t3 = decode(y_first[:-1] ^ book[i1] ^ book[i2])
     third = t3 | (i3 != sent[:, 2])
     return pair, third
 
@@ -331,7 +338,7 @@ def run_fb_simulation(
     """Run one feedback simulation and tally per-block error events.
 
     ``sum_decoder`` picks how user 3 recovers the message sum: "ml" is an
-    exact nearest-codeword search over all 2^k candidates, "typicality"
+    exact nearest-codeword decode over all 2^k candidates, "typicality"
     accepts only a unique codeword within radius n*(delta + margin) and
     declares failure otherwise.  Either way user 3 transmits the nearest
     codeword, so the channel-2 state stays well defined after a failure.
@@ -365,6 +372,8 @@ def run_fb_simulation(
     bits = unpack_bits(np.concatenate((np.zeros((1, 3), dtype=np.int64), book[msgs])), n)
     clean = book[msgs[:, 0]] ^ book[msgs[:, 1]]  # user 3's word after a correct sum decode
     radius = None if sum_decoder == "ml" else n * (config.delta + typicality_margin)
+    # about one sum decode per block, and three receiver decodes
+    decode = CosetDecoder(book, n, 4 * (blocks - 1), radius)
     # block b's n channel uses take the uniforms of stream(s), s the sub-seed of path
     # (62, b), as transmit(..., s) draws them: every block's sub-seed in one kernel
     # call, the uniforms for a chunk of blocks per call
@@ -374,7 +383,7 @@ def run_fb_simulation(
     y = np.empty((blocks, n), dtype=np.int64)
     sum_errors = np.zeros(blocks - 1, dtype=bool)
     hat = np.zeros(1, dtype=np.int64)  # user 3's last channel-2 word; block 0 sends zeros
-    sum_decodes = rounds = 0
+    rounds = 0
     for lo in range(0, blocks, chunk):
         hi = min(lo + chunk, blocks)
         u = uniforms(noise_seeds[lo:hi], np.empty((hi - lo, 0), dtype=np.int64), n)
@@ -388,8 +397,7 @@ def run_fb_simulation(
         while True:
             # feedback leg: cancel own codeword, decode the running sums
             z = pack_bits(ones[:sent.shape[0]]) ^ book[sent[:, 2]]
-            idx, failed = nearest_codeword(book, z, radius)
-            sum_decodes += idx.size
+            idx, failed = decode(z, radius)
             rounds += 1
             hats = np.concatenate((hat, book[idx[:hi - lo - 1]]))
             cell = base + unpack_bits(hats, n)
@@ -410,16 +418,16 @@ def run_fb_simulation(
     del u, base, ones, check, cell  # the receiver pass sets the run's memory peak
 
     y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
-    pair_errors, third_errors = _receive(book, pack_bits(y >> 2), y_pair, msgs)
+    pair_errors, third_errors = _receive(book, pack_bits(y >> 2), y_pair, msgs, decode)
 
     code_sumset = None
     if 4**k <= MAX_SUMSET_PAIRS:
         code_sumset = _closure(book, book, n)[0]
-    decodes = sum_decodes + 3 * (blocks - 1)
     streams, calls = np.subtract(tally(), start)
-    _LOG.debug("fb run: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
-               "%d kernel calls, %d verify rounds",
-               decodes, decodes * book.size, streams, calls, rounds)
+    _LOG.debug("fb run: %d words decoded by table, %d scanned, %d syndromes, %d leader "
+               "patterns, %d keyed streams drawn, %d kernel calls, %d verify rounds",
+               decode.by_table, decode.scanned, decode.syndromes, decode.leaders,
+               streams, calls, rounds)
     events = (tuple(e.astype(np.int64).tolist()) for e in (sum_errors, pair_errors, third_errors))
     return FBReport(config, *events, code_sumset)
 
@@ -439,7 +447,7 @@ def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
     book = _seeded_linear_book(config.k, config.n, config.seed)
     sent = pack_bits(stream(config.seed, 63).integers(0, 2, size=(trials, config.k)))
     noise = stream(config.seed, 64).random((trials, config.n)) < config.delta
-    idx, tie = nearest_codeword(book, book[sent] ^ pack_bits(noise))
+    idx, tie = CosetDecoder(book, config.n, trials)(book[sent] ^ pack_bits(noise))
     errors = int(np.count_nonzero(tie | (idx != sent)))
     lo, hi = wilson_interval(errors, trials)
     return SimReport(

@@ -4,16 +4,22 @@ Each fast path is checked against the old implementation, kept here as an
 oracle: bit-row enumeration times the generator, `count_nonzero` scans of
 bit rows, the per-block receiver loop, the per-block `transmit` loop of the
 feedback run, the float32 matmul additive-pair decoder, the per-trial ptp
-noise draws and the full popcount scan of the codebook probe.
+noise draws and the full popcount scan of the codebook probe.  The
+coset-leader table is checked against the popcount scan it stands in for.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import sys
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimac import channels, gfcore, macfb
 from trimac.channels import (
@@ -32,6 +38,7 @@ from trimac.coding import (
     monte_carlo_error,
 )
 from trimac.gfcore import (
+    CosetDecoder,
     distinct_keys,
     nearest_codeword,
     nearest_in_set,
@@ -141,7 +148,8 @@ def old_fb_run(config, sum_decoder):
             hat = book[idx]
             sums.append(int(failed or idx != msgs[block, 0] ^ msgs[block, 1]))
     y_pair = np.stack((pack_bits((y >> 1) & 1), pack_bits(y & 1)), axis=1)
-    pair, third = macfb._receive(book, pack_bits(y >> 2), y_pair, msgs)
+    pair, third = macfb._receive(book, pack_bits(y >> 2), y_pair, msgs,
+                                 partial(nearest_codeword, book))
     return sums, pair.astype(int).tolist(), third.astype(int).tolist()
 
 
@@ -249,7 +257,8 @@ def test_distinct_keys_matches_unique():
 
 def test_xor_closure_matches_outer_unique(small_chunks):
     rng = stream(5, 0)
-    for size_a, size_b, n in ((1, 1, 4), (30, 7, 10), (100, 100, 9), (9, 200, 30)):
+    # (300, 300, 8) marks a 2^8 presence table, in two chunks of keys_a
+    for size_a, size_b, n in ((1, 1, 4), (30, 7, 10), (100, 100, 9), (9, 200, 30), (300, 300, 8)):
         a = rng.integers(0, 2**n, size=size_a)
         b = rng.integers(0, 2**n, size=size_b)
         want = np.unique(np.bitwise_xor.outer(a, b))
@@ -316,6 +325,113 @@ def test_ball_search_matches_full_scan(small_chunks):
     assert 0 < scanned.sum() < scanned.size
 
 
+def _check_table(book, n, received, radius=None, words=10**9):
+    """Decode by a CosetDecoder and by the scan; return the decoder."""
+    decoder = CosetDecoder(book, n, words, radius)
+    got = decoder(received, radius)
+    want = nearest_codeword(book, received, radius)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return decoder
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_coset_table_matches_the_scan(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 13))
+    n = int(rng.integers(k, min(30, k + 16) + 1))
+    g = rng.integers(0, 2, size=(k, n))
+    if k > 1 and seed % 3 == 0:
+        g[-1] = g[0]  # duplicate rows: every codeword at 2^(k - r) indices
+    if k > 2 and seed % 4 == 0:
+        g[1] = g[0] ^ g[2]  # rank deficient without a repeated row
+    book = xor_codebook(g)
+    sent = book[rng.integers(0, book.size, size=300)]
+    flips = np.concatenate([rng.random((100, n)) < delta for delta in (0.02, 0.1, 0.3)])
+    received = sent ^ pack_bits(flips)
+    # exact ties: half of the bits where two codewords differ
+    other = book[rng.integers(0, book.size, size=60)]
+    diff = unpack_bits(sent[:60] ^ other, n)
+    half = np.cumsum(diff, axis=1) <= diff.sum(axis=1, keepdims=True) // 2
+    received[:60] = sent[:60] ^ pack_bits(diff & half)
+    for radius in (None, 0.0, float(rng.uniform(0.5, 4.0))):
+        decoder = _check_table(book, n, received, radius)
+        assert decoder.by_table + decoder.scanned == received.size
+        if n - k <= 12 and radius is None:
+            assert decoder.by_table == received.size
+            assert decoder.syndromes >= 2 ** (n - k) and decoder.leaders >= decoder.syndromes
+
+
+def test_coset_table_reports_ties_of_repeated_and_equidistant_words():
+    # rank 2 of 3 rows: each codeword at two indices, so every decode is ambiguous
+    g = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]])
+    book = xor_codebook(g)
+    received = np.arange(64)
+    decoder = _check_table(book, 6, received)
+    assert decoder.syndromes == 16 and decoder.by_table == 64
+    assert CosetDecoder(book, 6, 10**9)(received)[1].all()
+    for radius in (1.0, 2.5):
+        assert CosetDecoder(book, 6, 10**9, radius)(received, radius)[1].all()
+        _check_table(book, 6, received, radius)
+    # full rank: a word at distance 1 from two codewords ties, and lists both
+    g = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]])
+    book = xor_codebook(g)
+    decoder = _check_table(book, 6, received)
+    index, ambiguous = decoder(pack_bits([[1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0]]))
+    assert index.tolist() == [0, 1] and ambiguous.tolist() == [True, False]
+    for radius in (0.0, 1.0, 1.5, 2.0, 3.0):
+        _check_table(book, 6, received, radius)
+
+
+def test_coset_table_is_built_only_where_it_is_cheaper():
+    rng = stream(11, 0)
+    book = xor_codebook(rng.integers(0, 2, size=(5, 12)))
+    received = rng.integers(0, 2**12, size=500)
+    # a radius above the covering radius counts every pattern of weight <= 6
+    decoder = _check_table(book, 12, received, 6.0, words=2000)
+    assert decoder.syndromes == 2**7 and decoder.by_table == 500
+    # 2^7 * 12 table cells against 10 words * 2^5 scanned: the scan is kept
+    decoder = _check_table(book, 12, received, words=10)
+    assert decoder.syndromes == 0 and decoder.scanned == 500
+    # the table serves its own radius and ML; another radius is scanned
+    decoder = CosetDecoder(book, 12, 2000, 2.0)
+    decoder(received[:7], 3.0)
+    decoder(received[:9])
+    assert (decoder.scanned, decoder.by_table) == (7, 9)
+    # a (10, 24) book: 2^14 syndromes, but sum C(24, w <= 12) patterns within radius 12
+    book = xor_codebook(rng.integers(0, 2, size=(10, 24)))
+    received = rng.integers(0, 2**24, size=200)
+    assert _check_table(book, 24, received, 12.0).syndromes == 0
+    assert _check_table(book, 24, received, 4.0).syndromes == 2**14
+    assert math.comb(24, 12) * 24 > gfcore._TABLE_CELLS
+    # a book that is not the span of its rows is scanned
+    book = pack_bits(np.array([[0] * 6, [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0]]))
+    assert _check_table(book, 6, np.arange(64)).syndromes == 0
+    assert _check_table(book[:3], 6, np.arange(64)).syndromes == 0
+
+
+@pytest.mark.parametrize("k,blocks,bound_mib", [(1, 200, 8), (20, 3, 48)])
+def test_fb_run_at_n_62_keeps_the_scan(caplog, k, blocks, bound_mib):
+    # 2^(62 - r) syndromes are far past any table: every decode is scanned
+    cfg = FBConfig(k, 62, blocks, 0.1, 0)
+    for decoder in ("ml", "typicality"):
+        caplog.clear()
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="trimac"):
+                rep = run_fb_simulation(cfg, sum_decoder=decoder)
+                ptp_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "trimac"]
+        decodes = 4 * (blocks - 1)
+        assert line.startswith(f"fb run: 0 words decoded by table, {decodes} scanned, "
+                               "0 syndromes, 0 leader patterns, ")
+        assert rep.delivered == blocks - 1
+
+
 # ---------------------------------------------------------------- callers
 
 
@@ -333,7 +449,9 @@ def test_batched_receiver_matches_per_block_loop():
         y_first = rows[idx[:, 0]] ^ rows[idx[:, 1]] ^ rows[idx[:, 2]] ^ flips((blocks, n))
         y_pair = rows[np.roll(idx[:, :2], 1, axis=0)] ^ flips((blocks, 2, n))
         want = old_receiver(rows, y_first, y_pair, msgs)
-        pair, third = macfb._receive(pack_bits(rows), pack_bits(y_first), pack_bits(y_pair), idx)
+        book = pack_bits(rows)
+        pair, third = macfb._receive(book, pack_bits(y_first), pack_bits(y_pair), idx,
+                                     partial(nearest_codeword, book))
         assert (pair.astype(int).tolist(), third.astype(int).tolist()) == want
         if distinct_keys(pack_bits(rows)).size < rows.shape[0]:
             assert sum(want[0]) == blocks - 1  # every word repeats, so every decode ties
@@ -463,10 +581,13 @@ def test_each_simulation_logs_one_kernel_line(caplog):
     # 30 sub-seeds in one kernel call; per trial the matrix, the offsets, the
     # source block and the noise each open one stream (counted on the workers)
     assert lines[0].endswith(", 70 keyed streams drawn, 1 kernel calls")
-    # seeds 60 and 61 and the uniform matrix, then 21 sub-seeds and 21 noise rows,
-    # all 21 blocks' uniforms in one chunk, whose first lookup needs no second round
-    assert lines[1] == (f"fb run: 80 decodes, {80 * 8} popcount cells scored, "
-                        "45 keyed streams drawn, 2 kernel calls, 1 verify rounds")
+    # 20 sum and 60 receiver decodes, by a table of 2^(8 - 3) syndromes (cheaper
+    # than 80 scans of 2^3 words); seeds 60 and 61 and the uniform matrix, then
+    # 21 sub-seeds and 21 noise rows, all 21 blocks' uniforms in one chunk, whose
+    # first lookup needs no second round
+    assert lines[1] == ("fb run: 80 words decoded by table, 0 scanned, 32 syndromes, "
+                        "40 leader patterns, 45 keyed streams drawn, 2 kernel calls, "
+                        "1 verify rounds")
     assert lines[2].startswith("codebook probe: 100 decodes, ")
     resolved, scanned = (int(lines[2].split(", ")[i].split()[0]) for i in (2, 3))
     assert resolved + scanned == 100

@@ -370,15 +370,16 @@ def fb_run_draws(table, rng, seed):
     law = ConditionalPMF([("X1", 4), ("X2", 4), ("X3", 4)], [("Y", 8)], table.reshape(4, 4, 4, 8))
     cdf = _pinned_cdf(table)
     draws, words = [], []
-    real_draw, real_decode = macfb.sample_given, macfb.nearest_codeword
+    real_draw = macfb.sample_given
 
     def draw(tab, cells, u):
         draws.append((cells[0], u, real_draw(tab, cells, u)))
         return draws[-1][2]
 
-    def decode(book, received, radius=None):
-        words.append(np.asarray(received))
-        return real_decode(book, received, radius)
+    class Decoder(macfb.CosetDecoder):
+        def __call__(self, received, radius=None):
+            words.append(np.asarray(received))
+            return super().__call__(received, radius)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(macfb, "build_fb_parallel_channel",
@@ -386,7 +387,7 @@ def fb_run_draws(table, rng, seed):
         mp.setattr(macfb, "uniforms",
                    lambda seeds, paths, count: on_cdf_entries(rng, cdf, (len(seeds), count)))
         mp.setattr(macfb, "sample_given", draw)
-        mp.setattr(macfb, "nearest_codeword", decode)
+        mp.setattr(macfb, "CosetDecoder", Decoder)
         macfb.run_fb_simulation(macfb.FBConfig(3, 8, 30, 0.1, seed))
     (drawn,) = draws  # 30 blocks of 8 uses are one chunk
     return drawn, words[-4]  # the receiver pass makes the last three decodes
