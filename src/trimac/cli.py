@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,10 +185,7 @@ def _handle_simulate_mac(args) -> _Emission:
         "ci_lo (probability)", "ci_hi (probability)", "seed (id)",
         "scheme (id)", "channel (id)",
     ]
-    rows = [
-        [r.n, r.trials, r.errors, r.p_hat, r.ci_lo, r.ci_hi, r.seed, r.scheme_kind, r.channel_kind]
-        for r in runs
-    ]
+    rows = [astuple(r) for r in runs]
     obj = {
         "channel": channel.kind,
         "delta": args.delta,
@@ -440,11 +437,7 @@ def _handle_structure_measure(args) -> _Emission:
         [i, s.sigma, s.gamma, s.tv] for i, s in enumerate(report.samples)
     ]
     obj = {
-        "delta": report.delta,
-        "gamma_star": report.gamma_star,
-        "bound": report.bound,
-        "grid_slack": report.grid_slack,
-        "min_tv": report.min_tv,
+        **asdict(report),
         "satisfied": report.satisfied,
         "samples": [{"sigma": s.sigma, "gamma": s.gamma, "tv": s.tv} for s in report.samples],
     }
@@ -468,17 +461,7 @@ def _handle_verify_lemmas(args) -> _Emission:
         args.lemma, report.q, report.k, report.n, report.matrices,
         report.index_pairs, report.max_abs_deviation, report.ok,
     ]]
-    obj = {
-        "lemma": args.lemma,
-        "q": report.q,
-        "k": report.k,
-        "n": report.n,
-        "matrices": report.matrices,
-        "index_pairs": report.index_pairs,
-        "case_counts": {str(key): int(val) for key, val in report.case_counts.items()},
-        "max_abs_deviation": report.max_abs_deviation,
-        "ok": report.ok,
-    }
+    obj = {"lemma": args.lemma, **asdict(report)}
     summary = (
         f"lemma={args.lemma} q={report.q} k={report.k} n={report.n} "
         f"deviation={report.max_abs_deviation!r} ok={_fmt(report.ok)}"

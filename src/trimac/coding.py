@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -477,6 +477,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
 
 @dataclass(frozen=True)
 class SimReport:
+    """Errors and Wilson interval at one block length; its fields are the JSON keys and CSV row."""
+
     n: int
     trials: int
     errors: int
@@ -488,17 +490,7 @@ class SimReport:
     channel_kind: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "errors": self.errors,
-            "p_hat": self.p_hat,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "seed": self.seed,
-            "scheme_kind": self.scheme_kind,
-            "channel_kind": self.channel_kind,
-        }
+        return asdict(self)
 
 
 def monte_carlo_error(

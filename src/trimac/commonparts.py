@@ -16,7 +16,7 @@ affine codes on a zero-sum source are not, for any delta >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -246,6 +246,8 @@ def memoryless_conditional_sampler(conditionals) -> StrategySampler:
 
 @dataclass(frozen=True)
 class UnstructurednessReport:
+    """Worst map's vanishing probability; the JSON keys are the fields but estimates."""
+
     n: int
     trials: int
     map_count: int
@@ -256,15 +258,9 @@ class UnstructurednessReport:
     estimates: np.ndarray
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "map_count": self.map_count,
-            "delta_hat": self.delta_hat,
-            "best_mask": self.best_mask,
-            "best_estimate": self.best_estimate,
-            "best_se": self.best_se,
-        }
+        out = asdict(self)
+        del out["estimates"]
+        return out
 
 
 def unstructuredness_estimate(

@@ -193,7 +193,7 @@ def joint_image_probability(s1, s2, v1, v2, q: int) -> float:
 
 @dataclass(frozen=True)
 class ImageProbabilityReport:
-    """Exhaustive check of the joint image law for one (q, k, n)."""
+    """Exhaustive check of the joint image law for one (q, k, n); its fields are JSON keys."""
 
     q: int
     k: int

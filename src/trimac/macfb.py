@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -111,7 +111,7 @@ class FBConfig:
 
 @dataclass(frozen=True)
 class SumsetReport:
-    """Codebook sizes, their pairwise-XOR set size, and the rate gap."""
+    """Codebook sizes, their pairwise-XOR set size; the JSON keys are these and gap_bits_per_use."""
 
     n: int
     size_a: int
@@ -124,13 +124,7 @@ class SumsetReport:
         return abs(math.log2(self.size_sum) - math.log2(self.size_a)) / self.n
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "size_sum": self.size_sum,
-            "gap_bits_per_use": self.gap,
-        }
+        return {**asdict(self), "gap_bits_per_use": self.gap}
 
 
 @dataclass(frozen=True)
@@ -183,13 +177,7 @@ class FBReport:
 
     def to_json(self) -> dict:
         out = {
-            "config": {
-                "k": self.config.k,
-                "n": self.config.n,
-                "blocks": self.config.blocks,
-                "delta": self.config.delta,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "delivered_blocks": self.delivered,
             "events": {},
             "code_sumset": None if self.code_sumset is None else self.code_sumset.to_json(),
@@ -208,7 +196,7 @@ class FBReport:
 
 @dataclass(frozen=True)
 class ProbeRow:
-    """One arm of the paired sum-decoding comparison."""
+    """One arm of the paired sum-decoding comparison; the JSON keys are the fields."""
 
     scheme: str
     trials: int
@@ -219,20 +207,12 @@ class ProbeRow:
     sumset: SumsetReport
 
     def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "trials": self.trials,
-            "errors": self.errors,
-            "p_hat": self.p_hat,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "sumset": self.sumset.to_json(),
-        }
+        return {**asdict(self), "sumset": self.sumset.to_json()}
 
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Matched-rate comparison of codebook pairings for sum decoding."""
+    """Matched-rate comparison of codebook pairings for sum decoding; JSON keys are the fields."""
 
     k: int
     n: int
@@ -248,14 +228,7 @@ class ProbeReport:
         raise KeyError(scheme)
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": [row.to_json() for row in self.rows],
-        }
+        return {**asdict(self), "rows": [row.to_json() for row in self.rows]}
 
 
 def _bit_rows(code) -> np.ndarray:
@@ -422,7 +395,9 @@ def run_fb_simulation(
 
     code_sumset = None
     if 4**k <= MAX_SUMSET_PAIRS:
-        code_sumset = _closure(book, book, n)[0]
+        # the book is the span of its rows, so it is its own XOR closure
+        size = int(distinct_keys(book).size)
+        code_sumset = SumsetReport(n, size, size, size)
     streams, calls = np.subtract(tally(), start)
     _LOG.debug("fb run: %d words decoded by table, %d scanned, %d syndromes, %d leader "
                "patterns, %d keyed streams drawn, %d kernel calls, %d verify rounds",
@@ -508,6 +483,8 @@ def structure_necessity_probe(
         raise ValueError("trials must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if 4**k > MAX_SUMSET_PAIRS:  # checked before either arm's books are drawn
+        raise ValueError(f"2^{k} x 2^{k} codeword pairs exceed the {MAX_SUMSET_PAIRS} pair guard")
     linear = _seeded_linear_book(k, n, seed)
     random_books = pack_bits(stream(seed, 65).integers(0, 2, size=(2, 2**k, n)))
     arms = (

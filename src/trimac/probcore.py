@@ -324,10 +324,17 @@ def chain_all(factors) -> JointPMF:
     return joint
 
 
-def _cellwise(fn, grids: np.ndarray) -> tuple:
-    """fn on the flat index rows of every cell at once: one index array per output."""
+def _cellwise(fn, shape, axes) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Index rows of every cell of `shape` and fn's destinations on them, each range-checked."""
+    grids = np.indices(shape).reshape(len(shape), -1)
     out = fn(*grids)
-    return out if isinstance(out, tuple) else (out,)
+    dest = tuple(np.asarray(d) for d in (out if isinstance(out, tuple) else (out,)))
+    if len(dest) != len(axes):
+        raise ValueError(f"fn returned {len(dest)} index arrays for {len(axes)} axes")
+    for d, (name, alpha) in zip(dest, axes):
+        if d.min() < 0 or d.max() >= alpha.size:
+            raise ValueError(f"derived axis {name!r} values escape [0, {alpha.size})")
+    return grids, dest
 
 
 def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
@@ -338,23 +345,21 @@ def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
     """
     new_axes = _norm_axes(new_axes)
     out_shape = tuple(a.size for _, a in new_axes)
+    check_cells(out_shape)
+    _, dest = _cellwise(mapping, p.shape, new_axes)
     out = np.zeros(out_shape, dtype=np.float64)
-    grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    dest = _cellwise(mapping, grids)
-    np.add.at(out, tuple(np.asarray(d) for d in dest), p.probs.ravel())
+    np.add.at(out, dest, p.probs.ravel())
     return JointPMF(new_axes, out)
 
 
 def add_derived_axis(p: JointPMF, name: str, size: int, fn) -> JointPMF:
     """Append a deterministic function of the existing axes as a new axis (fn as in push_forward)."""
+    axis = (name, Alphabet(size))
     check_cells(p.shape + (size,))
-    grids = np.indices(p.shape).reshape(len(p.shape), -1)
-    vals = np.asarray(_cellwise(fn, grids)[0])
-    if vals.min() < 0 or vals.max() >= size:
-        raise ValueError(f"derived axis {name!r} values escape [0, {size})")
-    out = np.zeros((grids.shape[1], size), dtype=np.float64)
-    out[np.arange(grids.shape[1]), vals] = p.probs.ravel()
-    return JointPMF._wrap(p.axes + ((name, Alphabet(size)),), out.reshape(p.shape + (size,)))
+    _, (vals,) = _cellwise(fn, p.shape, (axis,))
+    out = np.zeros((p.probs.size, size), dtype=np.float64)
+    out[np.arange(p.probs.size), vals] = p.probs.ravel()
+    return JointPMF._wrap(p.axes + (axis,), out.reshape(p.shape + (size,)))
 
 
 def deterministic_conditional(given_axes, target_axes, fn) -> ConditionalPMF:
@@ -363,10 +368,10 @@ def deterministic_conditional(given_axes, target_axes, fn) -> ConditionalPMF:
     target_axes = _norm_axes(target_axes)
     g_shape = tuple(a.size for _, a in given_axes)
     t_shape = tuple(a.size for _, a in target_axes)
+    check_cells(g_shape + t_shape)
+    grids, dest = _cellwise(fn, g_shape, target_axes)
     table = np.zeros(g_shape + t_shape, dtype=np.float64)
-    grids = np.indices(g_shape).reshape(len(g_shape), -1)
-    dest = _cellwise(fn, grids)
-    table[tuple(grids) + tuple(np.asarray(d) for d in dest)] = 1.0
+    table[tuple(grids) + dest] = 1.0
     return ConditionalPMF(given_axes, target_axes, table)
 
 

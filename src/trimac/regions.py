@@ -1232,6 +1232,8 @@ class TVSample:
 
 @dataclass(frozen=True)
 class TVBoundReport:
+    """Sampled TV distances of product strategies; the JSON keys are the fields and satisfied."""
+
     delta: float
     gamma_star: float
     bound: float

@@ -225,3 +225,32 @@ def test_readme_examples_run(tmp_path, capsys):
     for line in lines:
         argv = shlex.split(line)[1:]
         assert run([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0, line
+
+
+# The report writers state their JSON keys through dataclasses.asdict; each
+# run's CSV and JSON text is pinned in writer_pins.json, recorded from the
+# writers that listed every field by hand.
+PINNED_RUNS = {
+    "simulate-mac-linear": ["simulate-mac", "--n-list", "4,6", "--trials", "12",
+                            "--workers", "1"],
+    "simulate-mac-unstructured": ["simulate-mac", "--scheme", "unstructured", "--n-list", "4",
+                                  "--trials", "12", "--workers", "1"],
+    "simulate-macfb-k3": ["simulate-macfb", "--k", "3", "--n", "8", "--blocks", "40",
+                          "--with-ptp"],
+    # k = 14 is past the sumset's pair guard: code_sumset is null
+    "simulate-macfb-k14": ["simulate-macfb", "--k", "14", "--n", "24", "--blocks", "4",
+                           "--delta", "0.02", "--with-ptp"],
+    "structure-measure-input-law": ["structure-measure", "--count", "3"],
+    "structure-measure-codebooks": ["structure-measure", "--target", "codebooks", "--k", "4",
+                                    "--n", "8", "--trials", "40"],
+    "verify-lemmas": ["verify-lemmas", "--q", "2", "--k", "2", "--n", "2"],
+}
+WRITER_PINS = json.loads((Path(__file__).parent / "writer_pins.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_report_writers_keep_their_bytes(tmp_path, name):
+    argv = PINNED_RUNS[name]
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"{argv[0]}.{ext}").read_text() == WRITER_PINS[name][ext]

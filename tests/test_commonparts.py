@@ -147,6 +147,9 @@ def test_identical_affine_strategy_is_structured():
                       for x1 in range(2) for x2 in range(2) for x3 in range(2)
                       if x1 ^ x2 ^ x3)
     assert rep.estimates[parity_mask - 1] == 1.0
+    assert set(rep.to_json()) == {
+        "n", "trials", "map_count", "delta_hat", "best_mask", "best_estimate", "best_se",
+    }
 
 
 def test_memoryless_strategy_is_unstructured():

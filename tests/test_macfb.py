@@ -27,6 +27,8 @@ from trimac.macfb import (
     linear_codebook,
     ptp_simulation,
     run_fb_simulation,
+    _closure,
+    _seeded_linear_book,
     structure_necessity_probe,
     sumset,
 )
@@ -213,6 +215,18 @@ def test_fb_typicality_flag_changes_bookkeeping_not_the_state():
         run_fb_simulation(cfg, typicality_margin=0.0)
 
 
+def test_fb_code_sumset_is_the_closure_of_its_book():
+    # a span is closed under XOR, so the run counts the book's distinct words
+    full_rank = set()
+    for seed in range(12):
+        for k, n in ((3, 3), (4, 6), (6, 8)):
+            rep = run_fb_simulation(FBConfig(k, n, 2, 0.1, seed))
+            book = _seeded_linear_book(k, n, seed)
+            assert rep.code_sumset == _closure(book, book, n)[0]
+            full_rank.add(rep.code_sumset.size_sum == 2**k)
+    assert full_rank == {True, False}
+
+
 def test_fb_config_validation():
     assert FBConfig(4, 16, 5, 0.1, 0).rate == 0.25
     for bad in (
@@ -286,6 +300,18 @@ def test_probe_serialization_and_validation():
                  (4, 8, 0.1, 0, 0), (4, 8, 0.1, 10, -3)):
         with pytest.raises(ValueError):
             structure_necessity_probe(*args)
+
+
+def test_probe_pair_guard_fires_before_any_book_is_drawn():
+    # 4^16 pairs pass MAX_SUMSET_PAIRS; the two 2^16 x 60 random books alone are 62 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="guard"):
+            structure_necessity_probe(16, 60, 0.1, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ptp_simulation_defaults_and_fields():

@@ -208,6 +208,39 @@ def test_deterministic_conditional_routes_all_mass():
     assert cond.table[1, 1, 0] == 1.0
 
 
+def test_cell_maps_refuse_destinations_outside_their_axes():
+    # s - 1 sends A = 0 to -1, which numpy would read as the last symbol
+    law = JointPMF([("A", 3)], [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="values escape"):
+        deterministic_conditional([("A", 3)], [("X", 2)], lambda s: s - 1)
+    with pytest.raises(ValueError, match="values escape"):
+        push_forward(law, lambda s: s - 1, [("X", 2)])
+    with pytest.raises(ValueError, match="values escape"):
+        add_derived_axis(law, "X", 2, lambda s: s - 1)
+    with pytest.raises(ValueError, match="values escape"):
+        push_forward(law, lambda s: (s % 2, s), [("X", 2), ("Y", 2)])
+    with pytest.raises(ValueError, match="2 index arrays for 1 axes"):
+        deterministic_conditional([("A", 3)], [("X", 2)], lambda s: (s % 2, s % 2))
+
+
+def test_cell_maps_check_the_cap_before_calling_fn(monkeypatch):
+    monkeypatch.setattr("trimac.probcore.MAX_CELLS", 100)
+    calls = []
+
+    def label(*grids):
+        calls.append(len(grids))
+        return grids[0] % 10
+
+    law = JointPMF([("A", 20)], np.full(20, 0.05))
+    with pytest.raises(ValueError, match="cap"):
+        deterministic_conditional([("A", 20)], [("X", 10)], label)
+    with pytest.raises(ValueError, match="cap"):
+        push_forward(law, label, [("X", 101)])
+    with pytest.raises(ValueError, match="cap"):
+        add_derived_axis(law, "X", 10, label)
+    assert not calls
+
+
 def test_tv_distance_basic():
     p = JointPMF([("X", 2)], [0.5, 0.5])
     q = JointPMF([("X", 2)], [0.8, 0.2])
