@@ -47,11 +47,24 @@ class DMChannel:
 
     @property
     def input_sizes(self) -> tuple[int, int, int]:
-        return tuple(a.size for _, a in self.transition.given_axes)
+        return tuple(size for _, size in self.transition.given_axes)
 
     @property
     def output_size(self) -> int:
-        return self.transition.target_axes[0][1].size
+        return self.transition.target_axes[0][1]
+
+
+def _bsc(delta: float) -> np.ndarray:
+    """BSC(delta) transition table, indexed [input, output]."""
+    return np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
+
+
+def _additive_pair_table(delta: float) -> np.ndarray:
+    """The additive-pair table, indexed [x1, x2, x3, 2*y1 + y2]."""
+    bsc = _bsc(delta)
+    clean = (bsc[:, None, :, None] * bsc[None, :, None, :]).reshape(2, 2, 4)
+    x1, x2, x3 = np.indices((2, 2, 2))
+    return np.where((x3 == x1 ^ x2)[..., None], clean[x1, x2], 0.25)
 
 
 def build_additive_pair_channel(delta: float) -> DMChannel:
@@ -62,18 +75,7 @@ def build_additive_pair_channel(delta: float) -> DMChannel:
     """
     if not 0.0 <= delta <= 0.5:
         raise ValueError("delta must lie in [0, 1/2]")
-    table = np.zeros((2, 2, 2, 4))
-    for x1 in range(2):
-        for x2 in range(2):
-            for x3 in range(2):
-                for y1 in range(2):
-                    for y2 in range(2):
-                        if x3 == x1 ^ x2:
-                            p1 = delta if y1 != x1 else 1.0 - delta
-                            p2 = delta if y2 != x2 else 1.0 - delta
-                            table[x1, x2, x3, 2 * y1 + y2] = p1 * p2
-                        else:
-                            table[x1, x2, x3, 2 * y1 + y2] = 0.25
+    table = _additive_pair_table(delta)
     cond = ConditionalPMF(list(zip(INPUT_NAMES, (2, 2, 2))), [("Y", 4)], table)
     return DMChannel("additive-pair", cond, {"delta": delta})
 
@@ -88,13 +90,8 @@ def quaternary_noise_law(delta: float) -> np.ndarray:
 def build_quaternary_channel(delta: float) -> DMChannel:
     """Binary inputs, Z_4 output: Y = (x1 xor x2) + x3 + N mod 4."""
     noise = quaternary_noise_law(delta)
-    table = np.zeros((2, 2, 2, 4))
-    for x1 in range(2):
-        for x2 in range(2):
-            for x3 in range(2):
-                for nv in range(4):
-                    y = ((x1 ^ x2) + x3 + nv) % 4
-                    table[x1, x2, x3, y] += noise[nv]
+    x1, x2, x3, y = np.indices((2, 2, 2, 4))
+    table = noise[(y - (x1 ^ x2) - x3) % 4]
     cond = ConditionalPMF(list(zip(INPUT_NAMES, (2, 2, 2))), [("Y", 4)], table)
     return DMChannel("quaternary", cond, {"delta": delta})
 
@@ -109,24 +106,10 @@ def build_fb_parallel_channel(delta: float) -> DMChannel:
     """
     if not 0.0 <= delta < 0.5:
         raise ValueError("delta must lie in [0, 1/2)")
-    table = np.zeros((4, 4, 4, 8))
-    for c1 in range(4):
-        x11, x12 = divmod(c1, 2)
-        for c2 in range(4):
-            x21, x22 = divmod(c2, 2)
-            for c3 in range(4):
-                x31, x32 = divmod(c3, 2)
-                for y1 in range(2):
-                    p_first = delta if y1 != x11 ^ x21 ^ x31 else 1.0 - delta
-                    for y21 in range(2):
-                        for y22 in range(2):
-                            if x32 == x12 ^ x22:
-                                p1 = delta if y21 != x12 else 1.0 - delta
-                                p2 = delta if y22 != x22 else 1.0 - delta
-                                p_second = p1 * p2
-                            else:
-                                p_second = 0.25
-                            table[c1, c2, c3, 4 * y1 + 2 * y21 + y22] = p_first * p_second
+    (x11, x21, x31), (x12, x22, x32) = np.divmod(np.indices((4, 4, 4)), 2)
+    first = _bsc(delta)[x11 ^ x21 ^ x31]
+    second = _additive_pair_table(delta)[x12, x22, x32]
+    table = (first[..., :, None] * second[..., None, :]).reshape(4, 4, 4, 8)
     cond = ConditionalPMF(list(zip(INPUT_NAMES, (4, 4, 4))), [("Y", 8)], table)
     return DMChannel("fb-parallel", cond, {"delta": delta})
 

@@ -1,11 +1,12 @@
 """Batch experiment runner: simulations, region reports, frontier sweeps.
 
-Every subcommand reads an optional flat key=value config file (flags win),
-writes a CSV and a JSON report with deterministic names into the output
-directory (flag --out-dir, else TRIMAC_OUT_DIR, else the working
-directory), and prints a one-line summary.  Re-running the same
-configuration reproduces the output files byte for byte.  Exit codes:
-0 success, 2 for configuration or guard problems, 1 for runtime failures.
+Every subcommand reads an optional flat key=value config file, whose lines
+its parser reads as flags (flags on the command line win), writes a CSV
+and a JSON report with deterministic names into the output directory (flag
+--out-dir, else TRIMAC_OUT_DIR, else the working directory), and prints a
+one-line summary.  Re-running the same configuration reproduces the output
+files byte for byte.  Exit codes: 0 success, 2 for configuration or guard
+problems, 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .channels import (
 from .coding import (
     build_linear_jscc,
     build_unstructured_jscc,
+    check_decode_cost,
     ml_decode,
     ml_decode_additive_pair,
     monte_carlo_error,
@@ -175,6 +177,10 @@ def _handle_simulate_mac(args) -> _Emission:
         def factory_for(n):
             return lambda s: build_unstructured_jscc(source, tables, n, s)
         decoder = ml_decode
+    if decoder is ml_decode:
+        support = source.support().shape[0]
+        for n in n_list:
+            check_decode_cost(support, n, args.trials)
     workers = args.workers or os.cpu_count() or 1
     runs = [
         monte_carlo_error(channel, factory_for(n), decoder, args.trials, args.seed, workers=workers)
@@ -304,11 +310,7 @@ def _region_macfb(args):
 
 def _handle_region(args) -> _Emission:
     family = args.family
-    preset = args.preset or _FAMILY_PRESETS[family]
-    if preset != _FAMILY_PRESETS[family]:
-        raise ValueError(
-            f"family {family} only knows preset {_FAMILY_PRESETS[family]!r}, got {preset!r}"
-        )
+    preset = _FAMILY_PRESETS[family]
     builder = {
         "ces2": _region_ces2,
         "cl2": _region_cl2,
@@ -450,20 +452,19 @@ def _handle_structure_measure(args) -> _Emission:
 
 
 def _handle_verify_lemmas(args) -> _Emission:
-    if args.lemma != "image-probability":
-        raise ValueError(f"unknown lemma {args.lemma!r}; choose image-probability")
+    lemma = "image-probability"
     report = verify_image_probability(args.q, args.k, args.n)
     header = [
         "lemma (id)", "q (modulus)", "k (rows)", "n (cols)", "matrices (count)",
         "index_pairs (count)", "max_deviation (probability)", "ok (flag)",
     ]
     rows = [[
-        args.lemma, report.q, report.k, report.n, report.matrices,
+        lemma, report.q, report.k, report.n, report.matrices,
         report.index_pairs, report.max_abs_deviation, report.ok,
     ]]
-    obj = {"lemma": args.lemma, **asdict(report)}
+    obj = {"lemma": lemma, **asdict(report)}
     summary = (
-        f"lemma={args.lemma} q={report.q} k={report.k} n={report.n} "
+        f"lemma={lemma} q={report.q} k={report.k} n={report.n} "
         f"deviation={report.max_abs_deviation!r} ok={_fmt(report.ok)}"
     )
     return _Emission(summary, header, rows, obj, exit_code=0 if report.ok else 1)
@@ -474,7 +475,7 @@ def _handle_verify_lemmas(args) -> _Emission:
 
 
 def _add_common(parser: argparse.ArgumentParser, plot: bool = False) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags win")
+    parser.add_argument("--config", help="flat key=value file of flags; flags given here win")
     parser.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     if plot:
         parser.add_argument(
@@ -528,7 +529,6 @@ def _build_parsers() -> dict:
     p = argparse.ArgumentParser(prog="trimac region")
     _add_common(p)
     p.add_argument("--family", choices=tuple(_FAMILY_PRESETS), required=True)
-    p.add_argument("--preset", help="named instance; each family has exactly one")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--gamma", default="star", help="float or 'star' for the threshold bias")
     p.add_argument("--alpha", type=float, default=0.0)
@@ -567,7 +567,6 @@ def _build_parsers() -> dict:
 
     p = argparse.ArgumentParser(prog="trimac verify-lemmas")
     _add_common(p)
-    p.add_argument("--lemma", default="image-probability")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
@@ -576,12 +575,18 @@ def _build_parsers() -> dict:
     return parsers
 
 
-def _load_config(path: str) -> dict[str, str]:
-    entries = {}
+def _config_flags(path: str, known: dict) -> list[str]:
+    """A config file's key=value lines as --key=value flags.
+
+    known is the subcommand's namespace from a first parse; a key must name
+    one of its flags other than --config.  A boolean flag's value is
+    1/true/yes, read as the bare flag, or 0/false/no, read as no flag.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _ConfigError(f"cannot read config file: {exc}") from None
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -589,39 +594,17 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise _ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _apply_config(parser: argparse.ArgumentParser, entries: dict[str, str]) -> None:
-    actions = {a.dest: a for a in parser._actions}
-    defaults = {}
-    for key, raw in entries.items():
-        action = actions.get(key)
-        if action is None or key in ("help", "config"):
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in known or key == "config":
             raise _ConfigError(f"unknown config key: {key}")
-        if isinstance(action, argparse._StoreTrueAction):
-            low = raw.lower()
-            if low in ("1", "true", "yes"):
-                defaults[key] = True
-            elif low in ("0", "false", "no"):
-                defaults[key] = False
-            else:
-                raise _ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-            continue
-        if action.type is not None:
-            try:
-                value = action.type(raw)
-            except (TypeError, ValueError):
-                raise _ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-        else:
-            value = raw
-        if action.choices is not None and value not in action.choices:
-            raise _ConfigError(
-                f"config key {key}: {value!r} not in {sorted(action.choices)}"
-            )
-        defaults[key] = value
-    parser.set_defaults(**defaults)
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(known[key], bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise _ConfigError(f"config key {key}: expected a boolean, got {value!r}")
+    return flags
 
 
 def run(argv) -> int:
@@ -640,8 +623,8 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv[1:])
         if args.config:
-            _apply_config(parser, _load_config(args.config))
-            args = parser.parse_args(argv[1:])
+            # config flags come first, so a flag given on the command line wins
+            args = parser.parse_args(_config_flags(args.config, vars(args)) + argv[1:])
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

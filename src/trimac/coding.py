@@ -73,9 +73,15 @@ __all__ = [
     "typicality_decode",
     "monte_carlo_error",
     "wilson_interval",
+    "check_decode_cost",
 ]
 
 MAX_CANDIDATES = 2**26
+# Candidate-positions (support^n candidates times n positions, summed over a
+# run's decodes) the generic decoders may score in one run: about a minute
+# at the 30-34M candidate-positions/s ml_decode scored at n = 10-12
+# (support 4, quaternary channel) on a 2-vCPU VM with numpy 2.4.
+MAX_DECODE_WORK = 2 * 10**9
 # candidate rows scored per chunk by the generic decoders
 _CHUNK = 1 << 18
 
@@ -280,6 +286,24 @@ def build_hybrid_scheme(source: SourceModel, dist, n: int, seed: int) -> CodingS
     return _layered_scheme("hybrid", source, dist, n, seed, affine)
 
 
+def check_decode_cost(support: int, n: int, decodes: int) -> int:
+    """support^n, the candidates of one generic decode at block length n.
+
+    Raises, before any work is spent, when one decode passes MAX_CANDIDATES
+    or `decodes` decodes pass MAX_DECODE_WORK candidate-positions.
+    """
+    total = support**n
+    if total > MAX_CANDIDATES:
+        raise ValueError(f"candidate space {total} at n = {n} exceeds the {MAX_CANDIDATES} guard")
+    work = total * n * decodes
+    if work > MAX_DECODE_WORK:
+        raise ValueError(
+            f"{decodes} decodes of {total} candidates at n = {n} score {work} "
+            f"candidate-positions, past the {MAX_DECODE_WORK} work cap"
+        )
+    return total
+
+
 def _candidates(scheme: CodingScheme, n: int):
     """Per-user codebook tables and all support^n candidate triples.
 
@@ -291,9 +315,7 @@ def _candidates(scheme: CodingScheme, n: int):
     """
     support = scheme.source.support()
     m = support.shape[0]
-    total = m**n
-    if total > MAX_CANDIDATES:
-        raise ValueError(f"candidate space {total} exceeds the {MAX_CANDIDATES} guard")
+    total = check_decode_cost(m, n, 1)
     symbols, codes = zip(*(np.unique(support[:, i], return_inverse=True) for i in range(3)))
     for sym in symbols:
         check_cells((len(sym)**n, n))
@@ -464,10 +486,15 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
     return DecodeResult(tuple(support[:, i][hits[0]] for i in range(3)))
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+# The standard normal's 97.5 percent quantile: a two-sided 95 percent interval.
+_WILSON_Z = 1.959963984540054
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """95 percent Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = _WILSON_Z
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -26,7 +26,7 @@ from .probcore import check_cells, mixed_radix, radix_ids
 from .rng import stream
 
 __all__ = [
-    "FieldSpec",
+    "check_prime_field",
     "sample_uniform_matrix",
     "sample_zero_sum_offsets",
     "joint_image_probability",
@@ -69,26 +69,21 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """The prime field Z_q.  q is checked by trial division; q <= 251."""
-
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.q, int):
-            raise TypeError("q must be an int")
-        if self.q > 251:
-            raise ValueError("q must fit a machine byte, q <= 251")
-        if not _is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
+def check_prime_field(q: int) -> None:
+    """Raise unless q names a prime field Z_q: an int, prime by trial division, q <= 251."""
+    if not isinstance(q, int):
+        raise TypeError("q must be an int")
+    if q > 251:
+        raise ValueError("q must fit a machine byte, q <= 251")
+    if not _is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
 
 
 def sample_uniform_matrix(q: int, k: int, n: int, seed: int, *path: int) -> np.ndarray:
     """k x n int64 matrix with iid uniform Z_q entries from stream(seed, *path)."""
     if k < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    FieldSpec(q)
+    check_prime_field(q)
     return stream(seed, *path).integers(0, q, size=(k, n))
 
 
@@ -100,7 +95,7 @@ def sample_zero_sum_offsets(q: int, n: int, t: int, seed: int, *path: int) -> np
     """
     if t < 1 or n < 1:
         raise ValueError("need at least one offset, of positive length")
-    FieldSpec(q)
+    check_prime_field(q)
     head = stream(seed, *path).integers(0, q, size=(t - 1, n))
     return np.vstack((head, (-head.sum(axis=0)) % q))
 
@@ -113,7 +108,7 @@ def image_probability_case(s1, s2, q: int) -> tuple[str, int | None]:
     "right-zero", "proportional", "independent" and a is the scalar with
     s1 = a * s2 in the proportional case, else None.
     """
-    FieldSpec(q)
+    check_prime_field(q)
     s1, s2 = np.asarray(s1, dtype=np.int64) % q, np.asarray(s2, dtype=np.int64) % q
     if s1.shape != s2.shape:
         raise ValueError("mismatched index vectors")
@@ -216,7 +211,7 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
 
     Guards: q^{kn} <= 2^24 matrices and q^{2k+2n} <= 2^26 count cells.
     """
-    FieldSpec(q)
+    check_prime_field(q)
     m_total = q ** (k * n)
     if m_total > MAX_ENUM_MATRICES:
         raise ValueError(f"q^(k*n) = {m_total} exceeds enumeration guard {MAX_ENUM_MATRICES}")

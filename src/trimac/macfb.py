@@ -407,18 +407,15 @@ def run_fb_simulation(
     return FBReport(config, *events, code_sumset)
 
 
-def ptp_simulation(config: FBConfig, trials: int | None = None) -> SimReport:
+def ptp_simulation(config: FBConfig) -> SimReport:
     """Single-user BSC(delta) run with the same linear code.
 
     User 3's feedback leg sees exactly this channel: the first component
     XORs the three codewords and flips each bit with probability delta,
-    and user 3 cancels its own word before decoding.  Default trial count
-    matches the delivered blocks of the feedback run.
+    and user 3 cancels its own word before decoding.  The trial count is
+    the feedback run's delivered blocks, blocks - 1 (at least 1).
     """
-    if trials is None:
-        trials = config.blocks - 1
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = config.blocks - 1
     book = _seeded_linear_book(config.k, config.n, config.seed)
     sent = pack_bits(stream(config.seed, 63).integers(0, 2, size=(trials, config.k)))
     noise = stream(config.seed, 64).random((trials, config.n)) < config.delta

@@ -21,12 +21,11 @@ Entropies are in bits throughout, with the 0 log 0 = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 __all__ = [
-    "Alphabet",
     "JointPMF",
     "ConditionalPMF",
     "entropy",
@@ -55,27 +54,19 @@ MASS_TOL = 1e-12
 MI_CLAMP = -1e-10
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol set {0, ..., size-1} with an optional display label."""
-
-    size: int
-    label: str = ""
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
-
-
-def _norm_axes(axes) -> tuple[tuple[str, Alphabet], ...]:
+def _norm_axes(axes) -> tuple[tuple[str, int], ...]:
+    """(name, size) pairs, each size an integer (a numpy one too) of at least 1."""
     out = []
-    for item in axes:
-        name, alpha = item
-        if isinstance(alpha, int):
-            alpha = Alphabet(alpha)
+    for name, size in axes:
         if not isinstance(name, str) or not name:
             raise ValueError("axis names must be non-empty strings")
-        out.append((name, alpha))
+        try:
+            size = operator.index(size)
+        except TypeError:
+            raise ValueError(f"axis {name!r} size {size!r} is not an integer") from None
+        if size < 1:
+            raise ValueError(f"axis {name!r} size must be >= 1, got {size}")
+        out.append((name, size))
     names = [n for n, _ in out]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate axis names in {names}")
@@ -101,7 +92,7 @@ class JointPMF:
     def __init__(self, axes, probs):
         self.axes = _norm_axes(axes)
         self.names = tuple(n for n, _ in self.axes)
-        shape = tuple(a.size for _, a in self.axes)
+        shape = tuple(size for _, size in self.axes)
         check_cells(shape)
         p = np.array(probs, dtype=np.float64, copy=True).reshape(shape)
         if p.size and not p.min() >= 0.0:
@@ -133,9 +124,6 @@ class JointPMF:
         except ValueError:
             raise KeyError(f"no axis named {name!r}; have {self.names}") from None
 
-    def alphabet(self, name: str) -> Alphabet:
-        return self.axes[self.axis_index(name)][1]
-
     def marginal_array(self, keep) -> np.ndarray:
         """Marginal tensor over `keep` in the given order."""
         keep = _norm_names(keep)
@@ -148,13 +136,13 @@ class JointPMF:
 
     def to_json(self) -> dict:
         return {
-            "axes": [{"name": n, "size": a.size} for n, a in self.axes],
+            "axes": [{"name": n, "size": size} for n, size in self.axes],
             "probs": [float(x) for x in self.probs.ravel()],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "JointPMF":
-        axes = [(ax["name"], Alphabet(int(ax["size"]))) for ax in obj["axes"]]
+        axes = [(ax["name"], int(ax["size"])) for ax in obj["axes"]]
         return cls(axes, np.array(obj["probs"], dtype=np.float64))
 
 
@@ -167,8 +155,8 @@ class ConditionalPMF:
         g_names = {n for n, _ in self.given_axes}
         if any(n in g_names for n, _ in self.target_axes):
             raise ValueError("target axes overlap given axes")
-        g_shape = tuple(a.size for _, a in self.given_axes)
-        t_shape = tuple(a.size for _, a in self.target_axes)
+        g_shape = tuple(size for _, size in self.given_axes)
+        t_shape = tuple(size for _, size in self.target_axes)
         tab = np.array(table, dtype=np.float64, copy=True).reshape(g_shape + t_shape)
         if tab.size and not tab.min() >= 0.0:
             raise ValueError("negative or NaN conditional mass")
@@ -291,10 +279,10 @@ def chain(base: JointPMF, cond: ConditionalPMF) -> JointPMF:
     cond's given axes must all be present in base; target axes are appended.
     Mass is preserved exactly up to float arithmetic.
     """
-    for name, alpha in cond.given_axes:
-        if base.alphabet(name).size != alpha.size:
+    for name, size in cond.given_axes:
+        if base.shape[base.axis_index(name)] != size:
             raise ValueError(f"axis {name!r} size mismatch between base and conditional")
-    t_shape = tuple(a.size for _, a in cond.target_axes)
+    t_shape = tuple(size for _, size in cond.target_axes)
     check_cells(base.shape + t_shape)
     # Align cond.table to base's axis order, singleton for non-given axes.
     given = cond.given_names
@@ -317,7 +305,7 @@ def chain_all(factors) -> JointPMF:
     The cell cap is checked on the whole product before anything is allocated.
     """
     first, *rest = factors
-    check_cells([a.size for f in (first, *rest) for _, a in f.target_axes])
+    check_cells([size for f in (first, *rest) for _, size in f.target_axes])
     joint = JointPMF(first.target_axes, first.table)
     for cond in rest:
         joint = chain(joint, cond)
@@ -328,12 +316,14 @@ def _cellwise(fn, shape, axes) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Index rows of every cell of `shape` and fn's destinations on them, each range-checked."""
     grids = np.indices(shape).reshape(len(shape), -1)
     out = fn(*grids)
-    dest = tuple(np.asarray(d) for d in (out if isinstance(out, tuple) else (out,)))
+    dest = out if isinstance(out, tuple) else (out,)
     if len(dest) != len(axes):
         raise ValueError(f"fn returned {len(dest)} index arrays for {len(axes)} axes")
-    for d, (name, alpha) in zip(dest, axes):
-        if d.min() < 0 or d.max() >= alpha.size:
-            raise ValueError(f"derived axis {name!r} values escape [0, {alpha.size})")
+    # a destination constant over some axes is broadcast to every cell
+    dest = tuple(np.broadcast_to(d, grids.shape[1:]) for d in dest)
+    for d, (name, size) in zip(dest, axes):
+        if d.min() < 0 or d.max() >= size:
+            raise ValueError(f"derived axis {name!r} values escape [0, {size})")
     return grids, dest
 
 
@@ -344,7 +334,7 @@ def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
     and returns one index array (or a tuple of them) per new axis.
     """
     new_axes = _norm_axes(new_axes)
-    out_shape = tuple(a.size for _, a in new_axes)
+    out_shape = tuple(size for _, size in new_axes)
     check_cells(out_shape)
     _, dest = _cellwise(mapping, p.shape, new_axes)
     out = np.zeros(out_shape, dtype=np.float64)
@@ -354,7 +344,8 @@ def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
 
 def add_derived_axis(p: JointPMF, name: str, size: int, fn) -> JointPMF:
     """Append a deterministic function of the existing axes as a new axis (fn as in push_forward)."""
-    axis = (name, Alphabet(size))
+    (axis,) = _norm_axes([(name, size)])
+    size = axis[1]
     check_cells(p.shape + (size,))
     _, (vals,) = _cellwise(fn, p.shape, (axis,))
     out = np.zeros((p.probs.size, size), dtype=np.float64)
@@ -366,8 +357,8 @@ def deterministic_conditional(given_axes, target_axes, fn) -> ConditionalPMF:
     """Conditional that puts mass 1 on fn(given symbols) for every given cell (fn as in push_forward)."""
     given_axes = _norm_axes(given_axes)
     target_axes = _norm_axes(target_axes)
-    g_shape = tuple(a.size for _, a in given_axes)
-    t_shape = tuple(a.size for _, a in target_axes)
+    g_shape = tuple(size for _, size in given_axes)
+    t_shape = tuple(size for _, size in target_axes)
     check_cells(g_shape + t_shape)
     grids, dest = _cellwise(fn, g_shape, target_axes)
     table = np.zeros(g_shape + t_shape, dtype=np.float64)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import DMChannel, quaternary_noise_law
 from .commonparts import additive_common_search, gkw_mutual, gkw_pairs, gkw_pairwise
-from .gfcore import FieldSpec
+from .gfcore import check_prime_field
 from .probcore import (
     ConditionalPMF,
     JointPMF,
@@ -289,7 +289,7 @@ class HybridDist:
     x_conds: tuple
 
     def __post_init__(self):
-        FieldSpec(self.q)
+        check_prime_field(self.q)
         _check_layered_tables(self.u123, self.pair_conds, self.x_conds, self.q)
 
 
@@ -307,7 +307,7 @@ class MacFBDist:
     x_conds: tuple
 
     def __post_init__(self):
-        FieldSpec(self.q)
+        check_prime_field(self.q)
         if len(self.p_u.shape) != 1:
             raise FactorizationError("p_u must be a one-axis law")
         if len(self.x_conds) != 3:
@@ -423,7 +423,7 @@ class _EntropyLedger:
     def __init__(self, factors, derived=None):
         self.factors = tuple(factors)
         self.derived = dict(derived or {})
-        self.sizes = {n: a.size for f in self.factors for n, a in f.given_axes + f.target_axes}
+        self.sizes = dict(ax for f in self.factors for ax in f.given_axes + f.target_axes)
         self.terms: dict[frozenset, float] = {}
         self._held: list[tuple[frozenset, JointPMF]] = []
         self.requested = self.contractions = self.largest = 0
@@ -868,14 +868,17 @@ def _check_grid_step(grid_step: float) -> None:
         raise ValueError("grid_step must lie in (0, 1/2]")
 
 
-def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> FrontierPoint:
+# Step of sigma0_frontier's batch grid over the corruption rate, before its golden refinement.
+_FRONTIER_GRID_STEP = 1e-3
+
+
+def sigma0_frontier(gamma: float, delta: float) -> FrontierPoint:
     """Largest sigma the construction supports at bias gamma.
 
     Maximizes min(eta1(a), cap - eta2(a) - h_b(gamma)) over the admissible
     corruption rates a, by one batch over a dense grid plus a golden
     refinement, then inverts h_b.  gamma must not exceed gamma_star(delta).
     """
-    _check_grid_step(grid_step)
     h_noise = _noise_entropy(delta)
     cap = 2.0 - h_noise
     gstar = binary_entropy_inverse(cap)
@@ -890,7 +893,7 @@ def sigma0_frontier(gamma: float, delta: float, grid_step: float = 1e-3) -> Fron
         h1, h2 = _eta_image_entropies(a, delta)
         return np.minimum(h1 - h_noise, cap - (2.0 - h2) - hg)
 
-    count = max(2, int(math.ceil(alpha_max / grid_step)) + 1) if alpha_max > 0.0 else 1
+    count = max(2, int(math.ceil(alpha_max / _FRONTIER_GRID_STEP)) + 1) if alpha_max > 0.0 else 1
     alphas = np.linspace(0.0, alpha_max, count)
     values = objective(alphas)
     best = int(np.argmax(values))

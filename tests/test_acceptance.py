@@ -259,9 +259,9 @@ def test_feedback_evaluator_cross_checks():
     report = eval_macfb(rates, alpha, MacFBDist(2, p_u, x_conds),
                         build_quaternary_channel(DELTA), w_laws=w_laws)
 
-    sizes = {name: ax.size for name, ax in report.joint.axes}
+    sizes = dict(report.joint.axes)
     cells = dict(zip(sizes, sample_cells(report.joint, count, stream(0, 11))))
-    w_sizes = {name: ax.size for name, ax in report.w_joint.axes}
+    w_sizes = dict(report.w_joint.axes)
     w_cells = dict(zip(w_sizes, sample_cells(report.w_joint, count, stream(0, 12))))
     for name, info in report.derived_axes.items():
         if name in cells or name in w_cells:  # WA axes ride along with w_joint

@@ -86,6 +86,55 @@ def test_fb_parallel_corrupted_second_component():
     assert np.allclose(pair, 0.25)
 
 
+def _loop_additive_pair(delta):
+    table = np.zeros((2, 2, 2, 4))
+    for x1, x2, x3, y1, y2 in np.ndindex(2, 2, 2, 2, 2):
+        if x3 == x1 ^ x2:
+            p1 = delta if y1 != x1 else 1.0 - delta
+            p2 = delta if y2 != x2 else 1.0 - delta
+            table[x1, x2, x3, 2 * y1 + y2] = p1 * p2
+        else:
+            table[x1, x2, x3, 2 * y1 + y2] = 0.25
+    return table
+
+
+def _loop_quaternary(delta):
+    noise = quaternary_noise_law(delta)
+    table = np.zeros((2, 2, 2, 4))
+    for x1, x2, x3, nv in np.ndindex(2, 2, 2, 4):
+        table[x1, x2, x3, ((x1 ^ x2) + x3 + nv) % 4] += noise[nv]
+    return table
+
+
+def _loop_fb_parallel(delta):
+    table = np.zeros((4, 4, 4, 8))
+    for c1, c2, c3, y1, y21, y22 in np.ndindex(4, 4, 4, 2, 2, 2):
+        (x11, x12), (x21, x22), (x31, x32) = divmod(c1, 2), divmod(c2, 2), divmod(c3, 2)
+        p_first = delta if y1 != x11 ^ x21 ^ x31 else 1.0 - delta
+        if x32 == x12 ^ x22:
+            p1 = delta if y21 != x12 else 1.0 - delta
+            p2 = delta if y22 != x22 else 1.0 - delta
+            p_second = p1 * p2
+        else:
+            p_second = 0.25
+        table[c1, c2, c3, 4 * y1 + 2 * y21 + y22] = p_first * p_second
+    return table
+
+
+def test_channel_tables_equal_their_loop_forms_bit_for_bit():
+    rng = np.random.default_rng(21)
+    grid = np.concatenate((np.linspace(0.0, 0.5, 51), rng.uniform(0.0, 0.5, 50)))
+    for delta in map(float, grid):
+        pair = build_additive_pair_channel(delta).transition.table
+        assert np.array_equal(pair, _loop_additive_pair(delta)), delta
+        if delta < 0.5:
+            fb = build_fb_parallel_channel(delta).transition.table
+            assert np.array_equal(fb, _loop_fb_parallel(delta)), delta
+        if 0.0 < delta <= 0.25:
+            quaternary = build_quaternary_channel(delta).transition.table
+            assert np.array_equal(quaternary, _loop_quaternary(delta)), delta
+
+
 def test_transmit_frequencies_and_determinism():
     ch = build_quaternary_channel(0.25)
     n = 60_000

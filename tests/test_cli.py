@@ -8,6 +8,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,7 @@ def test_no_args_and_help():
 
 
 def test_verify_lemmas_is_exact(tmp_path, capsys):
-    code = run(["verify-lemmas", "--lemma", "image-probability", "--q", "2", "--k", "2",
-                "--n", "2", "--out-dir", str(tmp_path)])
+    code = run(["verify-lemmas", "--q", "2", "--k", "2", "--n", "2", "--out-dir", str(tmp_path)])
     assert code == 0
     assert "deviation=0.0 ok=true" in capsys.readouterr().out
     blob = _read(tmp_path / "verify-lemmas.json")
@@ -66,9 +66,8 @@ def test_frontier_ends_at_zero_and_is_deterministic(tmp_path):
 
 
 def test_region_example_at_the_threshold_bias(tmp_path, capsys):
-    code = run(["region", "--family", "hybrid", "--preset", "example-sigma-gamma",
-                "--sigma", "0", "--gamma", "star", "--alpha", "0",
-                "--out-dir", str(tmp_path)])
+    code = run(["region", "--family", "hybrid", "--sigma", "0", "--gamma", "star",
+                "--alpha", "0", "--out-dir", str(tmp_path)])
     assert code == 0
     assert "satisfied=true" in capsys.readouterr().out
     blob = _read(tmp_path / "region.json")
@@ -121,6 +120,73 @@ def test_simulate_macfb_config_file_and_flag_precedence(tmp_path):
     assert run(["simulate-macfb", "--config", str(bad)]) == 2
     assert run(["simulate-macfb", "--config", str(tmp_path / "ghost.cfg")]) == 2
     assert run(["simulate-macfb", "--k", "25", "--n", "30"]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "sum-decoder=viterbi",  # outside choices
+    "k=three",  # not an int
+    "delta=",  # not a float
+    "with-ptp=maybe",  # not a boolean
+    "help=1",
+    "config=other.cfg",
+    "blocks 41",  # no '='
+])
+def test_config_keys_are_refused_like_flags(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["simulate-macfb", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "simulate-macfb.json").exists()
+
+
+def test_config_false_boolean_leaves_the_flag_off(tmp_path):
+    cfg = tmp_path / "fb.cfg"
+    cfg.write_text("blocks=5\nwith_ptp=false\nemit-plot-data=No\n")
+    assert run(["simulate-macfb", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert "ptp" not in _read(tmp_path / "simulate-macfb.json")
+    assert not (tmp_path / "simulate-macfb.dat").exists()
+    cfg.write_text("blocks=5\nwith_ptp=0\n")
+    assert run(["simulate-macfb", "--config", str(cfg), "--with-ptp",
+                "--out-dir", str(tmp_path)]) == 0
+    assert "ptp" in _read(tmp_path / "simulate-macfb.json")  # the flag wins
+
+
+def test_config_may_name_every_optional_flag(tmp_path):
+    # each subcommand's non-required flags, set in a config file, give the
+    # bytes the same flags give on the command line
+    cases = {
+        "simulate-mac": "source=additive\np1=0.1\np2=0.05\nsigma=0.05\ngamma=0.05\n"
+                        "channel=additive-pair\ndelta=0.1\nscheme=identical-linear\n"
+                        "flip=0.2\nn-list=4,5\ntrials=6\nseed=3\nworkers=1\n"
+                        "emit-plot-data=true\n",
+        "simulate-macfb": "k=2\nn=6\nblocks=9\ndelta=0.05\nseed=2\nsum-decoder=typicality\n"
+                          "typicality-margin=0.1\nwith-ptp=yes\nemit_plot_data=1\n",
+        "region": "sigma=0.1\ngamma=0.05\nalpha=0.2\ndelta=0.2\nr1=0.7\nr2=0.7\nseed=5\n"
+                  "search=quick\n",
+        "frontier": "delta=0.2\ngamma-steps=4\nemit-plot-data=true\n",
+        "common-parts": "source=additive\np1=0.2\np2=0.3\nsigma=0.1\ngamma=0.1\nq=2\n",
+        "structure-measure": "target=input-law\ndelta=0.2\ncount=2\ngrid-step=0.05\n"
+                             "law=0.25,0,0,0.25,0,0.25,0.25,0\nk=3\nn=6\ntrials=5\nseed=1\n"
+                             "emit-plot-data=true\n",
+        "verify-lemmas": "q=3\nk=1\nn=2\n",
+    }
+    for name, text in cases.items():
+        extra = ["--family", "cl2"] if name == "region" else []
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        flags = []
+        for line in text.splitlines():
+            key, _, value = line.partition("=")
+            key = "--" + key.replace("_", "-")
+            flags += [key] if key in ("--with-ptp", "--emit-plot-data") else [key, value]
+        via_config, via_flags = tmp_path / name / "config", tmp_path / name / "flags"
+        assert run([name, *extra, "--config", str(cfg), "--out-dir", str(via_config)]) == 0
+        assert run([name, *extra, *flags, "--out-dir", str(via_flags)]) == 0
+        assert _digests(via_config) == _digests(via_flags), name
+        assert len(_digests(via_config)) >= 2
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out-dir={tmp_path / 'from-config'}\nq=3\nk=1\n")
+    assert run(["verify-lemmas", "--config", str(cfg)]) == 0
+    assert (tmp_path / "from-config" / "verify-lemmas.csv").exists()
 
 
 def test_simulate_mac_partition_independent(tmp_path):
@@ -203,6 +269,20 @@ def test_simulate_mac_refuses_oversized_binary_enumeration(tmp_path, capsys):
             "--out-dir", str(tmp_path)]
     assert run(argv) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_simulate_mac_checks_decode_work_before_the_first_trial(tmp_path, capsys):
+    # the default --n-list 8,12,16 with 200 trials: n = 12 alone is about
+    # 4e10 candidate-positions, minutes of work, and n = 16 passes MAX_CANDIDATES
+    start = time.perf_counter()
+    assert run(["simulate-mac", "--channel", "quaternary", "--out-dir", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "work cap" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert run(["simulate-mac", "--channel", "quaternary", "--n-list", "8,16", "--trials", "1",
+                "--out-dir", str(tmp_path)]) == 2
+    assert "guard" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_finite_inputs_and_bad_grid_steps_exit_2(tmp_path):

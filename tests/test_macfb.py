@@ -323,5 +323,3 @@ def test_ptp_simulation_defaults_and_fields():
     assert rep.scheme_kind == "identical-linear-ptp"
     assert rep.channel_kind == "bsc"
     assert 0.0 <= rep.ci_lo <= rep.p_hat <= rep.ci_hi <= 1.0
-    with pytest.raises(ValueError):
-        ptp_simulation(cfg, trials=0)

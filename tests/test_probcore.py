@@ -16,7 +16,6 @@ from trimac.channels import DMChannel
 from trimac.gfcore import pack_bits
 from trimac.probcore import (
     MI_CLAMP,
-    Alphabet,
     ConditionalPMF,
     JointPMF,
     add_derived_axis,
@@ -223,6 +222,20 @@ def test_cell_maps_refuse_destinations_outside_their_axes():
         deterministic_conditional([("A", 3)], [("X", 2)], lambda s: (s % 2, s % 2))
 
 
+def test_cell_maps_broadcast_a_constant_destination():
+    law = JointPMF([("A", 3), ("B", 2)], [[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]])
+    image = push_forward(law, lambda a, b: 1, [("X", 2)])
+    assert np.array_equal(image.probs, [0.0, 1.0])
+    pair = push_forward(law, lambda a, b: (a, 0), [("A", 3), ("X", 2)])
+    assert np.array_equal(pair.probs, law.probs.sum(axis=1)[:, None] * [1.0, 0.0])
+    derived = add_derived_axis(law, "X", 2, lambda a, b: 0)
+    assert np.array_equal(derived.probs[..., 0], law.probs)
+    cond = deterministic_conditional([("A", 3)], [("X", 2)], lambda a: 1)
+    assert np.array_equal(cond.table, np.tile([0.0, 1.0], (3, 1)))
+    with pytest.raises(ValueError, match="values escape"):
+        push_forward(law, lambda a, b: 2, [("X", 2)])
+
+
 def test_cell_maps_check_the_cap_before_calling_fn(monkeypatch):
     monkeypatch.setattr("trimac.probcore.MAX_CELLS", 100)
     calls = []
@@ -289,8 +302,25 @@ def test_sample_cells_frequencies():
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValueError):
-        Alphabet(0)
+    # an axis alphabet size is an integer of at least 1
+    for bad in (0, -1, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="size"):
+            JointPMF([("A", bad)], [1.0])
+        with pytest.raises(ValueError, match="size"):
+            ConditionalPMF([("A", 1)], [("B", bad)], [1.0])
+    with pytest.raises(ValueError, match="size"):
+        add_derived_axis(JointPMF([("A", 1)], [1.0]), "D", 0, lambda a: a)
+
+
+def test_numpy_integer_axis_sizes_build_their_own_shape():
+    cond = ConditionalPMF([("A", np.int64(2))], [("B", 2)], [[0.5, 0.5], [0.25, 0.75]])
+    assert cond.table.shape == (2, 2)
+    assert cond.given_axes == (("A", 2),)
+    law = JointPMF([("A", np.int32(3))], [0.2, 0.3, 0.5])
+    assert law.shape == (3,)
+    assert json.loads(json.dumps(law.to_json()))["axes"] == [{"name": "A", "size": 3}]
+    assert chain(law, ConditionalPMF([("A", 3)], [("B", np.uint8(2))],
+                                     np.full((3, 2), 0.5))).shape == (3, 2)
 
 
 def test_mixed_radix_runs_in_product_order():

@@ -684,11 +684,8 @@ def test_grid_steps_outside_the_half_open_half_unit_are_refused():
             min_tv_to_structured(law, bad)
         with pytest.raises(ValueError):
             tv_bound_check(0.25, 2, seed=0, grid_step=bad)
-        with pytest.raises(ValueError):
-            sigma0_frontier(0.05, 0.25, grid_step=bad)
     assert min_tv_to_structured(law, 0.5)[0] == 0.0
     assert tv_bound_check(0.25, 2, seed=0, grid_step=0.5).min_tv > 0.0
-    assert sigma0_frontier(0.05, 0.25, grid_step=0.5).sigma0 > 0.0
 
 
 @given(st.integers(0, 200), st.integers(0, 200))
