@@ -18,7 +18,7 @@ BLOCKS = 1001
 
 def show(config: FBConfig) -> None:
     report = run_fb_simulation(config)
-    ptp = ptp_simulation(config)
+    ptp = ptp_simulation(config, report.decoder)
     print(f"k={config.k} n={config.n} rate={config.rate:.4f} "
           f"({report.delivered} message blocks)")
     for kind in ("sum", "pair", "third", "message"):

@@ -55,6 +55,7 @@ from .regions import (
     max_product_mi,
     min_tv_to_structured,
     sigma0_frontier,
+    sigma0_frontier_points,
     tv_bound_check,
 )
 from .rng import stream
@@ -101,6 +102,7 @@ __all__ = [
     "max_product_mi",
     "min_tv_to_structured",
     "sigma0_frontier",
+    "sigma0_frontier_points",
     "tv_bound_check",
     "stream",
     "make_additive_triple",

@@ -53,7 +53,7 @@ from .regions import (
     min_tv_to_structured,
     product_ces_dist,
     product_conditionals,
-    sigma0_frontier,
+    sigma0_frontier_points,
     tv_bound_check,
 )
 from .rng import stream
@@ -213,7 +213,7 @@ def _handle_simulate_macfb(args) -> _Emission:
     )
     obj = report.to_json()
     if args.with_ptp:
-        obj["ptp"] = ptp_simulation(config).to_json()
+        obj["ptp"] = ptp_simulation(config, report.decoder).to_json()
     header = [
         "block (index)", "sum_error (count)", "pair_error (count)",
         "third_error (count)", "message_error (count)",
@@ -344,7 +344,7 @@ def _handle_frontier(args) -> _Emission:
         raise ValueError("--gamma-steps must be at least 2")
     gstar = gamma_star(args.delta)
     grid = np.linspace(0.0, gstar, args.gamma_steps)
-    points = [sigma0_frontier(float(g), args.delta) for g in grid]
+    points = sigma0_frontier_points(grid.tolist(), args.delta)
     header = ["gamma (probability)", "sigma0 (probability)"]
     rows = [[p.gamma, p.sigma0] for p in points]
     obj = {
@@ -493,6 +493,11 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parsers() -> dict:
+    """Each subcommand's (parser, handler, required flags).
+
+    The required flags are marked required only once a config file has been
+    read (see run), so a config file may name them.
+    """
     parsers = {}
 
     p = argparse.ArgumentParser(prog="trimac simulate-mac")
@@ -511,7 +516,7 @@ def _build_parsers() -> dict:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
                    help="0 means all available cores; results are partition-independent")
-    parsers["simulate-mac"] = (p, _handle_simulate_mac)
+    parsers["simulate-mac"] = (p, _handle_simulate_mac, ())
 
     p = argparse.ArgumentParser(prog="trimac simulate-macfb")
     _add_common(p, plot=True)
@@ -524,11 +529,12 @@ def _build_parsers() -> dict:
     p.add_argument("--typicality-margin", type=float, default=0.08)
     p.add_argument("--with-ptp", action="store_true",
                    help="append a matched single-user BSC run to the JSON report")
-    parsers["simulate-macfb"] = (p, _handle_simulate_macfb)
+    parsers["simulate-macfb"] = (p, _handle_simulate_macfb, ())
 
     p = argparse.ArgumentParser(prog="trimac region")
     _add_common(p)
-    p.add_argument("--family", choices=tuple(_FAMILY_PRESETS), required=True)
+    family = p.add_argument("--family", choices=tuple(_FAMILY_PRESETS),
+                            help="required, on the command line or in --config")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--gamma", default="star", help="float or 'star' for the threshold bias")
     p.add_argument("--alpha", type=float, default=0.0)
@@ -538,19 +544,19 @@ def _build_parsers() -> dict:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--search", choices=("quick", "full"), default="quick",
                    help="product-argmax preset: search effort")
-    parsers["region"] = (p, _handle_region)
+    parsers["region"] = (p, _handle_region, (family,))
 
     p = argparse.ArgumentParser(prog="trimac frontier")
     _add_common(p, plot=True)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--gamma-steps", type=int, default=50)
-    parsers["frontier"] = (p, _handle_frontier)
+    parsers["frontier"] = (p, _handle_frontier, ())
 
     p = argparse.ArgumentParser(prog="trimac common-parts")
     _add_common(p)
     _add_source_flags(p)
     p.add_argument("--q", type=int, default=2, help="modulus for the zero-sum relabeling search")
-    parsers["common-parts"] = (p, _handle_common_parts)
+    parsers["common-parts"] = (p, _handle_common_parts, ())
 
     p = argparse.ArgumentParser(prog="trimac structure-measure")
     _add_common(p, plot=True)
@@ -563,14 +569,14 @@ def _build_parsers() -> dict:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-    parsers["structure-measure"] = (p, _handle_structure_measure)
+    parsers["structure-measure"] = (p, _handle_structure_measure, ())
 
     p = argparse.ArgumentParser(prog="trimac verify-lemmas")
     _add_common(p)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
-    parsers["verify-lemmas"] = (p, _handle_verify_lemmas)
+    parsers["verify-lemmas"] = (p, _handle_verify_lemmas, ())
 
     return parsers
 
@@ -619,12 +625,14 @@ def run(argv) -> int:
     if entry is None:
         print(f"unknown subcommand {name!r}; choose from: " + ", ".join(parsers), file=sys.stderr)
         return 2
-    parser, handler = entry
+    parser, handler, required = entry
     try:
         args = parser.parse_args(argv[1:])
-        if args.config:
-            # config flags come first, so a flag given on the command line wins
-            args = parser.parse_args(_config_flags(args.config, vars(args)) + argv[1:])
+        # config flags come first, so a flag given on the command line wins
+        flags = _config_flags(args.config, vars(args)) if args.config else []
+        for action in required:
+            action.required = True
+        args = parser.parse_args(flags + argv[1:])
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

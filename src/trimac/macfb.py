@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -138,7 +138,9 @@ class FBReport:
     receiver's decode of the remaining message after cancellation.  A
     delivered triple counts as wrong when either receiver step fails; sum
     errors poison the next block's pair component rather than their own,
-    so they are tallied separately.
+    so they are tallied separately.  ``decoder`` is the run's decoder of
+    its seeded book, for ptp_simulation to reuse; it is not part of the
+    report's value or JSON.
     """
 
     config: FBConfig
@@ -146,6 +148,7 @@ class FBReport:
     pair_errors: tuple[int, ...]
     third_errors: tuple[int, ...]
     code_sumset: SumsetReport | None
+    decoder: CosetDecoder | None = field(default=None, repr=False, compare=False)
 
     @property
     def delivered(self) -> int:
@@ -404,22 +407,30 @@ def run_fb_simulation(
                decode.by_table, decode.scanned, decode.syndromes, decode.leaders,
                streams, calls, rounds)
     events = (tuple(e.astype(np.int64).tolist()) for e in (sum_errors, pair_errors, third_errors))
-    return FBReport(config, *events, code_sumset)
+    return FBReport(config, *events, code_sumset, decode)
 
 
-def ptp_simulation(config: FBConfig) -> SimReport:
+def ptp_simulation(config: FBConfig, decode: CosetDecoder | None = None) -> SimReport:
     """Single-user BSC(delta) run with the same linear code.
 
     User 3's feedback leg sees exactly this channel: the first component
     XORs the three codewords and flips each bit with probability delta,
     and user 3 cancels its own word before decoding.  The trial count is
-    the feedback run's delivered blocks, blocks - 1 (at least 1).
+    the feedback run's delivered blocks, blocks - 1 (at least 1).  decode
+    is the feedback run's decoder of the config's book (FBReport.decoder);
+    without it the book and its decoder are built here.  Either way every
+    decode is nearest_codeword's, so the report is the same.
     """
     trials = config.blocks - 1
-    book = _seeded_linear_book(config.k, config.n, config.seed)
+    if decode is None:
+        decode = CosetDecoder(_seeded_linear_book(config.k, config.n, config.seed), config.n,
+                              trials)
+    elif decode.book.size != 1 << config.k:
+        raise ValueError(f"the decoder's book does not hold 2^{config.k} codewords")
+    book = decode.book
     sent = pack_bits(stream(config.seed, 63).integers(0, 2, size=(trials, config.k)))
     noise = stream(config.seed, 64).random((trials, config.n)) < config.delta
-    idx, tie = CosetDecoder(book, config.n, trials)(book[sent] ^ pack_bits(noise))
+    idx, tie = decode(book[sent] ^ pack_bits(noise))
     errors = int(np.count_nonzero(tie | (idx != sent)))
     lo, hi = wilson_interval(errors, trials)
     return SimReport(

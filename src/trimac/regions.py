@@ -86,6 +86,7 @@ __all__ = [
     "example_conditions",
     "FrontierPoint",
     "sigma0_frontier",
+    "sigma0_frontier_points",
     "ProductSearchConfig",
     "ProductSearchResult",
     "max_product_mi",
@@ -794,11 +795,12 @@ def _eta_image_entropies(alpha, delta: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     noise = quaternary_noise_law(delta)
-    keep, flip = (1.0 - a) * noise, a * noise
-    z1 = keep + np.roll(flip, 1, axis=-1)
-    keep, flip = 0.5 * keep, 0.5 * flip
+    up1, up2 = noise[[3, 0, 1, 2]], noise[[2, 3, 0, 1]]  # the law of N + 1 and N + 2 mod 4
+    keep, flip = (1.0 - a) * noise, a * up1
+    z1 = keep + flip
+    flip = 0.5 * flip
     # (v, e) = (0, 0), (0, 1), (1, 0), (1, 1) shift the noise by 0, 1, 2, 1
-    z2 = keep + np.roll(flip, 1, axis=-1) + np.roll(keep, 2, axis=-1) + np.roll(flip, 1, axis=-1)
+    z2 = 0.5 * keep + flip + 0.5 * ((1.0 - a) * up2) + flip
     h1, h2 = _row_entropy(z1), _row_entropy(z2)
     return (h1, h2) if np.ndim(alpha) else (float(h1), float(h2))
 
@@ -868,48 +870,69 @@ def _check_grid_step(grid_step: float) -> None:
         raise ValueError("grid_step must lie in (0, 1/2]")
 
 
-# Step of sigma0_frontier's batch grid over the corruption rate, before its golden refinement.
+# Step of the frontier's grid over the corruption rate, before its golden refinement.
 _FRONTIER_GRID_STEP = 1e-3
 
 
-def sigma0_frontier(gamma: float, delta: float) -> FrontierPoint:
-    """Largest sigma the construction supports at bias gamma.
+def sigma0_frontier_points(gammas, delta: float) -> tuple[FrontierPoint, ...]:
+    """Largest sigma the construction supports at each bias in gammas.
 
-    Maximizes min(eta1(a), cap - eta2(a) - h_b(gamma)) over the admissible
-    corruption rates a, by one batch over a dense grid plus a golden
-    refinement, then inverts h_b.  gamma must not exceed gamma_star(delta).
+    At bias gamma, maximizes min(eta1(a), cap - eta2(a) - h_b(gamma)) over
+    the admissible corruption rates a in [0, 1 - h_b(gamma) / cap], then
+    inverts h_b.  All points share one objective call over their
+    concatenated grids and one golden refinement, whose lanes are the
+    points with more than one grid point; each point is bit for bit its
+    own one-point search.  Every gamma must lie in [0, gamma_star(delta)],
+    checked for the whole batch before any work.
     """
     h_noise = _noise_entropy(delta)
     cap = 2.0 - h_noise
     gstar = binary_entropy_inverse(cap)
-    if gamma > gstar + 1e-12:
-        raise ValueError(f"gamma {gamma} exceeds the threshold {gstar}")
-    if not 0.0 <= gamma:
-        raise ValueError("gamma must be non-negative")
-    hg = binary_entropy(min(gamma, 0.5))
-    alpha_max = max(0.0, 1.0 - hg / cap)
+    gammas = [float(g) for g in gammas]
+    for gamma in gammas:
+        if gamma > gstar + 1e-12:
+            raise ValueError(f"gamma {gamma} exceeds the threshold {gstar}")
+        if not 0.0 <= gamma:
+            raise ValueError("gamma must be non-negative")
+    if not gammas:
+        return ()
+    hgs = np.array([binary_entropy(min(g, 0.5)) for g in gammas])
+    alpha_maxs = [max(0.0, 1.0 - hg / cap) for hg in hgs.tolist()]
+    counts = np.array([max(2, int(math.ceil(m / _FRONTIER_GRID_STEP)) + 1) if m > 0.0 else 1
+                       for m in alpha_maxs])
 
-    def objective(a):
+    def objective(a, hg):
         h1, h2 = _eta_image_entropies(a, delta)
         return np.minimum(h1 - h_noise, cap - (2.0 - h2) - hg)
 
-    count = max(2, int(math.ceil(alpha_max / _FRONTIER_GRID_STEP)) + 1) if alpha_max > 0.0 else 1
-    alphas = np.linspace(0.0, alpha_max, count)
-    values = objective(alphas)
-    best = int(np.argmax(values))
-    alpha_hat, level = float(alphas[best]), float(values[best])
-    if count > 1:
-        lo = alphas[max(0, best - 1)]
-        hi = alphas[min(count - 1, best + 1)]
-        a_ref, v_ref = _golden_max(objective, lo, hi, iters=48)
-        if v_ref > level:
-            alpha_hat, level = float(a_ref), float(v_ref)
-    # At the threshold bias the admissible interval collapses to {0} and the
-    # objective is zero up to bisection residue; snap that residue to an
-    # exact endpoint rather than reporting h_b^{-1}(1e-13).
-    if level <= 1e-11:
-        return FrontierPoint(gamma, delta, 0.0, alpha_hat, level)
-    return FrontierPoint(gamma, delta, binary_entropy_inverse(level), alpha_hat, level)
+    alphas = np.concatenate([np.linspace(0.0, m, c) for m, c in zip(alpha_maxs, counts.tolist())])
+    values = objective(alphas, np.repeat(hgs, counts))
+    starts = np.cumsum(counts) - counts
+    # np.argmax per point's grid: the first index holding its maximum
+    top = np.repeat(np.maximum.reduceat(values, starts), counts)
+    best = np.minimum.reduceat(np.where(values == top, np.arange(values.size), values.size), starts)
+    alpha_hat, level = alphas[best], values[best]
+    lanes = np.flatnonzero(counts > 1)
+    if lanes.size:
+        lo = alphas[np.maximum(starts, best - 1)[lanes]]
+        hi = alphas[np.minimum(starts + counts - 1, best + 1)[lanes]]
+        hg_lanes = hgs[lanes]
+        a_ref, v_ref = _golden_max(lambda a: objective(a, hg_lanes), lo, hi, iters=48)
+        better = v_ref > level[lanes]
+        alpha_hat[lanes[better]], level[lanes[better]] = a_ref[better], v_ref[better]
+    points = []
+    for gamma, a, v in zip(gammas, alpha_hat.tolist(), level.tolist()):
+        # At the threshold bias the admissible interval collapses to {0} and the
+        # objective is zero up to bisection residue; snap that residue to an
+        # exact endpoint rather than reporting h_b^{-1}(1e-13).
+        sigma0 = 0.0 if v <= 1e-11 else binary_entropy_inverse(v)
+        points.append(FrontierPoint(gamma, delta, sigma0, a, v))
+    return tuple(points)
+
+
+def sigma0_frontier(gamma: float, delta: float) -> FrontierPoint:
+    """The frontier at one bias: sigma0_frontier_points([gamma], delta)[0]."""
+    return sigma0_frontier_points([gamma], delta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,25 @@ def test_config_false_boolean_leaves_the_flag_off(tmp_path):
     assert "ptp" in _read(tmp_path / "simulate-macfb.json")  # the flag wins
 
 
+def test_config_may_name_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "region.cfg"
+    cfg.write_text("family=cl2\nr1=0.76\nr2=0.76\n")
+    assert run(["region", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    assert "family=cl2 preset=adder-pair satisfied=false" in capsys.readouterr().out
+    assert run(["region", "--family", "cl2", "--r1", "0.76", "--r2", "0.76",
+                "--out-dir", str(tmp_path / "b")]) == 0
+    assert _digests(tmp_path / "a") == _digests(tmp_path / "b")
+    # the command line still wins, and a missing or bad family still exits 2
+    assert run(["region", "--config", str(cfg), "--family", "ces2",
+                "--out-dir", str(tmp_path / "c")]) == 0
+    assert _read(tmp_path / "c" / "region.json")["family"] == "ces2"
+    cfg.write_text("r1=0.7\n")
+    assert run(["region", "--config", str(cfg)]) == 2
+    assert "required: --family" in capsys.readouterr().err
+    cfg.write_text("family=cl3\n")
+    assert run(["region", "--config", str(cfg)]) == 2
+
+
 def test_config_may_name_every_optional_flag(tmp_path):
     # each subcommand's non-required flags, set in a config file, give the
     # bytes the same flags give on the command line
@@ -334,3 +353,10 @@ def test_report_writers_keep_their_bytes(tmp_path, name):
     assert run([*argv, "--out-dir", str(tmp_path)]) == 0
     for ext in ("csv", "json"):
         assert (tmp_path / f"{argv[0]}.{ext}").read_text() == WRITER_PINS[name][ext]
+
+
+def test_frontier_keeps_the_per_point_search_bytes(tmp_path):
+    # digests recorded from the frontier that searched one gamma at a time
+    pins = json.loads((Path(__file__).parent / "frontier_pins.json").read_text())
+    assert run([*pins["argv"], "--out-dir", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == pins["sha256"]

@@ -314,6 +314,17 @@ def test_probe_pair_guard_fires_before_any_book_is_drawn():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("sum_decoder", ["ml", "typicality"])
+def test_ptp_simulation_on_the_runs_decoder_equals_the_standalone_run(sum_decoder):
+    for cfg in (FBConfig(3, 8, 41, 0.1, 2), FBConfig(10, 24, 301, 0.1, 7),
+                FBConfig(5, 16, 201, 0.15, 1)):
+        run = run_fb_simulation(cfg, sum_decoder=sum_decoder)
+        assert (run.decoder.radius is None) == (sum_decoder == "ml")
+        assert ptp_simulation(cfg, run.decoder) == ptp_simulation(cfg)
+    with pytest.raises(ValueError, match="2\\^4 codewords"):
+        ptp_simulation(FBConfig(4, 8, 11, 0.1, 4), run.decoder)
+
+
 def test_ptp_simulation_defaults_and_fields():
     cfg = FBConfig(3, 8, 11, 0.1, 4)
     rep = ptp_simulation(cfg)

@@ -51,7 +51,9 @@ from trimac.regions import (
     gamma_star,
     max_product_mi,
     sigma0_frontier,
+    sigma0_frontier_points,
 )
+import trimac.regions as regions
 from trimac.sources import SourceModel, make_sigma_gamma_triple
 
 PINS = json.loads((Path(__file__).parent / "product_search_pins.json").read_text())
@@ -221,6 +223,55 @@ def test_frontier_equals_the_per_point_search(delta):
     for g in np.linspace(0.0, gamma_star(delta), 50):
         got, want = sigma0_frontier(float(g), delta), frontier_oracle(float(g), delta)
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.2, 0.1, 0.01, 0.001])
+def test_frontier_batch_equals_the_one_point_calls(delta):
+    # each batch ends past gamma_star by the 1e-12 the check allows, where the
+    # admissible interval is {0}: a one-point grid and no golden lane
+    gstar = gamma_star(delta)
+    for steps in (2, 7, 50, 200):
+        gammas = np.linspace(0.0, gstar, steps).tolist() + [gstar + 1e-12]
+        points = sigma0_frontier_points(gammas, delta)
+        assert points == tuple(sigma0_frontier(g, delta) for g in gammas)
+        assert points[-1].alpha == 0.0 and points[-1].sigma0 == 0.0
+        assert points[-2].sigma0 == 0.0 and all(p.sigma0 > 0.0 for p in points[:-2])
+    assert sigma0_frontier_points([], delta) == ()
+    assert sigma0_frontier_points([gstar], delta) == (sigma0_frontier(gstar, delta),)
+
+
+def _counting_eta(monkeypatch):
+    calls = []
+    inner = regions._eta_image_entropies
+
+    def counted(alpha, delta):
+        calls.append(np.shape(alpha))
+        return inner(alpha, delta)
+
+    monkeypatch.setattr(regions, "_eta_image_entropies", counted)
+    return calls
+
+
+def test_frontier_batch_makes_one_pass_over_all_points(monkeypatch, tmp_path):
+    # one grid call, the two golden seeds, 48 golden steps and the midpoint
+    calls = _counting_eta(monkeypatch)
+    argv = ["frontier", "--delta", "0.25", "--gamma-steps", "50", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    assert len(calls) <= 52
+    assert calls[1:] == [calls[1]] * (len(calls) - 1) and calls[1][0] <= 50
+
+
+def test_frontier_batch_is_refused_before_any_work(monkeypatch):
+    calls = _counting_eta(monkeypatch)
+    gstar = gamma_star(0.25)
+    with pytest.raises(ValueError, match="exceeds the threshold"):
+        sigma0_frontier_points([0.01, 0.02, gstar + 1e-9], 0.25)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        sigma0_frontier_points([0.01, -0.1, gstar], 0.25)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        sigma0_frontier_points([float("nan")], 0.25)
+    assert calls == []
+    assert sigma0_frontier_points([gstar + 1e-13], 0.25)[0].sigma0 == 0.0
 
 
 def test_golden_lanes_follow_the_scalar_search():
