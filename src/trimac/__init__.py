@@ -16,6 +16,7 @@ from .channels import (
 from .coding import (
     build_linear_jscc,
     build_unstructured_jscc,
+    candidate_space,
     ml_decode,
     ml_decode_additive_pair,
     monte_carlo_error,
@@ -70,6 +71,7 @@ __all__ = [
     "transmit",
     "build_linear_jscc",
     "build_unstructured_jscc",
+    "candidate_space",
     "ml_decode",
     "ml_decode_additive_pair",
     "monte_carlo_error",

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .channels import (
 from .coding import (
     build_linear_jscc,
     build_unstructured_jscc,
+    candidate_space,
     check_decode_cost,
     ml_decode,
     ml_decode_additive_pair,
@@ -177,15 +179,18 @@ def _handle_simulate_mac(args) -> _Emission:
         def factory_for(n):
             return lambda s: build_unstructured_jscc(source, tables, n, s)
         decoder = ml_decode
-    if decoder is ml_decode:
+    generic = decoder is ml_decode
+    if generic:
         support = source.support().shape[0]
         for n in n_list:
             check_decode_cost(support, n, args.trials)
     workers = args.workers or os.cpu_count() or 1
-    runs = [
-        monte_carlo_error(channel, factory_for(n), decoder, args.trials, args.seed, workers=workers)
-        for n in n_list
-    ]
+    runs = []
+    for n in n_list:
+        # one candidate space per block length, shared by its trials and freed after them
+        decode = partial(ml_decode, space=candidate_space(source, n)) if generic else decoder
+        runs.append(monte_carlo_error(channel, factory_for(n), decode, args.trials, args.seed,
+                                      workers=workers))
     header = [
         "n (symbols)", "trials (count)", "errors (count)", "p_hat (probability)",
         "ci_lo (probability)", "ci_hi (probability)", "seed (id)",
@@ -492,14 +497,12 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, default=0.05)
 
 
-def _build_parsers() -> dict:
-    """Each subcommand's (parser, handler, required flags).
+# Each subcommand's parser builder returns (parser, handler, required flags).
+# The required flags are marked required only once a config file has been
+# read (see run), so a config file may name them.
 
-    The required flags are marked required only once a config file has been
-    read (see run), so a config file may name them.
-    """
-    parsers = {}
 
+def _simulate_mac_parser():
     p = argparse.ArgumentParser(prog="trimac simulate-mac")
     _add_common(p, plot=True)
     _add_source_flags(p)
@@ -516,8 +519,10 @@ def _build_parsers() -> dict:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
                    help="0 means all available cores; results are partition-independent")
-    parsers["simulate-mac"] = (p, _handle_simulate_mac, ())
+    return p, _handle_simulate_mac, ()
 
+
+def _simulate_macfb_parser():
     p = argparse.ArgumentParser(prog="trimac simulate-macfb")
     _add_common(p, plot=True)
     p.add_argument("--k", type=int, default=3)
@@ -529,8 +534,10 @@ def _build_parsers() -> dict:
     p.add_argument("--typicality-margin", type=float, default=0.08)
     p.add_argument("--with-ptp", action="store_true",
                    help="append a matched single-user BSC run to the JSON report")
-    parsers["simulate-macfb"] = (p, _handle_simulate_macfb, ())
+    return p, _handle_simulate_macfb, ()
 
+
+def _region_parser():
     p = argparse.ArgumentParser(prog="trimac region")
     _add_common(p)
     family = p.add_argument("--family", choices=tuple(_FAMILY_PRESETS),
@@ -544,20 +551,26 @@ def _build_parsers() -> dict:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--search", choices=("quick", "full"), default="quick",
                    help="product-argmax preset: search effort")
-    parsers["region"] = (p, _handle_region, (family,))
+    return p, _handle_region, (family,)
 
+
+def _frontier_parser():
     p = argparse.ArgumentParser(prog="trimac frontier")
     _add_common(p, plot=True)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--gamma-steps", type=int, default=50)
-    parsers["frontier"] = (p, _handle_frontier, ())
+    return p, _handle_frontier, ()
 
+
+def _common_parts_parser():
     p = argparse.ArgumentParser(prog="trimac common-parts")
     _add_common(p)
     _add_source_flags(p)
     p.add_argument("--q", type=int, default=2, help="modulus for the zero-sum relabeling search")
-    parsers["common-parts"] = (p, _handle_common_parts, ())
+    return p, _handle_common_parts, ()
 
+
+def _structure_measure_parser():
     p = argparse.ArgumentParser(prog="trimac structure-measure")
     _add_common(p, plot=True)
     p.add_argument("--target", choices=("input-law", "codebooks"), default="input-law")
@@ -569,16 +582,28 @@ def _build_parsers() -> dict:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-    parsers["structure-measure"] = (p, _handle_structure_measure, ())
+    return p, _handle_structure_measure, ()
 
+
+def _verify_lemmas_parser():
     p = argparse.ArgumentParser(prog="trimac verify-lemmas")
     _add_common(p)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
-    parsers["verify-lemmas"] = (p, _handle_verify_lemmas, ())
+    return p, _handle_verify_lemmas, ()
 
-    return parsers
+
+# subcommand name -> parser builder; run builds only the named one
+_PARSERS = {
+    "simulate-mac": _simulate_mac_parser,
+    "simulate-macfb": _simulate_macfb_parser,
+    "region": _region_parser,
+    "frontier": _frontier_parser,
+    "common-parts": _common_parts_parser,
+    "structure-measure": _structure_measure_parser,
+    "verify-lemmas": _verify_lemmas_parser,
+}
 
 
 def _config_flags(path: str, known: dict) -> list[str]:
@@ -616,16 +641,15 @@ def _config_flags(path: str, known: dict) -> list[str]:
 def run(argv) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     argv = list(argv)
-    parsers = _build_parsers()
     if not argv or argv[0] in ("-h", "--help"):
-        print("usage: trimac <subcommand> [flags]; subcommands: " + ", ".join(parsers))
+        print("usage: trimac <subcommand> [flags]; subcommands: " + ", ".join(_PARSERS))
         return 0 if argv else 2
     name = argv[0]
-    entry = parsers.get(name)
-    if entry is None:
-        print(f"unknown subcommand {name!r}; choose from: " + ", ".join(parsers), file=sys.stderr)
+    build = _PARSERS.get(name)
+    if build is None:
+        print(f"unknown subcommand {name!r}; choose from: " + ", ".join(_PARSERS), file=sys.stderr)
         return 2
-    parser, handler, required = entry
+    parser, handler, required = build()
     try:
         args = parser.parse_args(argv[1:])
         # config flags come first, so a flag given on the command line wins

@@ -22,16 +22,19 @@ A scheme is one per-user expansion: it maps a user's (rows, n) stack of
 source blocks to the user's codeword and layer blocks, every random row
 drawn from its own stream keyed by (scheme seed, layer tag, block
 content), so any block re-expands to the same codeword and nothing is
-memoized.  The generic decoders expand each user's distinct blocks once
-per call into a table and read every candidate's codewords and layers off
-it.  Decoders return a DecodeResult; ties and empty typical sets are
-failures, never silent guesses.
+memoized.  The generic decoders read their candidates off a
+CandidateSpace, built once per (source, n) and shared by a run's decodes;
+per call they expand each user's distinct blocks once into a table and
+read every candidate's codewords and layers off it.  Decoders return a
+DecodeResult; ties and empty typical sets are failures, never silent
+guesses.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -68,6 +71,8 @@ __all__ = [
     "build_unstructured_jscc",
     "build_layered_ces",
     "build_hybrid_scheme",
+    "CandidateSpace",
+    "candidate_space",
     "ml_decode",
     "ml_decode_additive_pair",
     "typicality_decode",
@@ -79,9 +84,10 @@ __all__ = [
 MAX_CANDIDATES = 2**26
 # Candidate-positions (support^n candidates times n positions, summed over a
 # run's decodes) the generic decoders may score in one run: about a minute
-# at the 30-34M candidate-positions/s ml_decode scored at n = 10-12
-# (support 4, quaternary channel) on a 2-vCPU VM with numpy 2.4.
-MAX_DECODE_WORK = 2 * 10**9
+# at the 103-123M candidate-positions/s ml_decode scored at n = 10-12
+# (support 4, quaternary channel, one thread, the candidate-space build
+# included) on a 2-vCPU VM with numpy 2.4.6.
+MAX_DECODE_WORK = 6 * 10**9
 # candidate rows scored per chunk by the generic decoders
 _CHUNK = 1 << 18
 
@@ -127,11 +133,13 @@ class CodingScheme:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Decoded blocks, or the failure; popcount_cells counts the packed distances scored."""
+    """Decoded blocks, or the failure; popcount_cells counts the packed distances scored
+    and candidates the candidate blocks a generic decoder scored."""
 
     blocks: tuple | None
     failure: str | None = None
     popcount_cells: int = field(default=0, compare=False)
+    candidates: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -304,70 +312,141 @@ def check_decode_cost(support: int, n: int, decodes: int) -> int:
     return total
 
 
-def _candidates(scheme: CodingScheme, n: int):
-    """Per-user codebook tables and all support^n candidate triples.
+@dataclass(frozen=True, eq=False)
+class CandidateSpace:
+    """The support^n candidate blocks of one (source, n), built once per run.
 
-    Every user's k_i^n distinct blocks (k_i its support symbols) are
-    expanded once into a table {"S<i>": blocks, **scheme.expand(i, blocks)}.
-    Returns the support rows, the three tables and a generator of
-    (digits, ids) chunks: candidate digit rows (indices into the support) in
-    itertools.product order, and per user each candidate's table row.
+    With m support rows and half = n // 2, candidate c = h * m**(n - half) + l
+    has the digit row mixed_radix(c, m, n) (indices into `support`), and user
+    i's block is row hi[i][h] + lo[i][l] of blocks[i], the user's k_i^n
+    distinct source blocks in mixed_radix order: hi[i] holds the ids of the
+    first half positions' digits times k_i**(n - half), lo[i] those of the
+    rest.  log_prior[c] is the candidate's summed log prior.  Nothing in it
+    depends on y or on the scheme, so a run's worker threads share one.
     """
-    support = scheme.source.support()
+
+    source: SourceModel
+    n: int
+    support: np.ndarray
+    blocks: tuple
+    hi: tuple
+    lo: tuple
+    log_prior: np.ndarray
+
+    def chunks(self):
+        """(first candidate, per-user block ids) of runs of whole hi rows, about _CHUNK each."""
+        width = len(self.lo[0])
+        rows = max(1, _CHUNK // width)
+        for h in range(0, len(self.hi[0]), rows):
+            yield h * width, [(hi[h:h + rows, None] + lo).ravel() for hi, lo in zip(self.hi, self.lo)]
+
+    def blocks_of(self, candidate: int) -> tuple:
+        """The three source blocks of one candidate."""
+        digits = mixed_radix([candidate], len(self.support), self.n)[0]
+        return tuple(self.support[:, i][digits] for i in range(3))
+
+
+def candidate_space(source: SourceModel, n: int) -> CandidateSpace:
+    """The candidate space every generic decode of `source` at block length n reads."""
+    t0 = time.perf_counter()
+    support = source.support()
     m = support.shape[0]
     total = check_decode_cost(m, n, 1)
     symbols, codes = zip(*(np.unique(support[:, i], return_inverse=True) for i in range(3)))
     for sym in symbols:
         check_cells((len(sym)**n, n))
-    tables = []
-    for user, sym in enumerate(symbols, start=1):
-        blocks = sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
-        tables.append({f"S{user}": blocks, **scheme.expand(user, blocks)})
+    check_cells((total,))
+    half = n // 2
+    hi_digits = mixed_radix(np.arange(m**half), m, half)
+    lo_digits = mixed_radix(np.arange(m**(n - half)), m, n - half)
+    log_p = np.log(source.support_probs())
+    log_prior = np.empty(total)
+    for start in range(0, total, _CHUNK):
+        digits = mixed_radix(np.arange(start, min(start + _CHUNK, total)), m, n)
+        log_prior[start:start + len(digits)] = log_p[digits].sum(axis=1)
+    space = CandidateSpace(
+        source=source,
+        n=n,
+        support=support,
+        blocks=tuple(sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)] for sym in symbols),
+        hi=tuple(radix_ids(code[hi_digits], len(sym)) * len(sym)**(n - half)
+                 for code, sym in zip(codes, symbols)),
+        lo=tuple(radix_ids(code[lo_digits], len(sym)) for code, sym in zip(codes, symbols)),
+        log_prior=log_prior,
+    )
+    held = sum(a.nbytes for a in (support, *space.blocks, *space.hi, *space.lo, log_prior))
+    _LOG.debug("candidate space n=%d: %d candidates, %d bytes held, built in %.4f s",
+               n, total, held, time.perf_counter() - t0)
+    return space
 
-    def chunks():
-        for start in range(0, total, _CHUNK):
-            digits = mixed_radix(np.arange(start, min(start + _CHUNK, total)), m, n)
-            yield digits, [radix_ids(code[digits], len(sym)) for code, sym in zip(codes, symbols)]
 
-    return support, tables, chunks()
+def _space_for(scheme: CodingScheme, n: int, space: CandidateSpace | None) -> CandidateSpace:
+    """`space`, checked against the scheme's source and block length, or one built for them."""
+    if n != scheme.n:
+        raise ValueError("block length mismatch")
+    if space is None:
+        return candidate_space(scheme.source, n)
+    if space.n != n or not np.array_equal(space.source.joint.probs, scheme.source.joint.probs):
+        raise ValueError("candidate space was built for another source law or block length")
+    return space
 
 
-def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult:
+def _check_symbols(block: np.ndarray, size: int, name: str) -> None:
+    """Raise unless every symbol lies in range(size): flat offsets would alias otherwise."""
+    if block.size and (block.min() < 0 or block.max() >= size):
+        raise ValueError(f"{name} symbols outside the channel's alphabet of {size}")
+
+
+def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
+              space: CandidateSpace | None = None) -> DecodeResult:
     """Exact maximum a posteriori block decoding over the support candidates.
 
     Zero-prior blocks can never be the argmax, so enumerating support^n is
-    exhaustive.  An exact score tie is a decode failure.
+    exhaustive.  An exact score tie is a decode failure.  space is the run's
+    candidate_space(scheme.source, n), built here unless passed in.
     """
     y = np.asarray(y_block, dtype=np.int64)
     n = y.shape[0]
-    if n != scheme.n:
-        raise ValueError("block length mismatch")
-    support, tables, chunks = _candidates(scheme, n)
+    space = _space_for(scheme, n, space)
     with np.errstate(divide="ignore"):
         log_t = np.log(channel.transition.table)
-        log_prior = np.log(scheme.source.support_probs())
+    shape = log_t.shape
+    # each user's codewords, and y, as int32 offsets into the flat log table
+    # (check_cells keeps its size below 2^31)
+    books = []
+    for user, blocks in enumerate(space.blocks, start=1):
+        book = scheme.expand(user, blocks)[f"X{user}"]
+        _check_symbols(book, shape[user - 1], f"X{user}")
+        books.append((book * math.prod(shape[user:])).astype(np.int32))
+    _check_symbols(y, shape[3], "Y")
+    y = y.astype(np.int32)
+    log_t = log_t.reshape(-1)
 
     best_score = -np.inf
-    best_digits = None
+    best = -1
     tie = False
-    for digits, ids in chunks:
-        x1, x2, x3 = (tab[f"X{u}"][i] for u, (tab, i) in enumerate(zip(tables, ids), start=1))
-        scores = log_t[x1, x2, x3, y].sum(axis=1) + log_prior[digits].sum(axis=1)
+    for start, ids in space.chunks():
+        flat = np.take(books[0], ids[0], axis=0)
+        flat += np.take(books[1], ids[1], axis=0)
+        flat += np.take(books[2], ids[2], axis=0)
+        flat += y
+        scores = np.take(log_t, flat).sum(axis=1)
+        scores += space.log_prior[start:start + len(scores)]
         top = int(np.argmax(scores))
         top_score = float(scores[top])
         count = int((scores == top_score).sum())
         if top_score > best_score:
             best_score = top_score
-            best_digits = digits[top]
+            best = start + top
             tie = count > 1
         elif top_score == best_score:
             tie = True
+    total = len(space.log_prior)
     if best_score == -np.inf:
-        return DecodeResult(None, "zero-likelihood")
+        return DecodeResult(None, "zero-likelihood", candidates=total)
     if tie:
-        return DecodeResult(None, "tie")
-    s = tuple(support[:, i][best_digits] for i in range(3))
-    return DecodeResult(s)
+        return DecodeResult(None, "tie", candidates=total)
+    return DecodeResult(space.blocks_of(best), candidates=total)
 
 
 def ml_decode_additive_pair(channel: DMChannel, scheme: CodingScheme, y_block) -> DecodeResult:
@@ -438,13 +517,13 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
         raise ValueError("eps must be positive")
     y = np.asarray(y_block, dtype=np.int64)
     n = y.shape[0]
-    if n != scheme.n:
-        raise ValueError("block length mismatch")
+    space = _space_for(scheme, n, None)
     if design is None:
         design = scheme.design_joint(channel)
     probs = design.probs
     thr = eps / float((probs > 0).sum())
-    support, tables, chunks = _candidates(scheme, n)
+    tables = [{f"S{user}": blocks, **scheme.expand(user, blocks)}
+              for user, blocks in enumerate(space.blocks, start=1)]
     flat = probs.ravel()
     positive = flat > 0.0
     # cells with design mass above the threshold must appear
@@ -457,8 +536,9 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
             columns.setdefault(name, (col, user))
 
     hits = []
-    for digits, ids in chunks:
-        cells = np.zeros(digits.shape, dtype=np.int64)
+    for start, ids in space.chunks():
+        rows = len(ids[0])
+        cells = np.zeros((rows, n), dtype=np.int64)
         for name, size in zip(design.names, probs.shape):
             cells *= size
             if name == "Y":
@@ -474,16 +554,17 @@ def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: fl
         run_cell = cells.ravel()[starts]
         del cells, new
         run_row = starts // n
-        counts = np.diff(starts, append=digits.size)
+        counts = np.diff(starts, append=rows * n)
         bad = ~positive[run_cell] | (np.abs(counts / float(n) - flat[run_cell]) > thr)
-        typical = (np.bincount(run_row, weights=bad, minlength=len(digits)) == 0) & (
-            np.bincount(run_row, weights=must[run_cell], minlength=len(digits)) == n_must)
-        hits.extend(digits[typical][:2])
+        typical = (np.bincount(run_row, weights=bad, minlength=rows) == 0) & (
+            np.bincount(run_row, weights=must[run_cell], minlength=rows) == n_must)
+        hits.extend(start + np.flatnonzero(typical)[:2])
         if len(hits) > 1:
-            return DecodeResult(None, "ambiguous")
+            return DecodeResult(None, "ambiguous", candidates=start + rows)
+    total = len(space.log_prior)
     if not hits:
-        return DecodeResult(None, "none-typical")
-    return DecodeResult(tuple(support[:, i][hits[0]] for i in range(3)))
+        return DecodeResult(None, "none-typical", candidates=total)
+    return DecodeResult(space.blocks_of(hits[0]), candidates=total)
 
 
 # The standard normal's 97.5 percent quantile: a two-sided 95 percent interval.
@@ -552,7 +633,8 @@ def monte_carlo_error(
         res = decoder(channel, scheme, y)
         wrong = not res.ok or not all(np.array_equal(a, b) for a, b in zip(res.blocks, s))
         # the tally is per thread, so a worker's trial counts only its own draws
-        return int(wrong), res.popcount_cells, np.subtract(tally(), start), scheme.kind, scheme.n
+        return (int(wrong), res.popcount_cells, res.candidates, np.subtract(tally(), start),
+                scheme.kind, scheme.n)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -561,13 +643,14 @@ def monte_carlo_error(
             outcomes = list(pool.map(run_trial, range(trials)))
     else:
         outcomes = [run_trial(t) for t in range(trials)]
-    wrong, cells, drawn, kinds, ns = zip(*outcomes)
+    wrong, cells, candidates, drawn, kinds, ns = zip(*outcomes)
     errors = sum(wrong)
     # plus the one kernel call that drew the 3 * trials sub-seeds
     streams, calls = np.sum(drawn, axis=0) + (3 * trials, 1)
     _LOG.debug(
-        "monte_carlo_error n=%d: %d decodes, %d popcount cells scored, %d keyed streams drawn, "
-        "%d kernel calls", ns[0], trials, sum(cells), streams, calls,
+        "monte_carlo_error n=%d: %d decodes, %d popcount cells scored, %d generic candidates "
+        "scored, %d keyed streams drawn, %d kernel calls",
+        ns[0], trials, sum(cells), sum(candidates), streams, calls,
     )
 
     lo, hi = wilson_interval(errors, trials)

@@ -33,6 +33,7 @@ from trimac.coding import (
     DecodeResult,
     build_linear_jscc,
     build_unstructured_jscc,
+    candidate_space,
     ml_decode,
     ml_decode_additive_pair,
     monte_carlo_error,
@@ -597,18 +598,21 @@ def test_stream_counts_do_not_depend_on_the_worker_count(caplog):
     src = make_sigma_gamma_triple(0.1, 0.2)
     channel = build_additive_pair_channel(0.1)
     table = np.array([[0.9, 0.1], [0.1, 0.9]])
+    decoder = partial(ml_decode, space=candidate_space(src, 4))
     lines = []
     for workers in (1, 3):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="trimac"):
             monte_carlo_error(channel, lambda s: build_unstructured_jscc(src, [table] * 3, 4, s),
-                              ml_decode, 7, seed=2, workers=workers)
+                              decoder, 7, seed=2, workers=workers)
         lines += [r.getMessage() for r in caplog.records if r.name == "trimac"]
     # per trial: three one-row encodes (too few rows for the kernel) and three
-    # 2^4-row decode tables (one kernel call each), plus the source and noise streams
+    # 2^4-row decode tables (one kernel call each), plus the source and noise
+    # streams; each decode scores the 4^4 support candidates
     streams = 3 * 7 + 7 * (3 + 3 * 16 + 2)
     assert lines == [f"monte_carlo_error n=4: 7 decodes, 0 popcount cells scored, "
-                     f"{streams} keyed streams drawn, {1 + 3 * 7} kernel calls"] * 2
+                     f"{7 * 4**4} generic candidates scored, {streams} keyed streams drawn, "
+                     f"{1 + 3 * 7} kernel calls"] * 2
 
 
 def test_debug_logging_leaves_csv_and_json_bytes_unchanged(tmp_path, caplog):
@@ -618,6 +622,9 @@ def test_debug_logging_leaves_csv_and_json_bytes_unchanged(tmp_path, caplog):
         ["structure-measure", "--target", "codebooks", "--k", "5", "--n", "10",
          "--trials", "40"],
     )
+    # the generic decoder, one candidate space per block length
+    generic = ["simulate-mac", "--channel", "quaternary", "--n-list", "3,5", "--trials", "6",
+               "--workers", "2", "--out-dir"]
     outputs = []
     for level in (logging.WARNING, logging.DEBUG):
         out = tmp_path / logging.getLevelName(level)
@@ -625,8 +632,16 @@ def test_debug_logging_leaves_csv_and_json_bytes_unchanged(tmp_path, caplog):
         with caplog.at_level(level, logger="trimac"):
             for argv in commands:
                 assert run(argv + ["--out-dir", str(out)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert run(generic + [str(out / "generic")]) == 0
+        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))})
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 6
+    assert len(outputs[0]) == 6 + 2
     lines = [r.getMessage() for r in caplog.records if r.name == "trimac"]
-    assert [line.split()[0] for line in lines] == ["monte_carlo_error", "fb", "codebook"]
+    assert [line.split()[0] for line in lines] == [
+        "monte_carlo_error", "fb", "codebook", "candidate", "monte_carlo_error", "candidate",
+        "monte_carlo_error"]
+    for n, (space, sim) in zip((3, 5), (lines[3:5], lines[5:7])):
+        # the additive source has 4 support triples; 4^n rows of 8-byte log priors
+        assert space.startswith(f"candidate space n={n}: {4**n} candidates, ")
+        assert int(space.split(", ")[1].split()[0]) > 8 * 4**n
+        assert f", {6 * 4**n} generic candidates scored, " in sim

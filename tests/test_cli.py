@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from trimac import cli
 from trimac.cli import run
 
 
@@ -28,6 +29,24 @@ def test_no_args_and_help():
     assert run([]) == 2
     assert run(["--help"]) == 0
     assert run(["transmogrify"]) == 2
+
+
+def test_run_builds_only_the_named_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    for name, build in list(cli._PARSERS.items()):
+        monkeypatch.setitem(cli._PARSERS, name,
+                            lambda build=build, name=name: built.append(name) or build())
+    assert run(["verify-lemmas", "--out-dir", str(tmp_path)]) == 0
+    assert built == ["verify-lemmas"]
+    # help and the unknown-subcommand message still name every subcommand, building none
+    assert run(["--help"]) == 0
+    assert run(["transmogrify"]) == 2
+    assert built == ["verify-lemmas"]
+    out, err = capsys.readouterr()
+    names = ("simulate-mac, simulate-macfb, region, frontier, common-parts, "
+             "structure-measure, verify-lemmas")
+    assert out.splitlines()[-1] == "usage: trimac <subcommand> [flags]; subcommands: " + names
+    assert err == f"unknown subcommand 'transmogrify'; choose from: {names}\n"
 
 
 def test_verify_lemmas_is_exact(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import itertools
+import sys
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +9,15 @@ import pytest
 from scipy.stats import binomtest
 
 from trimac import coding
-from trimac.channels import DMChannel, build_additive_pair_channel, transmit
+from trimac.channels import (
+    DMChannel,
+    build_additive_pair_channel,
+    build_quaternary_channel,
+    transmit,
+)
 from trimac.coding import (
     MAX_CANDIDATES,
+    DecodeResult,
     SimReport,
     build_hybrid_scheme,
     build_layered_ces,
@@ -27,7 +35,9 @@ from trimac.probcore import (
     binary_entropy_inverse,
     entropy,
     marginalize,
+    mixed_radix,
     mutual_information,
+    radix_ids,
 )
 from trimac.rng import stream
 from trimac.sources import (
@@ -350,6 +360,173 @@ def test_factored_decoder_rejects_dependent_pair():
     scheme = build_linear_jscc(src, 2, 6, seed=0)
     with pytest.raises(ValueError):
         ml_decode_additive_pair(ch, scheme, np.zeros(6, dtype=np.int64))
+
+
+# ---------------------------------------------------------------- candidate space
+
+
+def old_candidates(scheme, n):
+    """The per-call enumerator the candidate space replaced: digit rows and ids per chunk."""
+    support = scheme.source.support()
+    m = support.shape[0]
+    total = coding.check_decode_cost(m, n, 1)
+    symbols, codes = zip(*(np.unique(support[:, i], return_inverse=True) for i in range(3)))
+    tables = []
+    for user, sym in enumerate(symbols, start=1):
+        blocks = sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
+        tables.append({f"S{user}": blocks, **scheme.expand(user, blocks)})
+
+    def chunks():
+        for start in range(0, total, coding._CHUNK):
+            digits = mixed_radix(np.arange(start, min(start + coding._CHUNK, total)), m, n)
+            yield digits, [radix_ids(code[digits], len(sym)) for code, sym in zip(codes, symbols)]
+
+    return support, tables, chunks()
+
+
+def old_ml_decode(channel, scheme, y_block):
+    """The generic ML decoder as it was before the candidate space, kept as an oracle."""
+    y = np.asarray(y_block, dtype=np.int64)
+    n = y.shape[0]
+    support, tables, chunks = old_candidates(scheme, n)
+    with np.errstate(divide="ignore"):
+        log_t = np.log(channel.transition.table)
+        log_prior = np.log(scheme.source.support_probs())
+    best_score, best_digits, tie = -np.inf, None, False
+    for digits, ids in chunks:
+        x1, x2, x3 = (tab[f"X{u}"][i] for u, (tab, i) in enumerate(zip(tables, ids), start=1))
+        scores = log_t[x1, x2, x3, y].sum(axis=1) + log_prior[digits].sum(axis=1)
+        top = int(np.argmax(scores))
+        top_score = float(scores[top])
+        count = int((scores == top_score).sum())
+        if top_score > best_score:
+            best_score, best_digits, tie = top_score, digits[top], count > 1
+        elif top_score == best_score:
+            tie = True
+    if best_score == -np.inf:
+        return DecodeResult(None, "zero-likelihood")
+    if tie:
+        return DecodeResult(None, "tie")
+    return DecodeResult(tuple(support[:, i][best_digits] for i in range(3)))
+
+
+def same_result(a, b):
+    return a.failure == b.failure and (a.blocks is None) == (b.blocks is None) and (
+        a.blocks is None or all(np.array_equal(u, v) for u, v in zip(a.blocks, b.blocks)))
+
+
+def flat_channel(rows):
+    """A channel whose every input triple has the output row `rows`."""
+    table = np.broadcast_to(np.asarray(rows, dtype=float), (2, 2, 2, len(rows))).copy()
+    cond = ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)], [("Y", len(rows))], table)
+    return DMChannel("flat", cond, {})
+
+
+def scheme_for(kind, src, n, seed):
+    if kind == "linear":
+        return build_linear_jscc(src, 2, n, seed)
+    return build_unstructured_jscc(src, [np.array([[0.8, 0.2], [0.3, 0.7]])] * 3, n, seed)
+
+
+@pytest.mark.parametrize("kind", ["linear", "unstructured"])
+def test_ml_decode_equals_the_per_call_enumerator(kind):
+    sources = (make_additive_triple(0.2, 0.35), make_sigma_gamma_triple(0.1, 0.2))
+    channels = (build_additive_pair_channel(0.1), build_quaternary_channel(0.15))
+    outcomes = set()
+    for n in range(1, 10):
+        for case in range(6 if n <= 6 else 2):
+            src, ch = sources[case % 2], channels[case // 2 % 2]
+            scheme = scheme_for(kind, src, n, seed=10 * n + case)
+            s = sample_iid(src, n, case)
+            y = transmit(ch, scheme.encode(*s), case + 7)
+            want = old_ml_decode(ch, scheme, y)
+            got = ml_decode(ch, scheme, y)
+            assert same_result(got, want), (n, case)
+            assert got.candidates == len(src.support())**n
+            outcomes.add(got.failure)
+    assert None in outcomes and "tie" in outcomes
+
+
+@pytest.mark.parametrize("kind", ["linear", "unstructured"])
+def test_ml_decode_over_several_chunks_keeps_ties_and_zero_likelihood(kind, monkeypatch):
+    monkeypatch.setattr(coding, "_CHUNK", 2**6)
+    uniform = make_additive_triple(0.5, 0.5)
+    cases = [
+        # a flat channel and a uniform source: every candidate scores the same
+        (flat_channel([0.5, 0.5]), uniform, [0, 1, 1, 0, 1]),
+        # output 2 has no mass under any input
+        (flat_channel([0.6, 0.4, 0.0]), make_additive_triple(0.2, 0.3), [0, 2, 1, 0, 1, 0]),
+        (pair_identity_channel(), uniform, None),
+        (build_quaternary_channel(0.1), make_additive_triple(0.1, 0.25), None),
+        (build_additive_pair_channel(0.2), make_sigma_gamma_triple(0.05, 0.3), None),
+    ]
+    outcomes = []
+    for ch, src, fixed in cases:
+        for n in (4, 5, 7, 8):
+            for seed in range(2):
+                scheme = scheme_for(kind, src, n, seed)
+                if fixed is None:
+                    y = transmit(ch, scheme.encode(*sample_iid(src, n, seed)), seed + 3)
+                else:
+                    y = np.resize(fixed, n)
+                space = coding.candidate_space(src, n)
+                assert len(list(space.chunks())) > 1
+                got = ml_decode(ch, scheme, y, space=space)
+                assert same_result(got, old_ml_decode(ch, scheme, y))
+                assert same_result(got, ml_decode(ch, scheme, y))
+                outcomes.append(got.failure)
+    assert {None, "tie", "zero-likelihood"} <= set(outcomes)
+    assert outcomes[:8] == ["tie"] * 8 and outcomes[8:16] == ["zero-likelihood"] * 8
+
+
+def test_monte_carlo_error_with_a_shared_space_is_worker_invariant():
+    src = make_sigma_gamma_triple(0.1, 0.2)
+    ch = build_quaternary_channel(0.1)
+    interval = sys.getswitchinterval()
+    # more workers than cores, switching threads often, all reading one space
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind in ("linear", "unstructured"):
+            def factory(seed, kind=kind):
+                return scheme_for(kind, src, 5, seed)
+
+            shared = partial(ml_decode, space=coding.candidate_space(src, 5))
+            reports = [monte_carlo_error(ch, factory, decoder, 16, seed=4, workers=workers)
+                       for decoder in (shared, ml_decode, old_ml_decode) for workers in (1, 2)]
+            reports.append(monte_carlo_error(ch, factory, shared, 16, seed=4, workers=6))
+            assert all(r == reports[0] for r in reports)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_space_for_another_source_or_block_length_is_refused_before_scoring():
+    src = make_additive_triple(0.2, 0.3)
+    ch = build_quaternary_channel(0.1)
+    scheme = build_linear_jscc(src, 2, 6, seed=1)
+    expand = scheme.expand
+    expanded = []
+    scheme.expand = lambda user, blocks: expanded.append(user) or expand(user, blocks)
+    y = np.zeros(6, dtype=np.int64)
+    for other in (coding.candidate_space(make_sigma_gamma_triple(0.1, 0.2), 6),
+                  coding.candidate_space(make_additive_triple(0.2, 0.35), 6),
+                  coding.candidate_space(src, 5)):
+        with pytest.raises(ValueError, match="another source law or block length"):
+            ml_decode(ch, scheme, y, space=other)
+    assert expanded == []
+    # an equal law built apart is accepted
+    ok = ml_decode(ch, scheme, y, space=coding.candidate_space(make_additive_triple(0.2, 0.3), 6))
+    assert expanded == [1, 2, 3]
+    assert same_result(ok, old_ml_decode(ch, scheme, y))
+
+
+def test_ml_decode_refuses_symbols_outside_the_channel_alphabets():
+    src = make_additive_triple(0.2, 0.3)
+    ch = build_quaternary_channel(0.1)
+    # ternary codewords on binary channel inputs would alias other flat offsets
+    with pytest.raises(ValueError, match="X1 symbols outside"):
+        ml_decode(ch, build_linear_jscc(src, 3, 4, seed=2), np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="Y symbols outside"):
+        ml_decode(ch, build_linear_jscc(src, 2, 4, seed=2), np.array([0, 1, 4, 0]))
 
 
 # ---------------------------------------------------------------- typicality
