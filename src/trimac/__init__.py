@@ -20,7 +20,6 @@ from .coding import (
     ml_decode,
     ml_decode_additive_pair,
     monte_carlo_error,
-    typicality_decode,
 )
 from .commonparts import (
     additive_common_search,
@@ -75,7 +74,6 @@ __all__ = [
     "ml_decode",
     "ml_decode_additive_pair",
     "monte_carlo_error",
-    "typicality_decode",
     "additive_common_search",
     "gkw_mutual",
     "gkw_pairwise",

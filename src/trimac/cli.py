@@ -41,7 +41,6 @@ from .macfb import FBConfig, ptp_simulation, run_fb_simulation, structure_necess
 from .probcore import ConditionalPMF, JointPMF, binary_entropy
 from .regions import (
     CES2Dist,
-    FactorizationError,
     MacFBDist,
     ProductSearchConfig,
     eval_ces2,
@@ -665,7 +664,7 @@ def run(argv) -> int:
     try:
         emission = handler(args)
         _write_outputs(name, args, emission)
-    except (ValueError, FactorizationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure

@@ -1,33 +1,22 @@
 """Block coding schemes for the three-user MAC with correlated sources.
 
-Four scheme families:
+Two scheme families:
 
   * linear: identical affine maps x_i = s_i G + b_i with one shared square
     uniform matrix and zero-sum offsets, so the transmitted triple is
     zero-sum at every position;
   * unstructured: independent random codebooks, one codeword per source
-    block, entries drawn symbolwise from per-user conditionals;
-  * layered (conferencing): superposition codebooks on the mutual and
-    pairwise common parts, then per-user codewords conditioned on the
-    cloud centers;
-  * hybrid: the layered construction plus an affine layer on the additive
-    common part, with per-user codewords conditioned additionally on the
-    affine layer.
-
-The layered and hybrid schemes take their single-letter design law from
-regions.three_user_factors, the same factor list their region evaluators
-read, so the typicality decoder and the region rows share one law.
+    block, entries drawn symbolwise from per-user conditionals.
 
 A scheme is one per-user expansion: it maps a user's (rows, n) stack of
-source blocks to the user's codeword and layer blocks, every random row
-drawn from its own stream keyed by (scheme seed, layer tag, block
-content), so any block re-expands to the same codeword and nothing is
-memoized.  The generic decoders read their candidates off a
-CandidateSpace, built once per (source, n) and shared by a run's decodes;
-per call they expand each user's distinct blocks once into a table and
-read every candidate's codewords and layers off it.  Decoders return a
-DecodeResult; ties and empty typical sets are failures, never silent
-guesses.
+source blocks to the user's codewords, every random row drawn from its own
+stream keyed by (scheme seed, user tag, block content), so any block
+re-expands to the same codeword and nothing is memoized.  The generic ML
+decoder reads its candidates off a CandidateSpace, built once per
+(source, n) and shared by a run's decodes; per call it expands each user's
+distinct blocks once into a table and reads every candidate's codewords off
+it.  Decoders return a DecodeResult; ties and zero likelihood are
+failures, never silent guesses.
 """
 
 from __future__ import annotations
@@ -41,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .channels import DMChannel, transmit
-from .commonparts import additive_common_search, gkw_mutual, gkw_pairs
 from .gfcore import (
     pack_bits,
     sample_uniform_matrix,
@@ -49,17 +37,7 @@ from .gfcore import (
     unpack_bits,
     xor_codebook,
 )
-from .probcore import (
-    ConditionalPMF,
-    JointPMF,
-    chain_all,
-    check_cells,
-    marginalize,
-    mixed_radix,
-    radix_ids,
-    sample_given,
-)
-from .regions import PAIRS, USER_PAIRS, _plane_probs, three_user_factors
+from .probcore import check_cells, marginalize, mixed_radix, radix_ids, sample_given
 from .rng import sub_seeds, tally, uniforms
 from .sources import SourceModel, sample_iid
 
@@ -69,13 +47,10 @@ __all__ = [
     "SimReport",
     "build_linear_jscc",
     "build_unstructured_jscc",
-    "build_layered_ces",
-    "build_hybrid_scheme",
     "CandidateSpace",
     "candidate_space",
     "ml_decode",
     "ml_decode_additive_pair",
-    "typicality_decode",
     "monte_carlo_error",
     "wilson_interval",
     "check_decode_cost",
@@ -83,12 +58,12 @@ __all__ = [
 
 MAX_CANDIDATES = 2**26
 # Candidate-positions (support^n candidates times n positions, summed over a
-# run's decodes) the generic decoders may score in one run: about a minute
+# run's decodes) the generic decoder may score in one run: about a minute
 # at the 103-123M candidate-positions/s ml_decode scored at n = 10-12
 # (support 4, quaternary channel, one thread, the candidate-space build
 # included) on a 2-vCPU VM with numpy 2.4.6.
 MAX_DECODE_WORK = 6 * 10**9
-# candidate rows scored per chunk by the generic decoders
+# candidate rows scored per chunk by the generic decoder
 _CHUNK = 1 << 18
 
 _LOG = logging.getLogger("trimac")
@@ -97,38 +72,21 @@ _LOG = logging.getLogger("trimac")
 @dataclass
 class CodingScheme:
     """A block scheme; expand(user, blocks) maps a user's (rows, n) stack of
-    source blocks to {"X<user>": codewords, layer name: layer blocks}."""
+    source blocks to the user's (rows, n) codewords."""
 
     kind: str
     n: int
     source: SourceModel
-    expand: Callable[[int, np.ndarray], dict[str, np.ndarray]]
-    design_joint_builder: Callable[[DMChannel], JointPMF]
+    expand: Callable[[int, np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
 
-    def _expanded(self, s1, s2, s3) -> list[dict]:
-        """expand() of every user, on one block each or on stacks of blocks."""
+    def encode(self, s1, s2, s3):
+        """Every user's codewords, on one block each or on stacks of blocks."""
         out = []
         for user, s in enumerate((s1, s2, s3), start=1):
             s = np.asarray(s, dtype=np.int64)
-            rows = self.expand(user, s.reshape(-1, s.shape[-1]))
-            out.append({name: arr.reshape(s.shape) for name, arr in rows.items()})
-        return out
-
-    def encode(self, s1, s2, s3):
-        return tuple(d[f"X{u}"] for u, d in enumerate(self._expanded(s1, s2, s3), start=1))
-
-    def layer_blocks(self, s1, s2, s3) -> dict:
-        """Every layer block of the three users; a layer two users see is read from the first."""
-        out = {}
-        for user, d in enumerate(self._expanded(s1, s2, s3), start=1):
-            for name, arr in d.items():
-                if name != f"X{user}":
-                    out.setdefault(name, arr)
-        return out
-
-    def design_joint(self, channel: DMChannel) -> JointPMF:
-        return self.design_joint_builder(channel)
+            out.append(self.expand(user, s.reshape(-1, s.shape[-1])).reshape(s.shape))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -146,45 +104,31 @@ class DecodeResult:
         return self.failure is None
 
 
-def _zero_sum_affine(q: int, n: int, seed: int, tag: int):
-    """Uniform n x n matrix from stream (seed, tag); 3 zero-sum offset rows from (seed, tag + 1)."""
-    return sample_uniform_matrix(q, n, n, seed, tag), sample_zero_sum_offsets(q, n, 3, seed, tag + 1)
-
-
-def _draw(table: np.ndarray, given, seed: int, tag: int, content: np.ndarray) -> np.ndarray:
-    """sample_given on stacked rows, row r from stream (seed, tag, *content[r])."""
-    shape = np.shape(given[0])
-    paths = np.column_stack((np.full(len(content), tag, dtype=np.int64), content))
-    return sample_given(table, given, uniforms(seed, paths, math.prod(shape[1:])).reshape(shape))
-
-
 def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingScheme:
-    """Identical affine scheme: one uniform n x n matrix, zero-sum offsets."""
+    """Identical affine scheme: one uniform n x n matrix from stream (seed, 0),
+    three zero-sum offset rows from stream (seed, 1)."""
     if any(s > q for s in source.sizes):
         raise ValueError("source symbols must embed into Z_q")
     if n < 1:
         raise ValueError("block length must be positive")
-    g, offsets = _zero_sum_affine(q, n, seed, 0)
+    g = sample_uniform_matrix(q, n, n, seed, 0)
+    offsets = sample_zero_sum_offsets(q, n, 3, seed, 1)
 
-    def expand(user: int, blocks: np.ndarray) -> dict:
-        return {f"X{user}": (blocks @ g + offsets[user - 1]) % q}
-
-    def design_builder(channel: DMChannel) -> JointPMF:
-        inputs = ConditionalPMF((), [("X1", q), ("X2", q), ("X3", q)], _plane_probs(q))
-        return chain_all([ConditionalPMF.from_joint(source.joint), inputs, channel.transition])
+    def expand(user: int, blocks: np.ndarray) -> np.ndarray:
+        return (blocks @ g + offsets[user - 1]) % q
 
     return CodingScheme(
         kind="linear-jscc",
         n=n,
         source=source,
         expand=expand,
-        design_joint_builder=design_builder,
         meta={"q": q, "matrix": g, "offsets": offsets, "seed": seed},
     )
 
 
 def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
-    """Independent random codebooks with symbolwise conditional draws."""
+    """Independent random codebooks with symbolwise conditional draws; user i's
+    codeword for block s is drawn from stream (seed, i - 1, *s)."""
     tables = [np.asarray(t, dtype=np.float64) for t in conditionals]
     if len(tables) != 3:
         raise ValueError("need three conditional tables")
@@ -194,104 +138,18 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("conditional rows must sum to 1")
 
-    def expand(user: int, blocks: np.ndarray) -> dict:
-        return {f"X{user}": _draw(tables[user - 1], (blocks,), seed, user - 1, blocks)}
-
-    def design_builder(channel: DMChannel) -> JointPMF:
-        inputs = [
-            ConditionalPMF([(f"S{i}", source.sizes[i - 1])], [(f"X{i}", t.shape[1])], t)
-            for i, t in enumerate(tables, start=1)
-        ]
-        return chain_all([ConditionalPMF.from_joint(source.joint), *inputs, channel.transition])
+    def expand(user: int, blocks: np.ndarray) -> np.ndarray:
+        paths = np.column_stack((np.full(len(blocks), user - 1, dtype=np.int64), blocks))
+        u = uniforms(seed, paths, blocks.shape[1]).reshape(blocks.shape)
+        return sample_given(tables[user - 1], (blocks,), u)
 
     return CodingScheme(
         kind="unstructured-jscc",
         n=n,
         source=source,
         expand=expand,
-        design_joint_builder=design_builder,
         meta={"conditionals": tables, "seed": seed},
     )
-
-
-def _layered_scheme(kind: str, source: SourceModel, dist, n: int, seed: int,
-                    affine: dict | None = None) -> CodingScheme:
-    """Superposition encoders over the common parts, with codeword tags 4-7 and 10-12.
-
-    affine, the hybrid's {"q", "matrix", "offsets", "additive_functions"},
-    adds the layer T_i = f_i(S_i), V_i = T_i G + b_i on which X_i is also
-    conditioned; it is kept in the scheme's meta.
-    """
-    mutual = gkw_mutual(source)
-    pair_parts = gkw_pairs(source)
-    u123 = np.asarray(dist.u123.probs, dtype=np.float64)[None, :]
-    pair_tables = {b: np.asarray(dist.pair_conds[b].table) for b in PAIRS}
-    for b in PAIRS:
-        tab = pair_tables[b]
-        want = pair_parts[b].component_count
-        if tab.ndim != 3 or tab.shape[0] != want:
-            raise ValueError(
-                f"pair layer {b}: conditional must be indexed by the {want} "
-                "common-part labels and the shared layer symbol"
-            )
-        if tab.shape[1] != u123.shape[1]:
-            raise ValueError(f"pair layer {b}: shared-layer axis size mismatch")
-    x_tables = [np.asarray(dist.x_conds[i].table) for i in range(3)]
-    t_functions = None if affine is None else affine["additive_functions"]
-
-    def expand(user: int, blocks: np.ndarray) -> dict:
-        w123 = np.asarray(mutual.labelings[user - 1])[blocks]
-        u = _draw(u123, (np.zeros_like(w123),), seed, 4, w123)
-        out = {"W123": w123, "U123": u}
-        given = [blocks, u]
-        for b in USER_PAIRS[user]:
-            w_b = np.asarray(pair_parts[b].labelings[0 if b[0] == str(user) else 1])[blocks]
-            u_b = _draw(pair_tables[b], (w_b, u), seed, 5 + PAIRS.index(b),
-                        np.concatenate((w_b, u), axis=1))
-            out[f"W{b}"], out[f"U{b}"] = w_b, u_b
-            given.append(u_b)
-        if affine is not None:
-            t = np.asarray(t_functions[user - 1])[blocks]
-            v = (t @ affine["matrix"] + affine["offsets"][user - 1]) % affine["q"]
-            out[f"T{user}"], out[f"V{user}"] = t, v
-            given.append(v)
-        out[f"X{user}"] = _draw(x_tables[user - 1], given, seed, 9 + user, blocks)
-        return out
-
-    return CodingScheme(
-        kind=kind,
-        n=n,
-        source=source,
-        expand=expand,
-        design_joint_builder=lambda channel: chain_all(
-            three_user_factors(source, channel, dist, t_functions)),
-        meta={"seed": seed, **(affine or {})},
-    )
-
-
-def build_layered_ces(source: SourceModel, dist, n: int, seed: int) -> CodingScheme:
-    """Conferencing superposition scheme from a CES distribution spec.
-
-    dist must expose u123 (a one-axis JointPMF), pair_conds (dict over
-    "12","13","23" of ConditionalPMF given (W_b, U123)), and x_conds (three
-    ConditionalPMF given (S_i, U123, U_ij, U_ik)).
-    """
-    return _layered_scheme("layered-ces", source, dist, n, seed)
-
-
-def build_hybrid_scheme(source: SourceModel, dist, n: int, seed: int) -> CodingScheme:
-    """Layered scheme plus an affine layer on the additive common part.
-
-    dist additionally exposes q and x_conds given (S_i, U123, U_ij, U_ik, V_i).
-    The additive part must exist for the source at modulus q.
-    """
-    q = dist.q
-    additive = additive_common_search(source, q)
-    if not additive.found:
-        raise ValueError(f"source has no additive common part over Z_{q}")
-    g, offsets = _zero_sum_affine(q, n, seed, 20)
-    affine = {"q": q, "matrix": g, "offsets": offsets, "additive_functions": additive.functions}
-    return _layered_scheme("hybrid", source, dist, n, seed, affine)
 
 
 def check_decode_cost(support: int, n: int, decodes: int) -> int:
@@ -415,7 +273,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
     # (check_cells keeps its size below 2^31)
     books = []
     for user, blocks in enumerate(space.blocks, start=1):
-        book = scheme.expand(user, blocks)[f"X{user}"]
+        book = scheme.expand(user, blocks)
         _check_symbols(book, shape[user - 1], f"X{user}")
         books.append((book * math.prod(shape[user:])).astype(np.int32))
     _check_symbols(y, shape[3], "Y")
@@ -499,72 +357,6 @@ def ml_decode_additive_pair(channel: DMChannel, scheme: CodingScheme, y_block) -
         decoded.append(unpack_bits(top, scheme.n))
     s1, s2 = decoded
     return DecodeResult((s1, s2, s1 ^ s2), popcount_cells=cells)
-
-
-def typicality_decode(channel: DMChannel, scheme: CodingScheme, y_block, eps: float,
-                      design: JointPMF | None = None) -> DecodeResult:
-    """Unique strongly typical candidate decoding.
-
-    A candidate passes when the empirical type of the full per-symbol tuple
-    (sources, layer variables, inputs, output) deviates from the design law
-    by at most eps divided by the design support size in every cell, with no
-    mass on null cells.  No typical candidate is an E0 failure; more than
-    one is an E1 failure.  design is scheme.design_joint(channel), built here
-    unless passed in; schemes of one factory share it across seeds, so a
-    caller decoding many trials builds it once.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    y = np.asarray(y_block, dtype=np.int64)
-    n = y.shape[0]
-    space = _space_for(scheme, n, None)
-    if design is None:
-        design = scheme.design_joint(channel)
-    probs = design.probs
-    thr = eps / float((probs > 0).sum())
-    tables = [{f"S{user}": blocks, **scheme.expand(user, blocks)}
-              for user, blocks in enumerate(space.blocks, start=1)]
-    flat = probs.ravel()
-    positive = flat > 0.0
-    # cells with design mass above the threshold must appear
-    must = flat > thr
-    n_must = int(must.sum())
-    # (table column, user) of every design axis but Y; a layer two users see is read from the first
-    columns = {}
-    for user, tab in enumerate(tables):
-        for name, col in tab.items():
-            columns.setdefault(name, (col, user))
-
-    hits = []
-    for start, ids in space.chunks():
-        rows = len(ids[0])
-        cells = np.zeros((rows, n), dtype=np.int64)
-        for name, size in zip(design.names, probs.shape):
-            cells *= size
-            if name == "Y":
-                cells += y
-            else:
-                col, user = columns[name]
-                cells += col[ids[user]]
-        # one run per distinct cell of a candidate's type
-        cells.sort(axis=1)
-        new = np.ones(cells.shape, dtype=bool)
-        new[:, 1:] = cells[:, 1:] != cells[:, :-1]
-        starts = np.flatnonzero(new)
-        run_cell = cells.ravel()[starts]
-        del cells, new
-        run_row = starts // n
-        counts = np.diff(starts, append=rows * n)
-        bad = ~positive[run_cell] | (np.abs(counts / float(n) - flat[run_cell]) > thr)
-        typical = (np.bincount(run_row, weights=bad, minlength=rows) == 0) & (
-            np.bincount(run_row, weights=must[run_cell], minlength=rows) == n_must)
-        hits.extend(start + np.flatnonzero(typical)[:2])
-        if len(hits) > 1:
-            return DecodeResult(None, "ambiguous", candidates=start + rows)
-    total = len(space.log_prior)
-    if not hits:
-        return DecodeResult(None, "none-typical", candidates=total)
-    return DecodeResult(space.blocks_of(hits[0]), candidates=total)
 
 
 # The standard normal's 97.5 percent quantile: a two-sided 95 percent interval.

@@ -5,9 +5,8 @@ common-part relabelings, coordination layers, zero-sum linear layer,
 channel) and reads each inequality off one memoized entropy ledger over
 those factors: a small law is multiplied out once, a large one stays
 factored and each group marginal is contracted from the factors it needs.
-The three-user layered and hybrid laws come from three_user_factors, which
-the block schemes in coding also chain out as their design law.  Nothing
-in this module samples.  A report row keeps (id, lhs, rhs, slack) so
+The three-user layered and hybrid laws come from three_user_factors.
+Nothing in this module samples.  A report row keeps (id, lhs, rhs, slack) so
 violations are attributable.
 
 Four condition families are covered: the two-user layered region and the

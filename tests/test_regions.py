@@ -20,7 +20,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimac.channels import DMChannel, build_quaternary_channel, quaternary_noise_law
+from trimac.channels import (
+    DMChannel,
+    build_additive_pair_channel,
+    build_quaternary_channel,
+    quaternary_noise_law,
+)
 from trimac import regions
 from trimac.commonparts import additive_common_search, gkw_mutual, gkw_pairwise
 from trimac.probcore import (
@@ -28,6 +33,7 @@ from trimac.probcore import (
     JointPMF,
     add_derived_axis,
     chain,
+    chain_all,
     deterministic_conditional,
     entropy,
     marginalize,
@@ -540,6 +546,125 @@ def test_hybrid_with_vacuous_v_matches_layered_rows():
         for hid, cid in HYBRID_CES3_SHARED:
             assert lifted.record(hid).lhs == pytest.approx(base.record(cid).lhs, abs=1e-10), hid
             assert lifted.record(hid).rhs == pytest.approx(base.record(cid).rhs, abs=1e-10), hid
+
+
+# ---------------------------------------------------------------------------
+# the three-user factor list, chained out
+
+
+def diag_source():
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = 0.4
+    probs[1, 1, 1] = 0.6
+    return SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], probs))
+
+
+def factor_law(source, channel, dist):
+    """The chained three_user_factors law: the hybrid one, on the source's additive
+    relabelings, when dist is a HybridDist, else the layered one."""
+    t_functions = None
+    if isinstance(dist, HybridDist):
+        t_functions = additive_common_search(source, dist.q).functions
+    return chain_all(regions.three_user_factors(source, channel, dist, t_functions))
+
+
+def xor_layered_dist():
+    """Uniform U123, identity pair layers U_b = W_b on the diag source's common parts,
+    and X_i = S_i xor U123."""
+    pair = np.zeros((2, 2, 2))
+    for w in range(2):
+        pair[w, :, w] = 1.0
+    pair_conds = {b: ConditionalPMF([(f"W{b}", 2), ("U123", 2)], [(f"U{b}", 2)], pair) for b in PAIRS}
+    x = np.zeros((2, 2, 2, 2, 2))
+    for s, u in itertools.product(range(2), repeat=2):
+        x[s, u, :, :, s ^ u] = 1.0
+    x_conds = tuple(
+        ConditionalPMF([(f"S{i}", 2), ("U123", 2), (f"U{ba}", 2), (f"U{bb}", 2)], [(f"X{i}", 2)], x)
+        for i, (ba, bb) in USER_PAIRS.items())
+    return CESDist(JointPMF([("U123", 2)], np.array([0.5, 0.5])), pair_conds, x_conds)
+
+
+def passthrough_hybrid_dist():
+    """Trivial layers and X_i = V_i over Z_2."""
+    pair_conds = {b: ConditionalPMF([(f"W{b}", 1), ("U123", 1)], [(f"U{b}", 1)], np.ones((1, 1, 1)))
+                  for b in PAIRS}
+    table = np.zeros((2, 1, 1, 1, 2, 2))
+    for v in range(2):
+        table[:, 0, 0, 0, v, v] = 1.0
+    x_conds = tuple(
+        ConditionalPMF([(f"S{i}", 2), ("U123", 1), (f"U{ba}", 1), (f"U{bb}", 1), (f"V{i}", 2)],
+                       [(f"X{i}", 2)], table)
+        for i, (ba, bb) in USER_PAIRS.items())
+    return HybridDist(2, JointPMF([("U123", 1)], np.array([1.0])), pair_conds, x_conds)
+
+
+def random_layered_dist(hybrid):
+    """Diag-source layered spec with random tables; hybrid adds the V_i axis (q = 2)."""
+    rng = stream(21)
+
+    def rows(shape):
+        t = rng.random(shape) + 0.05
+        return t / t.sum(axis=-1, keepdims=True)
+
+    u123 = JointPMF([("U123", 2)], rows((2,)))
+    pair_conds = {b: ConditionalPMF([(f"W{b}", 2), ("U123", 2)], [(f"U{b}", 2)], rows((2, 2, 2)))
+                  for b in PAIRS}
+    x_conds = []
+    for i, (ba, bb) in USER_PAIRS.items():
+        given = [(f"S{i}", 2), ("U123", 2), (f"U{ba}", 2), (f"U{bb}", 2)]
+        given += [(f"V{i}", 2)] if hybrid else []
+        x_conds.append(ConditionalPMF(given, [(f"X{i}", 2)], rows((2,) * len(given) + (2,))))
+    if hybrid:
+        return HybridDist(2, u123, pair_conds, tuple(x_conds))
+    return CESDist(u123, pair_conds, tuple(x_conds))
+
+
+# Recorded from the block schemes' design laws, which chained this factor list.
+@pytest.mark.parametrize("hybrid, pinned", [
+    (False, {
+        ("S1", "U123", "X1"): 2.8897625796068227,
+        ("W12", "U12", "X2"): 2.910188344850158,
+        ("X1", "X2", "X3", "Y"): 4.450052709897166,
+        ("U13", "U23", "Y"): 3.9161026423557805,
+        None: 8.33481363149822,
+    }),
+    (True, {
+        ("S1", "U123", "X1"): 2.8992688040502266,
+        ("W12", "U12", "X2"): 2.939344814923205,
+        ("X1", "X2", "X3", "Y"): 4.427854157218658,
+        ("U13", "U23", "Y"): 3.9065627352184413,
+        ("T1", "V1", "X1"): 1.999628441649064,
+        ("V1", "V2", "Y"): 3.9946701287949944,
+        None: 10.23382092059831,
+    }),
+], ids=["layered", "hybrid"])
+def test_three_user_factor_entropies_pinned(hybrid, pinned):
+    law = factor_law(diag_source(), build_additive_pair_channel(0.1), random_layered_dist(hybrid))
+    for group, bits in pinned.items():
+        assert entropy(law, group) == pytest.approx(bits, abs=1e-12)
+
+
+def test_layered_factors_draw_u123_apart_from_the_sources():
+    law = factor_law(diag_source(), build_additive_pair_channel(0.1), xor_layered_dist())
+    assert mutual_information(law, "U123", ("W123", "S1", "S2", "S3")) == pytest.approx(0.0, abs=1e-10)
+    assert np.abs(marginalize(law, "U123").probs - 0.5).max() < 1e-12
+    sx = marginalize(law, ("S1", "U123", "X1")).probs
+    for s, u in itertools.product(range(2), repeat=2):
+        if sx[s, u].sum() > 0:
+            assert sx[s, u, s ^ u] == pytest.approx(sx[s, u].sum(), abs=1e-12)
+    assert {"W123", "W12", "W13", "W23", "U123", "U12", "U13", "U23"} <= set(law.names)
+
+
+def test_hybrid_factors_draw_v_apart_from_the_sources():
+    law = factor_law(make_sigma_gamma_triple(0.1, 0.15), build_additive_pair_channel(0.1),
+                     passthrough_hybrid_dist())
+    assert mutual_information(law, ("V1", "V2"), ("S1", "S2", "S3")) == pytest.approx(0.0, abs=1e-10)
+    # X_i = V_i: the inputs are uniform on the zero-sum plane
+    x = marginalize(law, ("X1", "X2", "X3")).probs
+    for t in np.argwhere(x > 0):
+        assert t.sum() % 2 == 0
+        assert x[tuple(t)] == pytest.approx(0.25, abs=1e-15)
+    assert "T1" in law.names and "V3" in law.names
 
 
 def test_hybrid_example_tight_at_the_threshold_bias():
@@ -1237,6 +1362,15 @@ def test_shape_and_structure_validation():
     dist = product_ces_dist(structured, product_conditionals((0.1, 0.9, 0.2, 0.8, 0.3, 0.7)))
     with pytest.raises(FactorizationError):
         eval_ces3(make_sigma_gamma_triple(0.1, 0.3), build_quaternary_channel(0.25), dist)
+
+    # an input conditional over the wrong source alphabet, or into the wrong channel alphabet
+    layered = xor_layered_dist()
+    for shape, match in (((3, 2, 2, 2, 2), "conditional covers"), ((2, 2, 2, 2, 3), "conditional feeds")):
+        x1 = ConditionalPMF([("S1", shape[0]), ("U123", 2), ("U12", 2), ("U13", 2)],
+                            [("X1", shape[-1])], np.full(shape, 1.0 / shape[-1]))
+        bad = CESDist(layered.u123, layered.pair_conds, (x1, *layered.x_conds[1:]))
+        with pytest.raises(FactorizationError, match=match):
+            regions.three_user_factors(diag_source(), build_additive_pair_channel(0.1), bad)
 
     # no zero-sum relabeling exists for independent uniform bits
     iid = SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], np.full((2, 2, 2), 0.125)))
