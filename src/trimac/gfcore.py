@@ -222,13 +222,17 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
         raise ValueError(f"count table of {cells} cells exceeds guard {MAX_COUNT_CELLS}")
 
     all_s = mixed_radix(np.arange(n_s), q, k)  # (n_s, k)
+    # one float64 GEMM per chunk: each entry is at most k (q-1)^2, exact far below 2^53
+    s_float = all_s.astype(np.float64)
     # flat id of cell (i, j, v1, v2) is pair_base[i, j] + v1 * n_v + v2
     pair_base = np.arange(n_s * n_s, dtype=np.int64).reshape(n_s, n_s) * (n_v * n_v)
     counts = np.zeros(cells, dtype=np.int64)
     chunk = max(1, _TALLY_CELLS // (n_s * n_s))
     for start in range(0, m_total, chunk):
         mats = mixed_radix(np.arange(start, min(start + chunk, m_total)), q, k * n)
-        vids = radix_ids(all_s @ mats.reshape(-1, k, n) % q, q)  # (c, n_s)
+        stacked = mats.reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)  # (k, c * n)
+        images = (s_float @ stacked).astype(np.int64).reshape(n_s, -1, n).transpose(1, 0, 2)
+        vids = radix_ids(images % q, q)  # (c, n_s)
         flat_ids = pair_base + (vids * n_v)[:, :, None] + vids[:, None, :]
         np.add.at(counts, flat_ids.ravel(), 1)
     counts = counts.reshape(n_s, n_s, n_v, n_v)

@@ -4,9 +4,12 @@ A JointPMF is a numpy tensor with one named axis per variable; a
 ConditionalPMF is one factor of a law, P(targets | givens).  `chain_all`
 multiplies an ordered list of conditionals out into one tensor, but the
 region evaluators keep large laws factored and read each entropy off a
-marginal contracted from the factors it needs.  Tensors are capped at 1e8
-cells, checked before anything is allocated; axis names are unique per
-tensor; all masses are validated at construction.
+marginal contracted from the factors it needs; a small chained law keeps
+its nonzero cells (`support_cells`), and `cells_marginal` sums a marginal
+from them in numpy's own association, so its bits are `ndarray.sum`'s.
+Tensors are capped at 1e8 cells, checked before anything is allocated;
+axis names are unique per tensor; all masses are validated at
+construction.
 
 The module also owns the package's one inverse-CDF draw, `sample_given`,
 whose rule is count(cdf <= u): a uniform u picks the first symbol whose
@@ -29,6 +32,9 @@ __all__ = [
     "JointPMF",
     "ConditionalPMF",
     "entropy",
+    "array_entropy",
+    "support_cells",
+    "cells_marginal",
     "conditional_entropy",
     "mutual_information",
     "clamp_mi",
@@ -198,9 +204,64 @@ def entropy(p: JointPMF, axes=None) -> float:
         idx = sorted(p.axis_index(n) for n in axes)
         drop = tuple(i for i in range(len(p.axes)) if i not in idx)
         m = p.probs.sum(axis=drop) if drop else p.probs
+    return array_entropy(m)
+
+
+def array_entropy(m: np.ndarray) -> float:
+    """H of a mass tensor in bits, summed over its positive cells in C order."""
     flat = m.ravel()
     pos = flat[flat > 0.0]
     return float(-(pos * np.log2(pos)).sum()) + 0.0  # keep -0.0 out of reports
+
+
+def support_cells(probs: np.ndarray, ids=None):
+    """The nonzero cells of a C-contiguous tensor as (flat ids ascending, digits, masses).
+
+    digits holds one row per axis; ids, when the caller already has them
+    (ascending), save the scan.  None for a tensor that is not
+    C-contiguous: cells_marginal reproduces numpy's sums only in C order.
+    """
+    if not probs.flags.c_contiguous:
+        return None
+    ids = np.flatnonzero(probs) if ids is None else ids
+    dtype = np.min_scalar_type(max(probs.shape, default=1) - 1)
+    digits = np.array(np.unravel_index(ids, probs.shape), dtype=dtype).reshape(probs.ndim, -1)
+    return ids, digits, probs.ravel()[ids]
+
+
+def cells_marginal(shape, cells, keep) -> np.ndarray | None:
+    """probs.sum(axis=<axes not in keep>) bit for bit, from support_cells(probs).
+
+    keep lists axis indices ascending.  numpy drops size-1 axes, merges
+    neighbouring axes that are both kept or both summed, and walks the
+    tensor in C order.  When the trailing summed run has fewer than 8
+    cells, it adds each run in order from 0.0 (pairwise_sum adds runs that
+    short in order; a trailing kept axis makes runs of one cell) and adds
+    the run sums into the output in memory order: two in-order bincount
+    passes over the nonzero cells here.  A zero cell adds nothing.
+    Returns None for a trailing run of 8 or more cells, which numpy sums
+    pairwise; such sums are cheap on the dense tensor.
+    """
+    ids, digits, mass = cells
+    keep = list(keep)
+    run = 1
+    for ax in range(len(shape) - 1, -1, -1):
+        if ax in keep and shape[ax] > 1:
+            break
+        run *= shape[ax]
+    if run >= 8:
+        return None
+    out_shape = [shape[ax] for ax in keep]
+    strides = np.array([math.prod(out_shape[i + 1:]) for i in range(len(keep))], dtype=np.int64)
+    key = strides @ digits[keep]
+    if run > 1:
+        runs = ids // run
+        opens = np.empty(runs.size, dtype=bool)
+        opens[:1] = True
+        np.not_equal(runs[1:], runs[:-1], out=opens[1:])
+        mass = np.bincount(np.cumsum(opens) - 1, weights=mass)
+        key = key[opens]
+    return np.bincount(key, weights=mass, minlength=math.prod(out_shape)).reshape(out_shape)
 
 
 def conditional_entropy(p: JointPMF, target, given=()) -> float:

@@ -42,17 +42,18 @@ from .gfcore import check_prime_field
 from .probcore import (
     ConditionalPMF,
     JointPMF,
-    add_derived_axis,
+    array_entropy,
     binary_entropy,
     binary_entropy_inverse,
     chain_all,
+    cells_marginal,
     check_cells,
     clamp_mi,
     deterministic_conditional,
     entropy,
-    marginalize,
     mixed_radix,
     push_forward,
+    support_cells,
 )
 from .rng import stream
 from .sources import SourceModel, make_sigma_gamma_triple
@@ -411,13 +412,22 @@ class _EntropyLedger:
     """Memoized group entropies of a law kept as conditionals listed givens first.
 
     derived maps an extra axis name to (base names, coefficients, q): the
-    axis sum(c * base) mod q, materialized on a marginal, never on the law.
+    axis sum(c * base) mod q, materialized on a marginal (each nonzero
+    cell's mass moved to its derived coordinates), never on the law.
     A group is reduced from the smallest held marginal that covers it; when
     none does, the factors it needs are contracted with einsum (variable
     elimination) and the result is held.  A law of at most _DENSE_CELLS
     cells is chained out once and held from the start, so each term is
     summed exactly as probcore.entropy sums the chained joint: rows that tie
     in exact arithmetic keep their order down to the last bit.
+
+    In that mode every held law also keeps its nonzero cells, dropped with
+    the law, and a marginal is summed from them in numpy's association
+    (probcore.cells_marginal): when the summed axes after the last kept one
+    span fewer than 8 cells, each such run is added in order from zero and
+    the run sums are added in memory order.  A longer trailing run, which
+    numpy sums pairwise, and every marginal of a large law take numpy's sum
+    of the dense law.  Either way the bits are ndarray.sum's.
     """
 
     def __init__(self, factors, derived=None):
@@ -425,19 +435,21 @@ class _EntropyLedger:
         self.derived = dict(derived or {})
         self.sizes = dict(ax for f in self.factors for ax in f.given_axes + f.target_axes)
         self.terms: dict[frozenset, float] = {}
-        self._held: list[tuple[frozenset, JointPMF]] = []
-        self.requested = self.contractions = self.largest = 0
-        if math.prod(self.sizes.values()) <= _DENSE_CELLS:
+        self._held: list[tuple[frozenset, JointPMF, tuple | None]] = []
+        self.requested = self.contractions = self.largest = self.cell_sums = self.dense_sums = 0
+        self._small = math.prod(self.sizes.values()) <= _DENSE_CELLS
+        if self._small:
             self._hold(chain_all(self.factors))
 
-    def _hold(self, law: JointPMF) -> JointPMF:
-        self._held.append((frozenset(law.names), law))
+    def _hold(self, law: JointPMF, ids=None) -> tuple:
+        entry = (frozenset(law.names), law, support_cells(law.probs, ids) if self._small else None)
+        self._held.append(entry)
         self.largest = max(self.largest, law.probs.size)
-        return law
+        return entry
 
-    def _cover(self, names: frozenset) -> JointPMF | None:
-        fits = [law for key, law in self._held if names <= key]
-        return min(fits, key=lambda law: law.probs.size, default=None)
+    def _cover(self, names: frozenset) -> tuple | None:
+        fits = [entry for entry in self._held if names <= entry[0]]
+        return min(fits, key=lambda entry: entry[1].probs.size, default=None)
 
     def _contract(self, names: tuple) -> JointPMF:
         need, ops = set(names), []
@@ -453,7 +465,19 @@ class _EntropyLedger:
         return JointPMF([(n, self.sizes[n]) for n in names],
                         np.einsum(*args, [label[n] for n in names], optimize=True))
 
-    def _materialize(self, names: tuple) -> JointPMF:
+    def _sum(self, entry, names) -> np.ndarray:
+        """Marginal of a held law over names, axes in the law's order."""
+        _, law, cells = entry
+        keep = sorted(map(law.names.index, names))
+        m = None if cells is None else cells_marginal(law.shape, cells, keep)
+        if m is not None:
+            self.cell_sums += 1
+            return m
+        self.dense_sums += 1
+        drop = tuple(i for i in range(law.probs.ndim) if i not in keep)
+        return law.probs.sum(axis=drop) if drop else law.probs
+
+    def _materialize(self, names: tuple) -> tuple:
         """Hold the marginal over names, derived axes appended in the given order."""
         lifted = [n for n in names if n in self.derived]
         base = tuple(dict.fromkeys(
@@ -461,31 +485,45 @@ class _EntropyLedger:
             + [b for n in lifted for b in self.derived[n][0]]
         ))
         src = self._cover(frozenset(base))
-        law = self._contract(base) if src is None else marginalize(src, base)
-        for n in lifted:
-            bases, coeffs, q = self.derived[n]
-            idx = [law.axis_index(b) for b in bases]
-            law = add_derived_axis(law, n, q, lambda *g, idx=idx, coeffs=coeffs, q=q:
-                                   sum(c * g[i] for i, c in zip(idx, coeffs)) % q)
-        return self._hold(law)
+        if src is None:
+            m = self._contract(base).probs
+        else:
+            order = sorted(base, key=src[1].axis_index)
+            m = np.transpose(self._sum(src, base), [order.index(n) for n in base])
+        axes = [(n, self.sizes[n]) for n in base]
+        m, ids = np.ascontiguousarray(m), None
+        if lifted:
+            # each nonzero cell's mass moves to its derived coordinates: no
+            # arithmetic, and the derived axes come last, so ids stay ascending
+            idx = np.nonzero(m)
+            vals = m[idx]
+            for n in lifted:
+                bases, coeffs, q = self.derived[n]
+                idx += (sum(c * idx[base.index(b)] for b, c in zip(bases, coeffs)) % q,)
+                axes.append((n, q))
+            shape = [size for _, size in axes]
+            check_cells(shape)
+            ids = np.ravel_multi_index(idx, shape)
+            m = np.zeros(math.prod(shape))
+            m[ids] = vals
+            m = m.reshape(shape)
+        return self._hold(JointPMF._wrap(axes, m), ids)
 
     @contextlib.contextmanager
     def holding(self, names):
         """Hold the marginal over names for the terms read inside the block."""
-        law = self._materialize(tuple(names))
+        entry = self._materialize(tuple(names))
         try:
             yield
         finally:
-            self._held = [(key, held) for key, held in self._held if held is not law]
+            self._held = [held for held in self._held if held is not entry]
 
     def entropy_of(self, group) -> float:
         key = frozenset(group)
         self.requested += 1
         if key not in self.terms:
-            law = self._cover(key)
-            if law is None:
-                law = self._materialize(tuple(sorted(key)))
-            self.terms[key] = entropy(law, tuple(key))
+            entry = self._cover(key) or self._materialize(tuple(sorted(key)))
+            self.terms[key] = array_entropy(self._sum(entry, key))
         return self.terms[key]
 
     def cond_entropy(self, target, given=()) -> float:
@@ -500,8 +538,9 @@ class _EntropyLedger:
 
     def log(self, family: str) -> None:
         _LOG.debug("%s: %d entropy groups requested, %d computed, %d einsum contractions, "
-                   "largest marginal %d cells", family, self.requested, len(self.terms),
-                   self.contractions, self.largest)
+                   "largest marginal %d cells, %d sums from nonzero cells, %d by numpy's sum",
+                   family, self.requested, len(self.terms), self.contractions, self.largest,
+                   self.cell_sums, self.dense_sums)
 
 
 # ---------------------------------------------------------------------------

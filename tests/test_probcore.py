@@ -19,9 +19,11 @@ from trimac.probcore import (
     ConditionalPMF,
     JointPMF,
     add_derived_axis,
+    array_entropy,
     binary_entropy,
     binary_entropy_inverse,
     chain,
+    cells_marginal,
     chain_all,
     clamp_mi,
     conditional_entropy,
@@ -34,6 +36,7 @@ from trimac.probcore import (
     radix_ids,
     sample_cells,
     sample_given,
+    support_cells,
     tv_distance,
     _pinned_cdf,
 )
@@ -490,3 +493,88 @@ def test_every_draw_is_the_searchsorted_rule_and_skips_zero_mass(seed):
     book = macfb._seeded_linear_book(3, 8, seed)
     msgs = pack_bits(stream(seed, 61).integers(0, 2, size=(30, 3, 3)))
     assert np.array_equal(last_words, pack_bits(y[:-1] >> 2) ^ book[msgs[:-1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# marginals summed from the nonzero cells, against numpy's own sums
+
+
+def trailing_summed_run(shape, keep) -> int:
+    """Cells in the run of summed axes after the last kept axis of size > 1."""
+    run = 1
+    for ax in reversed(range(len(shape))):
+        if ax in keep and shape[ax] > 1:
+            break
+        run *= shape[ax]
+    return run
+
+
+@st.composite
+def laws_and_keeps(draw):
+    """A C-contiguous law of 1-12 axes of size 1-4, its support one cell to full, and a keep set."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    while math.prod(sizes) > 2**14:
+        sizes[sizes.index(max(sizes))] -= 1
+    cells = math.prod(sizes)
+    nonzero = draw(st.integers(1, cells))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = np.zeros(cells)
+    # masses over several binades, so a change of association moves the last bits
+    flat[rng.choice(cells, nonzero, replace=False)] = rng.random(nonzero) ** 4 + 1e-3
+    probs = (flat / flat.sum()).reshape(sizes)
+    kept = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    return probs, [ax for ax, k in enumerate(kept) if k]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws_and_keeps())
+def test_cells_marginal_is_numpys_sum_bit_for_bit(case):
+    probs, keep = case
+    drop = tuple(ax for ax in range(probs.ndim) if ax not in keep)
+    m = cells_marginal(probs.shape, support_cells(probs), keep)
+    if trailing_summed_run(probs.shape, keep) >= 8:
+        assert m is None  # numpy sums this run pairwise
+        return
+    assert same_bits(m, probs.sum(axis=drop) if drop else probs)
+    law = JointPMF([(f"A{ax}", size) for ax, size in enumerate(probs.shape)], probs)
+    assert same_bits(array_entropy(m), entropy(law, tuple(f"A{ax}" for ax in keep)))
+
+
+@pytest.mark.parametrize("shape, keep, run", [
+    ((3, 4, 2), (1, 2), 1),   # trailing kept axis: runs of one cell, in memory order
+    ((3, 4, 2), (0, 2), 1),
+    ((4, 3, 2), (0,), 6),     # trailing run of 6 cells, added in order, then run by run
+    ((4, 1, 3, 2, 1), (0,), 6),  # size-1 axes neither break nor lengthen the run
+    ((2, 4, 2, 4), (0, 2), 4),
+    ((3, 2, 4), (0,), 8),     # numpy sums 8 cells pairwise: left to numpy
+    ((2, 3, 3), (), 18),
+])
+def test_cells_marginal_takes_both_branches(shape, keep, run):
+    rng = np.random.default_rng(11)
+    probs = rng.random(shape) ** 4
+    probs[rng.random(shape) < 0.3] = 0.0
+    probs /= probs.sum()
+    assert trailing_summed_run(shape, keep) == run
+    m = cells_marginal(shape, support_cells(probs), keep)
+    drop = tuple(ax for ax in range(len(shape)) if ax not in keep)
+    if run >= 8:
+        assert m is None
+    else:
+        assert same_bits(m, probs.sum(axis=drop))
+
+
+def test_support_cells_lists_the_nonzero_cells_of_a_c_order_law_only():
+    probs = np.zeros((3, 2, 4))
+    probs[0, 1, 3] = probs[2, 0, 1] = 0.25
+    probs[1, 1, 0] = 0.5
+    ids, digits, mass = support_cells(probs)
+    assert ids.tolist() == [7, 12, 17]
+    assert digits.tolist() == [[0, 1, 2], [1, 1, 0], [3, 0, 1]]
+    assert mass.tolist() == [0.25, 0.5, 0.25]
+    assert support_cells(np.transpose(probs)) is None
+    assert support_cells(probs[:, :, ::2]) is None

@@ -1255,16 +1255,79 @@ def test_hybrid_ledger_groups_match_the_dense_joint(monkeypatch, sigma, gamma, a
         assert abs(dense_entropy(joint, ledger.derived, group) - bits) <= 1e-12, sorted(group)
 
 
+def spy_covers(monkeypatch):
+    """Ledgers that record, for each computed group, the held law it was summed from."""
+    made = []
+
+    class Spy(regions._EntropyLedger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.covers = {}
+            made.append(self)
+
+        def entropy_of(self, group):
+            key = frozenset(group)
+            fresh = key not in self.terms
+            bits = super().entropy_of(group)
+            if fresh:
+                self.covers[key] = self._cover(key)[1]
+            return bits
+
+    monkeypatch.setattr(regions, "_EntropyLedger", Spy)
+    return made
+
+
+@pytest.mark.parametrize("family, sigma, gamma, alpha", [
+    ("hybrid", 0.0, None, 0.0), ("hybrid", 0.2, 0.1, 0.4), ("ces3", 0.2, 0.1, None)])
+def test_ledger_terms_are_the_dense_entropy_of_their_held_law(monkeypatch, family, sigma, gamma, alpha):
+    ledgers = spy_covers(monkeypatch)
+    source = make_sigma_gamma_triple(sigma, gamma_star(0.25) if gamma is None else gamma)
+    chan = build_quaternary_channel(0.25)
+    if family == "hybrid":
+        eval_hybrid(source, chan, hybrid_example_dist(source, alpha))
+    else:
+        eval_ces3(source, chan, product_ces_dist(
+            source, product_conditionals((0.1, 0.9, 0.3, 0.2, 0.25, 0.8))))
+    (ledger,) = ledgers
+    assert ledger.cell_sums > 0 and set(ledger.covers) == set(ledger.terms)
+    for group, bits in ledger.terms.items():
+        assert bits == entropy(ledger.covers[group], tuple(group)), sorted(group)
+
+
+def test_a_held_law_out_of_c_order_takes_numpys_sum():
+    rng = np.random.default_rng(5)
+    probs = rng.random((3, 2, 4, 2)) ** 4
+    probs[probs < 0.05] = 0.0
+    law = JointPMF([("A", 3), ("B", 2), ("C", 4), ("D", 2)], probs / probs.sum())
+    ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
+    assert ledger._held[0][2] is not None
+    view = JointPMF._wrap(law.axes[::-1], law.probs.transpose())  # a Fortran-order view
+    ledger._held = []
+    ledger._hold(view)
+    assert ledger._held[0][2] is None
+    for size in (1, 2, 3):
+        for group in itertools.combinations("ABCD", size):
+            assert ledger.entropy_of(group) == entropy(view, group), group
+    assert ledger.cell_sums == 0 and ledger.dense_sums == 14
+
+
 def test_each_evaluation_logs_one_ledger_line(caplog):
     chan = ConditionalPMF([("X1", 2), ("X2", 2)], [("Y", 2)], np.full((2, 2, 2), 0.5))
     half = ConditionalPMF([("U", 1)], [("X1", 2)], np.array([[0.5, 0.5]]))
+    source = make_sigma_gamma_triple(0.2, 0.1)
     with caplog.at_level(logging.DEBUG, logger="trimac"):
         eval_cl2((0.1, 0.1), chan, JointPMF([("U", 1)], [1.0]), half, half)
         eval_macfb((0.0, 0.0, 0.0), 0.0, macfb_preset(0), build_quaternary_channel(0.25))
+        eval_hybrid(source, build_quaternary_channel(0.25), hybrid_example_dist(source, 0.4))
     lines = [r.getMessage() for r in caplog.records if r.name == "trimac"]
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith("cl2: ") and " 0 einsum contractions" in lines[0]
     assert lines[1].startswith("macfb: ") and " 0 einsum" not in lines[1]
+    # the large macfb law stays factored: no sum comes from a nonzero-cell list
+    assert ", 0 sums from nonzero cells, " in lines[1]
+    assert lines[2].startswith("hybrid: ")
+    cell_sums = int(lines[2].split(" sums from nonzero cells")[0].rsplit(" ", 1)[1])
+    assert cell_sums > 0
 
 
 def test_macfb_at_q3_evaluates_without_the_dense_joint():
