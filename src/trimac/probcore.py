@@ -33,6 +33,7 @@ __all__ = [
     "ConditionalPMF",
     "entropy",
     "array_entropy",
+    "segment_entropies",
     "support_cells",
     "cells_marginal",
     "conditional_entropy",
@@ -209,9 +210,47 @@ def entropy(p: JointPMF, axes=None) -> float:
 
 def array_entropy(m: np.ndarray) -> float:
     """H of a mass tensor in bits, summed over its positive cells in C order."""
-    flat = m.ravel()
-    pos = flat[flat > 0.0]
-    return float(-(pos * np.log2(pos)).sum()) + 0.0  # keep -0.0 out of reports
+    return segment_entropies([(np.ravel(m), (0, np.size(m)))])[0]
+
+
+def segment_entropies(parts) -> list[float]:
+    """H in bits of every segment of every part, in order, each summed as array_entropy sums it alone.
+
+    A part is (flat, bounds): a 1-D mass array whose segment i is
+    flat[bounds[i]:bounds[i + 1]].  One segment's entropy is
+    -(pos * log2(pos)).sum() over its positive cells pos in order.  Here the
+    positive cells of every segment are concatenated and their p*log2(p)
+    terms taken in one pass; then the segments with the same number of
+    positive cells are summed together, one row each, by one .sum(axis=1),
+    which adds each row as numpy adds it alone.
+    """
+    pos, counts = [], []
+    for flat, bounds in parts:
+        cut = flat[bounds[0]:bounds[-1]]
+        positive = cut > 0.0
+        pos.append(cut[positive])
+        if len(bounds) == 2:
+            counts.append([pos[-1].size])
+        else:
+            at = np.searchsorted(np.flatnonzero(positive), np.subtract(bounds, bounds[0]))
+            counts.append(np.diff(at))
+    counts = np.concatenate(counts)
+    first = np.cumsum(counts) - counts
+    pos = np.concatenate(pos) if len(pos) > 1 else pos[0]
+    terms = np.log2(pos)
+    terms *= pos
+    del pos
+    sums = np.empty(counts.size)
+    order = np.argsort(counts, kind="stable")
+    ranked = counts[order]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, counts.size]):
+        rows, length = order[lo:hi], ranked[lo]
+        if rows.size == 1:
+            sums[rows] = terms[first[rows[0]]:first[rows[0]] + length].sum()
+        else:
+            sums[rows] = terms[first[rows, None] + np.arange(length)].sum(axis=1)
+    return (-sums + 0.0).tolist()  # keep -0.0 out of reports
 
 
 def support_cells(probs: np.ndarray, ids=None):
@@ -229,39 +268,55 @@ def support_cells(probs: np.ndarray, ids=None):
     return ids, digits, probs.ravel()[ids]
 
 
-def cells_marginal(shape, cells, keep) -> np.ndarray | None:
-    """probs.sum(axis=<axes not in keep>) bit for bit, from support_cells(probs).
+def cells_marginal(shape, cells, keeps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals of one law over several keep sets at once, each probs.sum(axis=<the rest>) bit for bit.
 
-    keep lists axis indices ascending.  numpy drops size-1 axes, merges
-    neighbouring axes that are both kept or both summed, and walks the
-    tensor in C order.  When the trailing summed run has fewer than 8
-    cells, it adds each run in order from 0.0 (pairwise_sum adds runs that
-    short in order; a trailing kept axis makes runs of one cell) and adds
-    the run sums into the output in memory order: two in-order bincount
-    passes over the nonzero cells here.  A zero cell adds nothing.
-    Returns None for a trailing run of 8 or more cells, which numpy sums
-    pairwise; such sums are cheap on the dense tensor.
+    cells is support_cells(probs), or None; keeps holds one row per
+    marginal, True on each axis it keeps.  Returns (flat, bounds, left):
+    marginal g is flat[bounds[g]:bounds[g + 1]] in C order.  left marks
+    the marginals whose slices the caller fills with numpy's sum: all of
+    them without cells, else those whose trailing summed run has 8 or more
+    cells, which numpy sums pairwise (cheap on the dense tensor).
+
+    numpy drops size-1 axes, merges neighbouring axes that are both kept
+    or both summed, and walks the tensor in C order.  When the trailing
+    summed run has fewer than 8 cells, it adds each run in order from 0.0
+    (pairwise_sum adds runs that short in order; a trailing kept axis makes
+    runs of one cell) and adds the run sums into the output in memory
+    order.  Here one in-order bincount per distinct run length adds the
+    runs, shared by every marginal with that length; one int64 product of
+    the stride matrix by the digits gives each run's output cell, offset
+    by its marginal's bound; and one in-order bincount adds the run sums.
+    A zero cell adds nothing.
     """
+    keep = np.asarray(keeps, dtype=bool).reshape(-1, len(shape))
+    sizes = np.where(keep, shape, 1)
+    inner = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1]  # inner[g, a]: cells of g from axis a on
+    bounds = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(inner[:, 0], out=bounds[1:])
+    if cells is None:
+        return np.empty(bounds[-1]), bounds, np.ones(len(keep), dtype=bool)
+    tail = np.cumprod((1, *shape[::-1]))[::-1]  # tail[a]: cells of the law from axis a on
+    run = tail[np.where(sizes > 1, np.arange(len(shape)), -1).max(axis=1) + 1]
+    left = run >= 8
     ids, digits, mass = cells
-    keep = list(keep)
-    run = 1
-    for ax in range(len(shape) - 1, -1, -1):
-        if ax in keep and shape[ax] > 1:
-            break
-        run *= shape[ax]
-    if run >= 8:
-        return None
-    out_shape = [shape[ax] for ax in keep]
-    strides = np.array([math.prod(out_shape[i + 1:]) for i in range(len(keep))], dtype=np.int64)
-    key = strides @ digits[keep]
-    if run > 1:
-        runs = ids // run
-        opens = np.empty(runs.size, dtype=bool)
-        opens[:1] = True
-        np.not_equal(runs[1:], runs[:-1], out=opens[1:])
-        mass = np.bincount(np.cumsum(opens) - 1, weights=mass)
-        key = key[opens]
-    return np.bincount(key, weights=mass, minlength=math.prod(out_shape)).reshape(out_shape)
+    stride = inner // sizes * keep
+    keys, weights = [], []
+    for length in sorted(set(run[~left].tolist())):
+        rows = np.flatnonzero(run == length)
+        heads, sums = digits, mass
+        if length > 1:
+            runs = ids // length
+            opens = np.empty(runs.size, dtype=bool)
+            opens[:1] = True
+            np.not_equal(runs[1:], runs[:-1], out=opens[1:])
+            heads, sums = digits[:, opens], np.bincount(np.cumsum(opens) - 1, weights=mass)
+        # run by run, each marginal's output cell: every marginal's runs stay in order
+        keys.append((heads.T @ stride[rows].T + bounds[rows]).ravel())
+        weights.append(np.repeat(sums, rows.size))
+    if not keys:
+        return np.empty(bounds[-1]), bounds, left
+    return np.bincount(np.concatenate(keys), np.concatenate(weights), bounds[-1]), bounds, left
 
 
 def conditional_entropy(p: JointPMF, target, given=()) -> float:

@@ -42,7 +42,7 @@ from .gfcore import check_prime_field
 from .probcore import (
     ConditionalPMF,
     JointPMF,
-    array_entropy,
+    segment_entropies,
     binary_entropy,
     binary_entropy_inverse,
     chain_all,
@@ -408,26 +408,83 @@ def three_user_factors(source: SourceModel, channel: DMChannel, dist, t_function
     return factors + [channel.transition]
 
 
+class _Held:
+    """A law the ledger holds or has planned to hold.
+
+    Either a law the ledger was given (pinned: its tensor is kept), an
+    einsum contraction of the factors over base (source None), or the
+    marginal over base of the held law source; lifted names derived axes
+    appended after base.  A planned law is built when its batch is
+    computed and released after it.
+    """
+
+    __slots__ = ("names", "nameset", "shape", "size", "source", "base", "lifted", "pinned",
+                 "made", "probs", "cells", "counted")
+
+    def __init__(self, names, shape, made, source=None, base=(), lifted=(), pinned=False):
+        self.names, self.nameset, self.shape = tuple(names), frozenset(names), tuple(shape)
+        self.size = math.prod(self.shape)
+        self.source, self.base, self.lifted, self.pinned, self.made = source, base, lifted, pinned, made
+        self.probs = self.cells = None
+
+    @property
+    def built(self) -> bool:
+        return self.probs is not None or self.cells is not None
+
+    def dense(self) -> np.ndarray:
+        """The tensor, set out from the nonzero cells when only they are held."""
+        if self.probs is None:
+            ids, _, mass = self.cells
+            flat = np.zeros(self.size)
+            flat[ids] = mass
+            self.probs = flat.reshape(self.shape)
+        return self.probs
+
+
+class _Plan:
+    """One evaluation: the groups its plan pass asked for, in order, and each new one's held law."""
+
+    __slots__ = ("requests", "jobs", "read")
+
+    def __init__(self):
+        self.requests: list[frozenset] = []
+        self.jobs: dict[frozenset, _Held] = {}
+        self.read: int | None = None  # the read pass's position; None while planning
+
+
 class _EntropyLedger:
     """Memoized group entropies of a law kept as conditionals listed givens first.
 
-    derived maps an extra axis name to (base names, coefficients, q): the
-    axis sum(c * base) mod q, materialized on a marginal (each nonzero
-    cell's mass moved to its derived coordinates), never on the law.
-    A group is reduced from the smallest held marginal that covers it; when
-    none does, the factors it needs are contracted with einsum (variable
-    elimination) and the result is held.  A law of at most _DENSE_CELLS
-    cells is chained out once and held from the start, so each term is
-    summed exactly as probcore.entropy sums the chained joint: rows that tie
-    in exact arithmetic keep their order down to the last bit.
+    An evaluation runs its row builder twice (_evaluate).  In the plan pass
+    every term reads 0.0 and the ledger records each group asked for and
+    the held law it will be summed from: the smallest held law that covers
+    it or, when none does, a new one over the group.  Which law covers a
+    group depends on axis sizes alone, so the plan makes every choice
+    without arithmetic.  The compute step then builds each planned law,
+    sums all of its groups in one batch, releases it, and takes the
+    entropies of every group at once.  The read pass returns the memoized
+    terms, and refuses a group the plan did not ask for at that point, so
+    a builder that branches on a term's value fails instead of reading
+    the wrong law's bits.  A bare entropy_of call is a plan of one.
 
-    In that mode every held law also keeps its nonzero cells, dropped with
-    the law, and a marginal is summed from them in numpy's association
+    derived maps an extra axis name to (base names, coefficients, q): the
+    axis sum(c * base) mod q, put on a marginal (each nonzero cell's mass
+    moved to its derived coordinates), never on the law.  A law of at most
+    _DENSE_CELLS cells is chained out once and held throughout, so each
+    term is summed exactly as probcore.entropy sums the chained joint:
+    rows that tie in exact arithmetic keep their order down to the last
+    bit.  A larger law stays factored: a group no held law covers is
+    contracted with einsum from the factors it needs (variable
+    elimination), in plan order, and released after its batch.
+
+    A small law, and every marginal held from it, keeps its nonzero cells,
+    and its groups are summed from them in numpy's association
     (probcore.cells_marginal): when the summed axes after the last kept one
     span fewer than 8 cells, each such run is added in order from zero and
     the run sums are added in memory order.  A longer trailing run, which
-    numpy sums pairwise, and every marginal of a large law take numpy's sum
-    of the dense law.  Either way the bits are ndarray.sum's.
+    numpy sums pairwise, and every group of a large law take numpy's sum
+    of the dense tensor.  Either way the bits are ndarray.sum's, and each
+    entropy is array_entropy's (probcore.segment_entropies).
     """
 
     def __init__(self, factors, derived=None):
@@ -435,95 +492,201 @@ class _EntropyLedger:
         self.derived = dict(derived or {})
         self.sizes = dict(ax for f in self.factors for ax in f.given_axes + f.target_axes)
         self.terms: dict[frozenset, float] = {}
-        self._held: list[tuple[frozenset, JointPMF, tuple | None]] = []
+        self._held: list[_Held] = []
+        self._plan: _Plan | None = None
+        self._made = self._cells_held = 0
         self.requested = self.contractions = self.largest = self.cell_sums = self.dense_sums = 0
+        self.planned = self.kernel_calls = self.most_held = 0
         self._small = math.prod(self.sizes.values()) <= _DENSE_CELLS
         if self._small:
             self._hold(chain_all(self.factors))
 
-    def _hold(self, law: JointPMF, ids=None) -> tuple:
-        entry = (frozenset(law.names), law, support_cells(law.probs, ids) if self._small else None)
-        self._held.append(entry)
-        self.largest = max(self.largest, law.probs.size)
-        return entry
+    def _add(self, held: _Held) -> _Held:
+        self._held.append(held)
+        self._made += 1
+        self.largest = max(self.largest, held.size)
+        return held
 
-    def _cover(self, names: frozenset) -> tuple | None:
-        fits = [entry for entry in self._held if names <= entry[0]]
-        return min(fits, key=lambda entry: entry[1].probs.size, default=None)
+    def _hold(self, law: JointPMF) -> _Held:
+        """Hold a given law for good."""
+        held = self._add(_Held(law.names, law.shape, self._made, pinned=True))
+        held.probs = law.probs
+        held.cells = support_cells(law.probs) if self._small else None
+        self._count(held)
+        return held
 
-    def _contract(self, names: tuple) -> JointPMF:
+    def _plan_hold(self, names: tuple) -> _Held:
+        """Plan a held law over names, derived axes appended in the given order."""
+        lifted = tuple(n for n in names if n in self.derived)
+        base = tuple(dict.fromkeys(
+            [n for n in names if n not in self.derived]
+            + [b for n in lifted for b in self.derived[n][0]]
+        ))
+        shape = [self.sizes[n] for n in base] + [self.derived[n][2] for n in lifted]
+        check_cells(shape)
+        return self._add(_Held(base + lifted, shape, self._made,
+                               self._cover(frozenset(base)), base, lifted))
+
+    def _cover(self, names: frozenset) -> _Held | None:
+        """The smallest held law over names, the first made among equals."""
+        best = None
+        for held in self._held:
+            if names <= held.nameset and (best is None or held.size < best.size):
+                best = held
+        return best
+
+    def _contract(self, names: tuple) -> np.ndarray:
         need, ops = set(names), []
         # a factor none of whose targets is needed sums to one: leave it out
         for f in reversed(self.factors):
             if need.intersection(f.target_names):
                 need.update(f.given_names + f.target_names)
                 ops.append(f)
-        check_cells([self.sizes[n] for n in names])
         label = {n: k for k, n in enumerate(sorted(need))}
         args = [x for f in ops for x in (f.table, [label[n] for n in f.given_names + f.target_names])]
         self.contractions += 1
-        return JointPMF([(n, self.sizes[n]) for n in names],
-                        np.einsum(*args, [label[n] for n in names], optimize=True))
+        return np.einsum(*args, [label[n] for n in names], optimize=True)
 
-    def _sum(self, entry, names) -> np.ndarray:
-        """Marginal of a held law over names, axes in the law's order."""
-        _, law, cells = entry
-        keep = sorted(map(law.names.index, names))
-        m = None if cells is None else cells_marginal(law.shape, cells, keep)
-        if m is not None:
-            self.cell_sums += 1
-            return m
-        self.dense_sums += 1
-        drop = tuple(i for i in range(law.probs.ndim) if i not in keep)
-        return law.probs.sum(axis=drop) if drop else law.probs
+    def _count(self, held: _Held) -> None:
+        """Count a law built: its tensor's cells, or its nonzero cells when only they are held."""
+        held.counted = held.cells[0].size if held.probs is None else held.probs.size
+        self._cells_held += held.counted
+        self.most_held = max(self.most_held, self._cells_held)
 
-    def _materialize(self, names: tuple) -> tuple:
-        """Hold the marginal over names, derived axes appended in the given order."""
-        lifted = [n for n in names if n in self.derived]
-        base = tuple(dict.fromkeys(
-            [n for n in names if n not in self.derived]
-            + [b for n in lifted for b in self.derived[n][0]]
-        ))
-        src = self._cover(frozenset(base))
-        if src is None:
-            m = self._contract(base).probs
+    def _build(self, held: _Held, m: np.ndarray, cells) -> None:
+        """Give held its law from m, its marginal over held.base in that axis order (C order).
+
+        cells are m's nonzero cells (support_cells), needed in small mode
+        and for derived axes.
+        """
+        if not held.lifted:
+            held.probs, held.cells = m, cells
         else:
-            order = sorted(base, key=src[1].axis_index)
-            m = np.transpose(self._sum(src, base), [order.index(n) for n in base])
-        axes = [(n, self.sizes[n]) for n in base]
-        m, ids = np.ascontiguousarray(m), None
-        if lifted:
             # each nonzero cell's mass moves to its derived coordinates: no
             # arithmetic, and the derived axes come last, so ids stay ascending
-            idx = np.nonzero(m)
-            vals = m[idx]
-            for n in lifted:
-                bases, coeffs, q = self.derived[n]
-                idx += (sum(c * idx[base.index(b)] for b, c in zip(bases, coeffs)) % q,)
-                axes.append((n, q))
-            shape = [size for _, size in axes]
-            check_cells(shape)
-            ids = np.ravel_multi_index(idx, shape)
-            m = np.zeros(math.prod(shape))
-            m[ids] = vals
-            m = m.reshape(shape)
-        return self._hold(JointPMF._wrap(axes, m), ids)
+            ids, digits, mass = cells
+            coeffs = np.zeros((len(held.lifted), len(held.base)), dtype=np.int64)
+            for row, (bases, cs, _) in zip(coeffs, map(self.derived.get, held.lifted)):
+                for b, c in zip(bases, cs):
+                    row[held.base.index(b)] += c
+            sizes = held.shape[len(held.base):]
+            extra = coeffs @ digits % np.array(sizes)[:, None]
+            radix = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+            dtype = np.min_scalar_type(max(held.shape) - 1)
+            held.cells = (ids * math.prod(sizes) + radix @ extra,
+                          np.vstack([digits, extra]).astype(dtype), mass)
+            if not self._small:
+                held.dense()
+                held.cells = None
+        self._count(held)
+
+    def _release(self, held: _Held) -> None:
+        if not held.pinned:
+            self._cells_held -= held.counted
+            held.probs = held.cells = None
+
+    def _sums(self, held: _Held, groups: list) -> tuple:
+        """Every group's marginal of the built law held, axes in its order, in one batch.
+
+        Returns (flat, bounds) as probcore.cells_marginal does, with the
+        marginals it leaves to numpy summed into their slices.
+        """
+        keep = np.zeros((len(groups), len(held.names)), dtype=bool)
+        where = {n: i for i, n in enumerate(held.names)}
+        keep[np.repeat(np.arange(len(groups)), [len(g) for g in groups]),
+             [where[n] for g in groups for n in g]] = True
+        flat, bounds, left = cells_marginal(held.shape, held.cells, keep)
+        self.kernel_calls += 1
+        for g, row in zip(np.flatnonzero(left).tolist(), keep[left].tolist()):
+            out = flat[bounds[g]:bounds[g + 1]].reshape([n for n, k in zip(held.shape, row) if k])
+            np.add.reduce(held.dense(), axis=tuple([a for a, k in enumerate(row) if not k]), out=out)
+        self.dense_sums += int(left.sum())
+        self.cell_sums += len(groups) - int(left.sum())
+        return flat, bounds
+
+    def _run(self, held: _Held, groups: dict, kids: dict, parts: list, keys: list) -> None:
+        """Sum held's groups and its derived laws' bases in one batch, then do each derived law."""
+        if not held.built:
+            m = np.ascontiguousarray(self._contract(held.base))
+            self._build(held, m, support_cells(m) if self._small or held.lifted else None)
+        mine = groups.get(held, [])
+        below = sorted(kids.get(held, ()), key=lambda kid: kid.made)
+        bases = list(dict.fromkeys(kid.base for kid in below))
+        self.planned += len(mine) + len(bases)
+        if held.nameset in mine:  # a group over the whole law is read off it, not copied
+            mine = [key for key in mine if key != held.nameset]
+            parts.append((held.dense().reshape(-1), (0, held.size)))
+            keys.append(held.nameset)
+        flat, bounds = self._sums(held, mine + bases)
+        parts.append((flat, bounds[:len(mine) + 1]))
+        keys += mine
+        marginals = {}
+        for g, base in enumerate(bases, len(mine)):
+            order = sorted(base, key=held.names.index)
+            m = flat[bounds[g]:bounds[g + 1]].reshape([self.sizes[n] for n in order])
+            m = np.ascontiguousarray(np.transpose(m, [order.index(n) for n in base]))
+            lifted = any(kid.lifted for kid in below if kid.base == base)
+            marginals[base] = m, support_cells(m) if self._small or lifted else None
+        self._release(held)
+        for kid in below:
+            self._build(kid, *marginals[kid.base])
+            self._run(kid, groups, kids, parts, keys)
+
+    def _compute(self) -> None:
+        """Compute every group the open plan asked for, then open its read pass."""
+        plan = self._plan
+        groups: dict[_Held, list] = {}
+        for key, held in plan.jobs.items():
+            groups.setdefault(held, []).append(key)
+        # a planned law is built from its source's batch; a law with no
+        # source, or one already built, starts a batch of its own
+        kids: dict[_Held, list] = {}
+        todo, tops = list(groups), []
+        while todo:
+            held = todo.pop()
+            if held.built or held.source is None:
+                tops.append(held)
+                continue
+            if held.source not in groups and held.source not in kids:
+                todo.append(held.source)
+            kids.setdefault(held.source, []).append(held)
+        got = {}
+        for top in sorted(tops, key=lambda held: held.made):
+            parts, keys = [], []
+            self._run(top, groups, kids, parts, keys)
+            got.update(zip(keys, segment_entropies(parts)))
+            self.kernel_calls += 1
+        self.terms.update((key, got[key]) for key in plan.jobs)
+        plan.read = 0
 
     @contextlib.contextmanager
     def holding(self, names):
-        """Hold the marginal over names for the terms read inside the block."""
-        entry = self._materialize(tuple(names))
+        """Hold the marginal over names for the terms asked for inside the block."""
+        if self._plan is not None and self._plan.read is not None:
+            yield  # the plan already chose every cover
+            return
+        held = self._plan_hold(tuple(names))
         try:
             yield
         finally:
-            self._held = [held for held in self._held if held is not entry]
+            self._held.remove(held)
 
     def entropy_of(self, group) -> float:
         key = frozenset(group)
-        self.requested += 1
-        if key not in self.terms:
-            entry = self._cover(key) or self._materialize(tuple(sorted(key)))
-            self.terms[key] = array_entropy(self._sum(entry, key))
+        plan = self._plan
+        if plan is None:
+            return _evaluate(lambda: self.entropy_of(key), self)
+        if plan.read is None:
+            self.requested += 1
+            plan.requests.append(key)
+            if key not in self.terms and key not in plan.jobs:
+                plan.jobs[key] = self._cover(key) or self._plan_hold(tuple(sorted(key)))
+            return 0.0
+        if plan.read == len(plan.requests) or plan.requests[plan.read] != key:
+            raise RuntimeError(
+                f"the read pass asked for H({', '.join(sorted(key))}), which the plan did not ask "
+                "for at this point: a row builder must not branch on a term's value")
+        plan.read += 1
         return self.terms[key]
 
     def cond_entropy(self, target, given=()) -> float:
@@ -538,9 +701,34 @@ class _EntropyLedger:
 
     def log(self, family: str) -> None:
         _LOG.debug("%s: %d entropy groups requested, %d computed, %d einsum contractions, "
-                   "largest marginal %d cells, %d sums from nonzero cells, %d by numpy's sum",
+                   "largest marginal %d cells, %d groups planned, %d batched kernel calls, "
+                   "most cells held at once %d, %d sums from nonzero cells, %d by numpy's sum",
                    family, self.requested, len(self.terms), self.contractions, self.largest,
-                   self.cell_sums, self.dense_sums)
+                   self.planned, self.kernel_calls, self.most_held, self.cell_sums, self.dense_sums)
+
+
+def _evaluate(build, *ledgers):
+    """build() run twice: a plan pass in which every term reads 0.0, then the read pass.
+
+    Between the two each ledger computes every group its plan asked for.
+    The read pass must ask for the planned groups in the planned order;
+    its result is returned.
+    """
+    for ledger in ledgers:
+        ledger._plan = _Plan()
+    try:
+        build()
+        for ledger in ledgers:
+            ledger._compute()
+        out = build()
+        for ledger in ledgers:
+            if ledger._plan.read != len(ledger._plan.requests):
+                raise RuntimeError("the read pass asked for fewer groups than the plan: "
+                                   "a row builder must not branch on a term's value")
+    finally:
+        for ledger in ledgers:
+            ledger._plan = None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,30 +765,33 @@ def eval_ces2(pair_joint: JointPMF, channel_cond: ConditionalPMF, dist: CES2Dist
         _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]),
     ])
 
-    rows = (
-        InequalityRecord(
-            "solo-1",
-            ledger.cond_entropy(("S1",), ("S2",)),
-            ledger.mi(("X1",), ("Y",), ("X2", "S2", "U12")),
-        ),
-        InequalityRecord(
-            "solo-2",
-            ledger.cond_entropy(("S2",), ("S1",)),
-            ledger.mi(("X2",), ("Y",), ("X1", "S1", "U12")),
-        ),
-        InequalityRecord(
-            "pair-w",
-            ledger.cond_entropy(("S1", "S2"), ("W12",)),
-            ledger.mi(("X1", "X2"), ("Y",), ("W12", "U12")),
-        ),
-        InequalityRecord(
-            "sum",
-            ledger.entropy_of(("S1", "S2")),
-            ledger.mi(("X1", "X2"), ("Y",)),
-        ),
-    )
+    def rows():
+        return (
+            InequalityRecord(
+                "solo-1",
+                ledger.cond_entropy(("S1",), ("S2",)),
+                ledger.mi(("X1",), ("Y",), ("X2", "S2", "U12")),
+            ),
+            InequalityRecord(
+                "solo-2",
+                ledger.cond_entropy(("S2",), ("S1",)),
+                ledger.mi(("X2",), ("Y",), ("X1", "S1", "U12")),
+            ),
+            InequalityRecord(
+                "pair-w",
+                ledger.cond_entropy(("S1", "S2"), ("W12",)),
+                ledger.mi(("X1", "X2"), ("Y",), ("W12", "U12")),
+            ),
+            InequalityRecord(
+                "sum",
+                ledger.entropy_of(("S1", "S2")),
+                ledger.mi(("X1", "X2"), ("Y",)),
+            ),
+        )
+
+    report = RegionReport("ces2", _evaluate(rows, ledger))
     ledger.log("ces2")
-    return RegionReport("ces2", rows)
+    return report
 
 
 def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
@@ -628,13 +819,16 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
         _cond(wt, [("X1", wt.shape[0]), ("X2", wt.shape[1])], [("Y", wt.shape[2])]),
     ])
 
-    rows = (
-        InequalityRecord("rate-1", r1, ledger.mi(("X1",), ("Y",), ("X2", "U"))),
-        InequalityRecord("rate-2", r2, ledger.mi(("X2",), ("Y",), ("X1", "U"))),
-        InequalityRecord("rate-sum", r1 + r2, ledger.mi(("X1", "X2"), ("Y",))),
-    )
+    def rows():
+        return (
+            InequalityRecord("rate-1", r1, ledger.mi(("X1",), ("Y",), ("X2", "U"))),
+            InequalityRecord("rate-2", r2, ledger.mi(("X2",), ("Y",), ("X1", "U"))),
+            InequalityRecord("rate-sum", r1 + r2, ledger.mi(("X1", "X2"), ("Y",))),
+        )
+
+    report = RegionReport("cl2", _evaluate(rows, ledger))
     ledger.log("cl2")
-    return RegionReport("cl2", rows)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -645,55 +839,60 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
     ledger = _EntropyLedger(three_user_factors(source, channel, dist))
 
     all_u = ("U123", "U12", "U13", "U23")
-    rows = []
-    for i in (1, 2, 3):
-        j, k = sorted({1, 2, 3} - {i})
+
+    def build():
+        rows = []
+        for i in (1, 2, 3):
+            j, k = sorted({1, 2, 3} - {i})
+            rows.append(InequalityRecord(
+                f"solo-{i}",
+                ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
+                ledger.mi(
+                    (f"X{i}",), ("Y",),
+                    (f"S{j}", f"S{k}", f"X{j}", f"X{k}") + all_u,
+                ),
+            ))
+        for b in PAIRS:
+            i, j = PAIR_USERS[b]
+            k = PAIR_COMPLEMENT[b]
+            rows.append(InequalityRecord(
+                f"pair-{b}",
+                ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",)),
+                ledger.mi(
+                    (f"X{i}", f"X{j}"), ("Y",),
+                    (f"S{k}", "U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k), f"X{k}"),
+                ),
+            ))
+            rows.append(InequalityRecord(
+                f"pair-{b}-wpair",
+                ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}", f"W{b}")),
+                ledger.mi(
+                    (f"X{i}", f"X{j}"), ("Y",),
+                    (f"S{k}", f"W{b}") + all_u + (f"X{k}",),
+                ),
+            ))
+        for subset in W_SUBSETS:
+            tag = _subset_tag(subset)
+            w_axes = tuple("W" + b for b in subset)
+            u_axes = tuple("U" + b for b in subset)
+            rows.append(InequalityRecord(
+                f"joint-wgroup-{tag}",
+                ledger.cond_entropy(("S1", "S2", "S3"), ("W123",) + w_axes),
+                ledger.mi(
+                    ("X1", "X2", "X3"), ("Y",),
+                    ("W123",) + w_axes + ("U123",) + u_axes,
+                ),
+            ))
         rows.append(InequalityRecord(
-            f"solo-{i}",
-            ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
-            ledger.mi(
-                (f"X{i}",), ("Y",),
-                (f"S{j}", f"S{k}", f"X{j}", f"X{k}") + all_u,
-            ),
+            "sum",
+            ledger.entropy_of(("S1", "S2", "S3")),
+            ledger.mi(("X1", "X2", "X3"), ("Y",)),
         ))
-    for b in PAIRS:
-        i, j = PAIR_USERS[b]
-        k = PAIR_COMPLEMENT[b]
-        rows.append(InequalityRecord(
-            f"pair-{b}",
-            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",)),
-            ledger.mi(
-                (f"X{i}", f"X{j}"), ("Y",),
-                (f"S{k}", "U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k), f"X{k}"),
-            ),
-        ))
-        rows.append(InequalityRecord(
-            f"pair-{b}-wpair",
-            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}", f"W{b}")),
-            ledger.mi(
-                (f"X{i}", f"X{j}"), ("Y",),
-                (f"S{k}", f"W{b}") + all_u + (f"X{k}",),
-            ),
-        ))
-    for subset in W_SUBSETS:
-        tag = _subset_tag(subset)
-        w_axes = tuple("W" + b for b in subset)
-        u_axes = tuple("U" + b for b in subset)
-        rows.append(InequalityRecord(
-            f"joint-wgroup-{tag}",
-            ledger.cond_entropy(("S1", "S2", "S3"), ("W123",) + w_axes),
-            ledger.mi(
-                ("X1", "X2", "X3"), ("Y",),
-                ("W123",) + w_axes + ("U123",) + u_axes,
-            ),
-        ))
-    rows.append(InequalityRecord(
-        "sum",
-        ledger.entropy_of(("S1", "S2", "S3")),
-        ledger.mi(("X1", "X2", "X3"), ("Y",)),
-    ))
+        return tuple(rows)
+
+    report = RegionReport("ces3", _evaluate(build, ledger))
     ledger.log("ces3")
-    return RegionReport("ces3", tuple(rows))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -720,78 +919,83 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
     T = ("T1", "T2", "T3")
     V = ("V1", "V2", "V3")
     all_u = ("U123", "U12", "U13", "U23")
-    rows = []
-    for i in (1, 2, 3):
-        j, k = sorted({1, 2, 3} - {i})
-        rows.append(InequalityRecord(
-            f"solo-{i}",
-            ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
-            ledger.mi(
-                (f"X{i}",), ("Y",),
-                (f"S{j}", f"S{k}") + all_u + V + (f"X{j}", f"X{k}"),
-            ),
-        ))
-    for b, subset in itertools.product(PAIRS, W_SUBSETS):
-        tag = _subset_tag(subset)
-        i, j = PAIR_USERS[b]
-        k = PAIR_COMPLEMENT[b]
-        w_axes = tuple("W" + s for s in subset)
-        # U_ik and U_jk always participate; the subset adds its own layers.
-        u_axes = tuple(dict.fromkeys(
-            ("U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k)) + tuple("U" + s for s in subset)
-        ))
-        rows.append(InequalityRecord(
-            f"pair-{b}-wgroup-{tag}",
-            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes),
-            ledger.mi(
-                (f"X{i}", f"X{j}"), ("Y",),
-                (f"S{k}",) + w_axes + u_axes + (f"V{k}", f"X{k}"),
-            ),
-        ))
-        rows.append(InequalityRecord(
-            f"pair-{b}-wgroup-{tag}-t",
-            ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes + T),
-            ledger.mi(
-                (f"X{i}", f"X{j}"), ("Y",),
-                (f"S{k}",) + w_axes + u_axes + T + V + (f"X{k}",),
-            ),
-        ))
-    for subset in W_SUBSETS:
-        tag = _subset_tag(subset)
-        w_axes = ("W123",) + tuple("W" + s for s in subset)
-        u_axes = ("U123",) + tuple("U" + s for s in subset)
-        rows.append(InequalityRecord(
-            f"joint-wgroup-{tag}-t",
-            ledger.cond_entropy(S, w_axes + T),
-            ledger.mi(X, ("Y",), w_axes + u_axes + T + V),
-        ))
-    rows.append(InequalityRecord(
-        "sum-t",
-        ledger.cond_entropy(S, T),
-        ledger.mi(X, ("Y",), T + V),
-    ))
     lin_groups = [("sum", (), ())] + [
         (f"joint-wgroup-{_subset_tag(s)}", ("W123",) + tuple("W" + b for b in s),
          ("U123",) + tuple("U" + b for b in s))
         for s in W_SUBSETS
     ]
-    for prefix, w_axes, u_axes in lin_groups:
-        # conditioning on 0*T1 + 0*T2 is conditioning on a constant
+
+    def build():
+        rows = []
+        for i in (1, 2, 3):
+            j, k = sorted({1, 2, 3} - {i})
+            rows.append(InequalityRecord(
+                f"solo-{i}",
+                ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
+                ledger.mi(
+                    (f"X{i}",), ("Y",),
+                    (f"S{j}", f"S{k}") + all_u + V + (f"X{j}", f"X{k}"),
+                ),
+            ))
+        for b, subset in itertools.product(PAIRS, W_SUBSETS):
+            tag = _subset_tag(subset)
+            i, j = PAIR_USERS[b]
+            k = PAIR_COMPLEMENT[b]
+            w_axes = tuple("W" + s for s in subset)
+            # U_ik and U_jk always participate; the subset adds its own layers.
+            u_axes = tuple(dict.fromkeys(
+                ("U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k)) + tuple("U" + s for s in subset)
+            ))
+            rows.append(InequalityRecord(
+                f"pair-{b}-wgroup-{tag}",
+                ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes),
+                ledger.mi(
+                    (f"X{i}", f"X{j}"), ("Y",),
+                    (f"S{k}",) + w_axes + u_axes + (f"V{k}", f"X{k}"),
+                ),
+            ))
+            rows.append(InequalityRecord(
+                f"pair-{b}-wgroup-{tag}-t",
+                ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes + T),
+                ledger.mi(
+                    (f"X{i}", f"X{j}"), ("Y",),
+                    (f"S{k}",) + w_axes + u_axes + T + V + (f"X{k}",),
+                ),
+            ))
+        for subset in W_SUBSETS:
+            tag = _subset_tag(subset)
+            w_axes = ("W123",) + tuple("W" + s for s in subset)
+            u_axes = ("U123",) + tuple("U" + s for s in subset)
+            rows.append(InequalityRecord(
+                f"joint-wgroup-{tag}-t",
+                ledger.cond_entropy(S, w_axes + T),
+                ledger.mi(X, ("Y",), w_axes + u_axes + T + V),
+            ))
         rows.append(InequalityRecord(
-            f"{prefix}-lin-00-unconditioned",
-            ledger.cond_entropy(S, w_axes),
-            ledger.mi(X, ("Y",), w_axes + u_axes),
+            "sum-t",
+            ledger.cond_entropy(S, T),
+            ledger.mi(X, ("Y",), T + V),
         ))
-        for a, b2 in lin:
-            tl, vl = f"TL{a}{b2}", f"VL{a}{b2}"
-            with ledger.holding(S + X + ("Y",) + w_axes + u_axes + ("T1", "T2", "V1", "V2", tl, vl)):
-                rows.append(InequalityRecord(
-                    f"{prefix}-lin-{a}{b2}",
-                    ledger.cond_entropy(S, w_axes + (tl,)),
-                    ledger.mi(X, ("Y",), w_axes + u_axes + (tl, vl)),
-                ))
+        for prefix, w_axes, u_axes in lin_groups:
+            # conditioning on 0*T1 + 0*T2 is conditioning on a constant
+            rows.append(InequalityRecord(
+                f"{prefix}-lin-00-unconditioned",
+                ledger.cond_entropy(S, w_axes),
+                ledger.mi(X, ("Y",), w_axes + u_axes),
+            ))
+            for a, b2 in lin:
+                tl, vl = f"TL{a}{b2}", f"VL{a}{b2}"
+                with ledger.holding(S + X + ("Y",) + w_axes + u_axes + ("T1", "T2", "V1", "V2", tl, vl)):
+                    rows.append(InequalityRecord(
+                        f"{prefix}-lin-{a}{b2}",
+                        ledger.cond_entropy(S, w_axes + (tl,)),
+                        ledger.mi(X, ("Y",), w_axes + u_axes + (tl, vl)),
+                    ))
+        return tuple(rows)
+
+    report = RegionReport("hybrid", _evaluate(build, ledger))
     ledger.log("hybrid")
-    return RegionReport("hybrid", tuple(rows))
+    return report
 
 
 def _shared_rows() -> tuple[tuple[str, str], ...]:
@@ -1463,45 +1667,48 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
 
     w_ledger = _EntropyLedger(w_factors)
 
-    rows, mi_groups, w_groups = [], {}, {}
-
     def w_entropy(target, given=()):
         tg, gg = frozenset(target), frozenset(given)
         groups = ((1, tg | gg),) if not gg else ((1, tg | gg), (-1, gg))
         return w_ledger.cond_entropy(tg, gg), groups
 
-    def add(rid, w_side, mis=(), rhs=0.0, equality=False):
-        """Row rid: alpha times a W entropy against rhs plus I(a; b | g) per (a, b, g)."""
-        lhs, w_groups[rid] = w_side
-        groups = ()
-        for a, b, g in mis:
-            a, b, g = frozenset(a), frozenset(b), frozenset(g)
-            rhs += ledger.mi(a, b, g)
-            groups += ((1, a | g), (1, b | g), (-1, a | b | g)) + (((-1, g),) if g else ())
-        mi_groups[rid] = groups
-        rows.append(InequalityRecord(rid, alpha * lhs, rhs, equality))
+    def build():
+        rows, mi_groups, w_groups = [], {}, {}
 
-    for i in (1, 2, 3):
-        add(f"rate-match-{i}", w_entropy((f"W{i}",)), rhs=rates[i - 1], equality=True)
-    for i in (1, 2, 3):
-        add(f"sum-decode-{i}", w_entropy((f"WA{i}",), (f"W{i}",)),
-            [((f"TA{i}",), ("Y",), ("U", f"T{i}", f"V{i}", f"X{i}"))])
-    for i in (1, 2, 3):
-        j, k = sorted({1, 2, 3} - {i})
-        add(f"cross-pair-{i}", w_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}")), [(
-            (f"T{j}t", f"X{j}t", f"T{k}t", f"X{k}t"),
-            ("Y", "Yt"),
-            ("Ut", f"X{i}t", f"T{i}t", f"V{i}t", "U", f"X{i}", f"T{i}", f"V{i}", f"V{j}t", f"V{k}t"),
-        )])
-    for subset in USER_SUBSETS:
-        rest = sorted({1, 2, 3} - set(subset))
-        given = ("U",) + tuple(f"{ax}{i}" for i in rest for ax in ("X", "T", "V")) + ("V1t", "V2t", "V3t")
-        add(f"list-{_subset_tag(subset)}",
-            w_entropy(tuple(f"W{i}" for i in subset)) if subset else (0.0, ()),
-            [(tuple(f"X{i}" for i in subset), ("Y",), given), (("U",), ("Y",), ())])
+        def add(rid, w_side, mis=(), rhs=0.0, equality=False):
+            """Row rid: alpha times a W entropy against rhs plus I(a; b | g) per (a, b, g)."""
+            lhs, w_groups[rid] = w_side
+            groups = ()
+            for a, b, g in mis:
+                a, b, g = frozenset(a), frozenset(b), frozenset(g)
+                rhs += ledger.mi(a, b, g)
+                groups += ((1, a | g), (1, b | g), (-1, a | b | g)) + (((-1, g),) if g else ())
+            mi_groups[rid] = groups
+            rows.append(InequalityRecord(rid, alpha * lhs, rhs, equality))
 
+        for i in (1, 2, 3):
+            add(f"rate-match-{i}", w_entropy((f"W{i}",)), rhs=rates[i - 1], equality=True)
+        for i in (1, 2, 3):
+            add(f"sum-decode-{i}", w_entropy((f"WA{i}",), (f"W{i}",)),
+                [((f"TA{i}",), ("Y",), ("U", f"T{i}", f"V{i}", f"X{i}"))])
+        for i in (1, 2, 3):
+            j, k = sorted({1, 2, 3} - {i})
+            add(f"cross-pair-{i}", w_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}")), [(
+                (f"T{j}t", f"X{j}t", f"T{k}t", f"X{k}t"),
+                ("Y", "Yt"),
+                ("Ut", f"X{i}t", f"T{i}t", f"V{i}t", "U", f"X{i}", f"T{i}", f"V{i}", f"V{j}t", f"V{k}t"),
+            )])
+        for subset in USER_SUBSETS:
+            rest = sorted({1, 2, 3} - set(subset))
+            given = ("U",) + tuple(f"{ax}{i}" for i in rest for ax in ("X", "T", "V")) + ("V1t", "V2t", "V3t")
+            add(f"list-{_subset_tag(subset)}",
+                w_entropy(tuple(f"W{i}" for i in subset)) if subset else (0.0, ()),
+                [(tuple(f"X{i}" for i in subset), ("Y",), given), (("U",), ("Y",), ())])
+        return tuple(rows), mi_groups, w_groups
+
+    rows, mi_groups, w_groups = _evaluate(build, ledger, w_ledger)
     ledger.log("macfb")
     return MacFBReport(
-        "macfb", tuple(rows), ledger.factors, chain_all(w_factors),
+        "macfb", rows, ledger.factors, chain_all(w_factors),
         dict(ledger.terms), dict(w_ledger.terms), mi_groups, w_groups, derived_axes, alpha,
     )

@@ -36,6 +36,7 @@ from trimac.probcore import (
     radix_ids,
     sample_cells,
     sample_given,
+    segment_entropies,
     support_cells,
     tv_distance,
     _pinned_cdf,
@@ -511,7 +512,7 @@ def trailing_summed_run(shape, keep) -> int:
 
 @st.composite
 def laws_and_keeps(draw):
-    """A C-contiguous law of 1-12 axes of size 1-4, its support one cell to full, and a keep set."""
+    """A C-contiguous law of 1-12 axes of size 1-4, its support one cell to full, and 1-12 keep sets."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
     while math.prod(sizes) > 2**14:
         sizes[sizes.index(max(sizes))] -= 1
@@ -522,8 +523,9 @@ def laws_and_keeps(draw):
     # masses over several binades, so a change of association moves the last bits
     flat[rng.choice(cells, nonzero, replace=False)] = rng.random(nonzero) ** 4 + 1e-3
     probs = (flat / flat.sum()).reshape(sizes)
-    kept = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
-    return probs, [ax for ax, k in enumerate(kept) if k]
+    keeps = draw(st.lists(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)),
+                          min_size=1, max_size=12))
+    return probs, [[ax for ax, k in enumerate(kept) if k] for kept in keeps]
 
 
 def same_bits(a, b) -> bool:
@@ -531,18 +533,30 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def batched_marginals(probs, keeps, cells):
+    """cells_marginal over every keep list at once, each marginal shaped, or None when left to numpy."""
+    mask = np.zeros((len(keeps), probs.ndim), dtype=bool)
+    for row, keep in zip(mask, keeps):
+        row[keep] = True
+    flat, bounds, left = cells_marginal(probs.shape, cells, mask)
+    assert bounds[0] == 0 and np.all(np.diff(bounds) == [math.prod(probs.shape[a] for a in k) for k in keeps])
+    return [None if left[g] else flat[bounds[g]:bounds[g + 1]].reshape([probs.shape[a] for a in keep])
+            for g, keep in enumerate(keeps)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(laws_and_keeps())
 def test_cells_marginal_is_numpys_sum_bit_for_bit(case):
-    probs, keep = case
-    drop = tuple(ax for ax in range(probs.ndim) if ax not in keep)
-    m = cells_marginal(probs.shape, support_cells(probs), keep)
-    if trailing_summed_run(probs.shape, keep) >= 8:
-        assert m is None  # numpy sums this run pairwise
-        return
-    assert same_bits(m, probs.sum(axis=drop) if drop else probs)
+    probs, keeps = case
     law = JointPMF([(f"A{ax}", size) for ax, size in enumerate(probs.shape)], probs)
-    assert same_bits(array_entropy(m), entropy(law, tuple(f"A{ax}" for ax in keep)))
+    assert all(m is None for m in batched_marginals(probs, keeps, None))  # no cells: all to numpy
+    for keep, m in zip(keeps, batched_marginals(probs, keeps, support_cells(probs))):
+        if trailing_summed_run(probs.shape, keep) >= 8:
+            assert m is None  # numpy sums this run pairwise
+            continue
+        drop = tuple(ax for ax in range(probs.ndim) if ax not in keep)
+        assert same_bits(m, probs.sum(axis=drop) if drop else probs)
+        assert same_bits(array_entropy(m), entropy(law, tuple(f"A{ax}" for ax in keep)))
 
 
 @pytest.mark.parametrize("shape, keep, run", [
@@ -560,12 +574,51 @@ def test_cells_marginal_takes_both_branches(shape, keep, run):
     probs[rng.random(shape) < 0.3] = 0.0
     probs /= probs.sum()
     assert trailing_summed_run(shape, keep) == run
-    m = cells_marginal(shape, support_cells(probs), keep)
-    drop = tuple(ax for ax in range(len(shape)) if ax not in keep)
-    if run >= 8:
-        assert m is None
-    else:
-        assert same_bits(m, probs.sum(axis=drop))
+    # alone and in one batch with marginals of other run lengths
+    others = [list(range(len(shape))), [0]]
+    for keeps in ([list(keep)], [*others, list(keep)]):
+        m = batched_marginals(probs, keeps, support_cells(probs))[-1]
+        drop = tuple(ax for ax in range(len(shape)) if ax not in keep)
+        if run >= 8:
+            assert m is None
+        else:
+            assert same_bits(m, probs.sum(axis=drop))
+
+
+@st.composite
+def mass_segments(draw):
+    """1-4 flat parts of segments of 0-600 cells, zeros mixed in, masses over many binades.
+
+    Lengths around numpy's 8- and 128-cell pairwise cuts recur, so that
+    segments with equal positive counts are summed as rows of one matrix.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = st.one_of(st.integers(0, 600), st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 300]))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        lengths = draw(st.lists(length, min_size=1, max_size=12))
+        flat = rng.random(sum(lengths)) ** 8
+        flat[rng.random(flat.size) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+        parts.append((flat, np.concatenate(([0], np.cumsum(lengths)))))
+    return parts
+
+
+def plain_entropy(m) -> float:
+    pos = m[m > 0.0]
+    return float(-(pos * np.log2(pos)).sum()) + 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass_segments())
+def test_segment_entropies_are_each_segments_own_sum_bit_for_bit(parts):
+    segments = [flat[lo:hi] for flat, bounds in parts for lo, hi in zip(bounds[:-1], bounds[1:])]
+    batched = segment_entropies(parts)
+    assert len(batched) == len(segments)
+    for segment, bits in zip(segments, batched):
+        # a copy: the oracle must not share the batch's memory or alignment
+        alone = segment.copy()
+        assert same_bits(bits, plain_entropy(alone))
+        assert same_bits(bits, array_entropy(alone))
 
 
 def test_support_cells_lists_the_nonzero_cells_of_a_c_order_law_only():

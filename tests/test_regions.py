@@ -27,6 +27,7 @@ from trimac.channels import (
     quaternary_noise_law,
 )
 from trimac import regions
+from trimac.cli import run
 from trimac.commonparts import additive_common_search, gkw_mutual, gkw_pairwise
 from trimac.probcore import (
     ConditionalPMF,
@@ -1256,22 +1257,27 @@ def test_hybrid_ledger_groups_match_the_dense_joint(monkeypatch, sigma, gamma, a
 
 
 def spy_covers(monkeypatch):
-    """Ledgers that record, for each computed group, the held law it was summed from."""
+    """Ledgers that record, for each computed group, the held law its plan sums it from."""
     made = []
 
     class Spy(regions._EntropyLedger):
         def __init__(self, *args, **kwargs):
+            self.covers, self.laws = {}, {}
             super().__init__(*args, **kwargs)
-            self.covers = {}
             made.append(self)
 
-        def entropy_of(self, group):
-            key = frozenset(group)
-            fresh = key not in self.terms
-            bits = super().entropy_of(group)
-            if fresh:
-                self.covers[key] = self._cover(key)[1]
-            return bits
+        def _compute(self):
+            self.covers.update(self._plan.jobs)
+            super()._compute()
+
+        def _release(self, held):
+            # a planned law is dropped after its batch: keep its tensor for the test
+            self.laws.setdefault(held, JointPMF._wrap(tuple(zip(held.names, held.shape)), held.dense()))
+            super()._release(held)
+
+        def law(self, group):
+            held = self.covers[group]
+            return self.laws.get(held) or JointPMF._wrap(tuple(zip(held.names, held.shape)), held.dense())
 
     monkeypatch.setattr(regions, "_EntropyLedger", Spy)
     return made
@@ -1291,7 +1297,7 @@ def test_ledger_terms_are_the_dense_entropy_of_their_held_law(monkeypatch, famil
     (ledger,) = ledgers
     assert ledger.cell_sums > 0 and set(ledger.covers) == set(ledger.terms)
     for group, bits in ledger.terms.items():
-        assert bits == entropy(ledger.covers[group], tuple(group)), sorted(group)
+        assert bits == entropy(ledger.law(group), tuple(group)), sorted(group)
 
 
 def test_a_held_law_out_of_c_order_takes_numpys_sum():
@@ -1300,16 +1306,58 @@ def test_a_held_law_out_of_c_order_takes_numpys_sum():
     probs[probs < 0.05] = 0.0
     law = JointPMF([("A", 3), ("B", 2), ("C", 4), ("D", 2)], probs / probs.sum())
     ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
-    assert ledger._held[0][2] is not None
+    assert ledger._held[0].cells is not None
     view = JointPMF._wrap(law.axes[::-1], law.probs.transpose())  # a Fortran-order view
     ledger._held = []
     ledger._hold(view)
-    assert ledger._held[0][2] is None
+    assert ledger._held[0].cells is None
     for size in (1, 2, 3):
         for group in itertools.combinations("ABCD", size):
             assert ledger.entropy_of(group) == entropy(view, group), group
     assert ledger.cell_sums == 0 and ledger.dense_sums == 14
 
+
+
+def test_a_row_builder_that_branches_on_a_term_is_refused():
+    law = JointPMF([("A", 2), ("B", 2)], [[0.1, 0.2], [0.3, 0.4]])
+    ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
+
+    def reads_more():  # asks for H(B) only when H(A) is large: never in the plan pass
+        if ledger.entropy_of(("A",)) > 0.5:
+            ledger.entropy_of(("B",))
+
+    with pytest.raises(RuntimeError, match="did not ask for"):
+        regions._evaluate(reads_more, ledger)
+
+    def reads_less():  # asks for H(B) only while H(A) reads 0.0: in the plan pass alone
+        if ledger.entropy_of(("A",)) == 0.0:
+            ledger.entropy_of(("B",))
+
+    with pytest.raises(RuntimeError, match="fewer groups"):
+        regions._evaluate(reads_less, ledger)
+    # a refused evaluation leaves the ledger usable: a bare call is a plan of one
+    assert ledger.entropy_of(("B",)) == entropy(law, "B")
+
+
+@pytest.mark.parametrize("family", ["ces2", "cl2", "ces3", "hybrid", "macfb"])
+def test_every_family_reads_exactly_the_groups_it_planned(monkeypatch, tmp_path, family):
+    asked = []
+
+    class Spy(regions._EntropyLedger):
+        def entropy_of(self, group):
+            if self._plan is not None:
+                asked.append((self, self._plan.read is None, frozenset(group)))
+            return super().entropy_of(group)
+
+    monkeypatch.setattr(regions, "_EntropyLedger", Spy)
+    assert run(["region", "--family", family, "--out-dir", str(tmp_path)]) == 0
+    ledgers = list(dict.fromkeys(led for led, _, _ in asked))
+    assert len(ledgers) == (2 if family == "macfb" else 1)  # macfb plans its W ledger alongside
+    for ledger in ledgers:
+        planned = [g for led, planning, g in asked if led is ledger and planning]
+        read = [g for led, planning, g in asked if led is ledger and not planning]
+        assert planned and planned == read
+        assert set(ledger.terms) == set(planned)
 
 def test_each_evaluation_logs_one_ledger_line(caplog):
     chan = ConditionalPMF([("X1", 2), ("X2", 2)], [("Y", 2)], np.full((2, 2, 2), 0.5))
@@ -1321,13 +1369,31 @@ def test_each_evaluation_logs_one_ledger_line(caplog):
         eval_hybrid(source, build_quaternary_channel(0.25), hybrid_example_dist(source, 0.4))
     lines = [r.getMessage() for r in caplog.records if r.name == "trimac"]
     assert len(lines) == 3
-    assert lines[0].startswith("cl2: ") and " 0 einsum contractions" in lines[0]
-    assert lines[1].startswith("macfb: ") and " 0 einsum" not in lines[1]
+    counts = [ledger_counts(line) for line in lines]
+    assert lines[0].startswith("cl2: ") and counts[0]["einsum contractions"] == 0
+    assert lines[1].startswith("macfb: ") and counts[1]["einsum contractions"] > 0
     # the large macfb law stays factored: no sum comes from a nonzero-cell list
-    assert ", 0 sums from nonzero cells, " in lines[1]
-    assert lines[2].startswith("hybrid: ")
-    cell_sums = int(lines[2].split(" sums from nonzero cells")[0].rsplit(" ", 1)[1])
-    assert cell_sums > 0
+    assert counts[1]["sums from nonzero cells"] == 0
+    # each contraction is released after its batch: one is held at a time
+    assert counts[1]["most cells held at once"] == counts[1]["largest marginal cells"]
+    assert lines[2].startswith("hybrid: ") and counts[2]["sums from nonzero cells"] > 0
+    # the chained law and one derived marginal's nonzero cells at a time
+    assert 16384 < counts[2]["most cells held at once"] < 2 * 16384
+    for c in counts:
+        assert c["computed"] <= c["groups planned"] <= c["entropy groups requested"] + c["computed"]
+        # one kernel call per held law and one entropy call per batch, not one per group
+        assert c["batched kernel calls"] < c["computed"]
+
+
+def ledger_counts(line: str) -> dict:
+    """The counters of a ledger DEBUG line, by the words after each number."""
+    fields = [f.strip() for f in line.split(": ", 1)[1].split(", ")]
+    out = {}
+    for field in fields:
+        words = field.split()
+        number = next(w for w in words if w.isdigit())
+        out[" ".join(w for w in words if w != number)] = int(number)
+    return out
 
 
 def test_macfb_at_q3_evaluates_without_the_dense_joint():
@@ -1337,7 +1403,14 @@ def test_macfb_at_q3_evaluates_without_the_dense_joint():
         for i in (1, 2, 3)))
     chan = build_quaternary_channel(0.25)
     alpha = 0.3
-    rep = eval_macfb((alpha * math.log2(3),) * 3, alpha, dist, chan)
+    tracemalloc.start()
+    try:
+        rep = eval_macfb((alpha * math.log2(3),) * 3, alpha, dist, chan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14 contractions, the largest 6.7M cells; holding every one to the end peaked at 266 MiB
+    assert peak < 200 * 2**20
     assert len(rep.records) == 17
     for i in (1, 2, 3):
         r = rep.record(f"rate-match-{i}")
@@ -1365,6 +1438,7 @@ def test_macfb_at_q3_evaluates_without_the_dense_joint():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
 
 
 # ---------------------------------------------------------------------------
