@@ -600,8 +600,9 @@ class _EntropyLedger:
         for g, row in zip(np.flatnonzero(left).tolist(), keep[left].tolist()):
             out = flat[bounds[g]:bounds[g + 1]].reshape([n for n, k in zip(held.shape, row) if k])
             np.add.reduce(held.dense(), axis=tuple([a for a, k in enumerate(row) if not k]), out=out)
-        self.dense_sums += int(left.sum())
-        self.cell_sums += len(groups) - int(left.sum())
+        dense = int(left.sum())
+        self.dense_sums += dense
+        self.cell_sums += len(groups) - dense
         return flat, bounds
 
     def _run(self, held: _Held, groups: dict, kids: dict, parts: list, keys: list) -> None:
