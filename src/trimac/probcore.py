@@ -101,13 +101,12 @@ class JointPMF:
         self.names = tuple(n for n, _ in self.axes)
         shape = tuple(size for _, size in self.axes)
         check_cells(shape)
-        p = np.array(probs, dtype=np.float64, copy=True).reshape(shape)
+        p = np.array(probs, dtype=np.float64, copy=True, order="C").reshape(shape)
         if p.size and not p.min() >= 0.0:
             raise ValueError("negative or NaN probability mass")
         total = float(p.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total!r} is not 1 within {MASS_TOL}")
-        p = np.ascontiguousarray(p)
         p.flags.writeable = False
         self.probs = p
 
@@ -214,7 +213,7 @@ def array_entropy(m: np.ndarray) -> float:
 
 
 def segment_entropies(parts) -> list[float]:
-    """H in bits of every segment of every part, in order, each summed as array_entropy sums it alone.
+    """H in bits of each segment of each part, in order, bit for bit array_entropy of it alone.
 
     A part is (flat, bounds): a 1-D mass array whose segment i is
     flat[bounds[i]:bounds[i + 1]].  One segment's entropy is
@@ -269,7 +268,7 @@ def support_cells(probs: np.ndarray, ids=None):
 
 
 def cells_marginal(shape, cells, keeps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginals of one law over several keep sets at once, each probs.sum(axis=<the rest>) bit for bit.
+    """Marginals of one law over several keep sets, each bit for bit probs.sum(axis=<the rest>).
 
     cells is support_cells(probs), or None; keeps holds one row per
     marginal, True on each axis it keeps.  Returns (flat, bounds, left):
@@ -314,9 +313,9 @@ def cells_marginal(shape, cells, keeps) -> tuple[np.ndarray, np.ndarray, np.ndar
         # run by run, each marginal's output cell: every marginal's runs stay in order
         keys.append((heads.T @ stride[rows].T + bounds[rows]).ravel())
         weights.append(np.repeat(sums, rows.size))
-    if not keys:
-        return np.empty(bounds[-1]), bounds, left
-    return np.bincount(np.concatenate(keys), np.concatenate(weights), bounds[-1]), bounds, left
+    if keys:
+        return np.bincount(np.concatenate(keys), np.concatenate(weights), bounds[-1]), bounds, left
+    return np.empty(bounds[-1]), bounds, left
 
 
 def conditional_entropy(p: JointPMF, target, given=()) -> float:

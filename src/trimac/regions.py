@@ -42,7 +42,6 @@ from .gfcore import check_prime_field
 from .probcore import (
     ConditionalPMF,
     JointPMF,
-    segment_entropies,
     binary_entropy,
     binary_entropy_inverse,
     chain_all,
@@ -53,6 +52,7 @@ from .probcore import (
     entropy,
     mixed_radix,
     push_forward,
+    segment_entropies,
     support_cells,
 )
 from .rng import stream
@@ -461,8 +461,9 @@ class _EntropyLedger:
     it or, when none does, a new one over the group.  Which law covers a
     group depends on axis sizes alone, so the plan makes every choice
     without arithmetic.  The compute step then builds each planned law,
-    sums all of its groups in one batch, releases it, and takes the
-    entropies of every group at once.  The read pass returns the memoized
+    sums all of its groups in one batch and releases it; the entropies of
+    a law's groups and of those of the laws built from it are taken in one
+    call.  The read pass returns the memoized
     terms, and refuses a group the plan did not ask for at that point, so
     a builder that branches on a term's value fails instead of reading
     the wrong law's bits.  A bare entropy_of call is a plan of one.
@@ -535,7 +536,7 @@ class _EntropyLedger:
                 best = held
         return best
 
-    def _contract(self, names: tuple) -> np.ndarray:
+    def _contract(self, names: tuple) -> JointPMF:
         need, ops = set(names), []
         # a factor none of whose targets is needed sums to one: leave it out
         for f in reversed(self.factors):
@@ -545,7 +546,8 @@ class _EntropyLedger:
         label = {n: k for k, n in enumerate(sorted(need))}
         args = [x for f in ops for x in (f.table, [label[n] for n in f.given_names + f.target_names])]
         self.contractions += 1
-        return np.einsum(*args, [label[n] for n in names], optimize=True)
+        return JointPMF([(n, self.sizes[n]) for n in names],
+                        np.einsum(*args, [label[n] for n in names], optimize=True))
 
     def _count(self, held: _Held) -> None:
         """Count a law built: its tensor's cells, or its nonzero cells when only they are held."""
@@ -608,7 +610,7 @@ class _EntropyLedger:
     def _run(self, held: _Held, groups: dict, kids: dict, parts: list, keys: list) -> None:
         """Sum held's groups and its derived laws' bases in one batch, then do each derived law."""
         if not held.built:
-            m = np.ascontiguousarray(self._contract(held.base))
+            m = self._contract(held.base).probs
             self._build(held, m, support_cells(m) if self._small or held.lifted else None)
         mine = groups.get(held, [])
         below = sorted(kids.get(held, ()), key=lambda kid: kid.made)
