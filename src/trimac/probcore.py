@@ -234,21 +234,21 @@ def segment_entropies(parts) -> list[float]:
             at = np.searchsorted(np.flatnonzero(positive), np.subtract(bounds, bounds[0]))
             counts.append(np.diff(at))
     counts = np.concatenate(counts)
-    first = np.cumsum(counts) - counts
+    first = (np.cumsum(counts) - counts).tolist()
     pos = np.concatenate(pos) if len(pos) > 1 else pos[0]
     terms = np.log2(pos)
     terms *= pos
     del pos
+    rows_by_count = {}
+    for row, count in enumerate(counts.tolist()):
+        rows_by_count.setdefault(count, []).append(row)
     sums = np.empty(counts.size)
-    order = np.argsort(counts, kind="stable")
-    ranked = counts[order]
-    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, counts.size]):
-        rows, length = order[lo:hi], ranked[lo]
-        if rows.size == 1:
-            sums[rows] = terms[first[rows[0]]:first[rows[0]] + length].sum()
+    for count, rows in rows_by_count.items():
+        if len(rows) == 1:
+            sums[rows[0]] = terms[first[rows[0]]:first[rows[0]] + count].sum()
         else:
-            sums[rows] = terms[first[rows, None] + np.arange(length)].sum(axis=1)
+            starts = np.array([first[row] for row in rows])
+            sums[rows] = terms[starts[:, None] + np.arange(count)].sum(axis=1)
     return (-sums + 0.0).tolist()  # keep -0.0 out of reports
 
 

@@ -616,9 +616,10 @@ class _EntropyLedger:
         below = sorted(kids.get(held, ()), key=lambda kid: kid.made)
         bases = list(dict.fromkeys(kid.base for kid in below))
         self.planned += len(mine) + len(bases)
-        if held.nameset in mine:  # a group over the whole law is read off it, not copied
+        if held.probs is not None and held.nameset in mine:
+            # a group over a whole tensor is read off it, not copied
             mine = [key for key in mine if key != held.nameset]
-            parts.append((held.dense().reshape(-1), (0, held.size)))
+            parts.append((held.probs.reshape(-1), (0, held.size)))
             keys.append(held.nameset)
         flat, bounds = self._sums(held, mine + bases)
         parts.append((flat, bounds[:len(mine) + 1]))
