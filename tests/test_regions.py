@@ -1317,7 +1317,6 @@ def test_a_held_law_out_of_c_order_takes_numpys_sum():
     assert ledger.cell_sums == 0 and ledger.dense_sums == 14
 
 
-
 def test_a_row_builder_that_branches_on_a_term_is_refused():
     law = JointPMF([("A", 2), ("B", 2)], [[0.1, 0.2], [0.3, 0.4]])
     ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
@@ -1358,6 +1357,7 @@ def test_every_family_reads_exactly_the_groups_it_planned(monkeypatch, tmp_path,
         read = [g for led, planning, g in asked if led is ledger and not planning]
         assert planned and planned == read
         assert set(ledger.terms) == set(planned)
+
 
 def test_each_evaluation_logs_one_ledger_line(caplog):
     chan = ConditionalPMF([("X1", 2), ("X2", 2)], [("Y", 2)], np.full((2, 2, 2), 0.5))
