@@ -65,7 +65,6 @@ __all__ = [
     "USER_PAIRS",
     "W_SUBSETS",
     "USER_SUBSETS",
-    "HYBRID_CES3_SHARED",
     "FactorizationError",
     "InequalityRecord",
     "RegionReport",
@@ -92,14 +91,11 @@ __all__ = [
     "max_product_mi",
     "product_conditionals",
     "product_ces_dist",
-    "lift_ces_to_hybrid",
     "hybrid_example_dist",
-    "structured_pair_joint",
     "min_tv_to_structured",
     "TVSample",
     "TVBoundReport",
     "tv_bound_check",
-    "linear_threshold",
     "default_coupling_matrix",
 ]
 
@@ -441,32 +437,79 @@ class _Held:
         return self.probs
 
 
-class _Plan:
-    """One evaluation: the groups its plan pass asked for, in order, and each new one's held law."""
+class _Expr:
+    """A row side over ledger groups, valued only once its ledgers have computed them.
 
-    __slots__ = ("requests", "jobs", "read")
+    op "H" is the entropy of group b of ledger a; "-", "+" and "*" apply to
+    a and b, "clamp" is clamp_mi(a).  A float operand is a constant.  value()
+    takes each operation in the order the builder wrote it, on Python
+    floats, so a row's bits are those of the same arithmetic on the terms.
+    No ordering, equality or truth value is defined: a row builder sees
+    expressions, never values, so it cannot branch on a term.
+    """
 
-    def __init__(self):
-        self.requests: list[frozenset] = []
-        self.jobs: dict[frozenset, _Held] = {}
-        self.read: int | None = None  # the read pass's position; None while planning
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op, a, b=None):
+        self.op, self.a, self.b = op, a, b
+
+    def __add__(self, other):
+        return _Expr("+", self, other)
+
+    def __radd__(self, other):
+        return _Expr("+", other, self)
+
+    def __rmul__(self, other):
+        return _Expr("*", other, self)
+
+    def __eq__(self, other):
+        raise TypeError("a ledger term has no value until its rows are evaluated")
+
+    def __bool__(self):
+        raise TypeError("a ledger term has no truth value until its rows are evaluated")
+
+    def value(self) -> float:
+        op, a, b = self.op, self.a, self.b
+        if op == "H":
+            return a.terms[b]
+        if op == "-":
+            return a.value() - b.value()
+        if op == "clamp":
+            return clamp_mi(a.value())
+        if op == "*":
+            return a * b.value()
+        return _value(a) + _value(b)
+
+
+def _value(side) -> float:
+    return side.value() if isinstance(side, _Expr) else side
+
+
+def _leaves(side, sign=1):
+    """(sign, ledger, group) of each entropy a row side reads, in the order built."""
+    if not isinstance(side, _Expr):
+        return
+    if side.op == "H":
+        yield sign, side.a, side.b
+        return
+    yield from _leaves(side.a, sign)
+    yield from _leaves(side.b, -sign if side.op == "-" else sign)
 
 
 class _EntropyLedger:
     """Memoized group entropies of a law kept as conditionals listed givens first.
 
-    An evaluation runs its row builder twice (_evaluate).  In the plan pass
-    every term reads 0.0 and the ledger records each group asked for and
-    the held law it will be summed from: the smallest held law that covers
-    it or, when none does, a new one over the group.  Which law covers a
-    group depends on axis sizes alone, so the plan makes every choice
-    without arithmetic.  The compute step then builds each planned law,
-    sums all of its groups in one batch and releases it; the entropies of
-    a law's groups and of those of the laws built from it are taken in one
-    call.  The read pass returns the memoized
-    terms, and refuses a group the plan did not ask for at that point, so
-    a builder that branches on a term's value fails instead of reading
-    the wrong law's bits.  A bare entropy_of call is a plan of one.
+    An evaluation runs its row builder once (_evaluate).  Inside it
+    entropy_of, cond_entropy and mi return expressions (_Expr), and the
+    ledger records each new group asked for with the held law it will be
+    summed from: the smallest held law that covers it or, when none does, a
+    new one over the group.  Which law covers a group depends on axis sizes
+    alone, so every choice is made without arithmetic.  The compute step
+    then builds each planned law, sums all of its groups in one batch and
+    releases it; the entropies of a law's groups and of those of the laws
+    built from it are taken in one call.  Each row is then valued from
+    terms.  Outside an evaluation, entropy_of is an evaluation of one group
+    and returns its bits.
 
     derived maps an extra axis name to (base names, coefficients, q): the
     axis sum(c * base) mod q, put on a marginal (each nonzero cell's mass
@@ -494,7 +537,7 @@ class _EntropyLedger:
         self.sizes = dict(ax for f in self.factors for ax in f.given_axes + f.target_axes)
         self.terms: dict[frozenset, float] = {}
         self._held: list[_Held] = []
-        self._plan: _Plan | None = None
+        self._jobs: dict[frozenset, _Held] | None = None  # the open evaluation's new groups
         self._made = self._cells_held = 0
         self.requested = self.contractions = self.largest = self.cell_sums = self.dense_sums = 0
         self.planned = self.kernel_calls = self.most_held = 0
@@ -637,10 +680,9 @@ class _EntropyLedger:
             self._run(kid, groups, kids, parts, keys)
 
     def _compute(self) -> None:
-        """Compute every group the open plan asked for, then open its read pass."""
-        plan = self._plan
+        """Compute every new group the open evaluation asked for."""
         groups: dict[_Held, list] = {}
-        for key, held in plan.jobs.items():
+        for key, held in self._jobs.items():
             groups.setdefault(held, []).append(key)
         # a planned law is built from its source's batch; a law with no
         # source, or one already built, starts a batch of its own
@@ -660,48 +702,37 @@ class _EntropyLedger:
             self._run(top, groups, kids, parts, keys)
             got.update(zip(keys, segment_entropies(parts)))
             self.kernel_calls += 1
-        self.terms.update((key, got[key]) for key in plan.jobs)
-        plan.read = 0
+        self.terms.update((key, got[key]) for key in self._jobs)
 
     @contextlib.contextmanager
     def holding(self, names):
         """Hold the marginal over names for the terms asked for inside the block."""
-        if self._plan is not None and self._plan.read is not None:
-            yield  # the plan already chose every cover
-            return
         held = self._plan_hold(tuple(names))
         try:
             yield
         finally:
             self._held.remove(held)
 
-    def entropy_of(self, group) -> float:
+    def entropy_of(self, group):
+        """H(group): an expression inside an evaluation, else the bits of an evaluation of one."""
         key = frozenset(group)
-        plan = self._plan
-        if plan is None:
-            return _evaluate(lambda: self.entropy_of(key), self)
-        if plan.read is None:
-            self.requested += 1
-            plan.requests.append(key)
-            if key not in self.terms and key not in plan.jobs:
-                plan.jobs[key] = self._cover(key) or self._plan_hold(tuple(sorted(key)))
-            return 0.0
-        if plan.read == len(plan.requests) or plan.requests[plan.read] != key:
-            raise RuntimeError(
-                f"the read pass asked for H({', '.join(sorted(key))}), which the plan did not ask "
-                "for at this point: a row builder must not branch on a term's value")
-        plan.read += 1
-        return self.terms[key]
+        if self._jobs is None:
+            return _planned(lambda: self.entropy_of(key), self).value()
+        self.requested += 1
+        if key not in self.terms and key not in self._jobs:
+            self._jobs[key] = self._cover(key) or self._plan_hold(tuple(sorted(key)))
+        return _Expr("H", self, key)
 
-    def cond_entropy(self, target, given=()) -> float:
+    def cond_entropy(self, target, given=()) -> _Expr:
         """H(target | given), in probcore.conditional_entropy's arithmetic."""
         if not given:
             return self.entropy_of(target)
-        return self.entropy_of(tuple(target) + tuple(given)) - self.entropy_of(given)
+        return _Expr("-", self.entropy_of(tuple(target) + tuple(given)), self.entropy_of(given))
 
-    def mi(self, a, b, given=()) -> float:
+    def mi(self, a, b, given=()) -> _Expr:
         """I(a; b | given), in probcore.mutual_information's arithmetic."""
-        return clamp_mi(self.cond_entropy(a, given) - self.cond_entropy(a, tuple(b) + tuple(given)))
+        return _Expr("clamp", _Expr("-", self.cond_entropy(a, given),
+                                    self.cond_entropy(a, tuple(b) + tuple(given))))
 
     def log(self, family: str) -> None:
         _LOG.debug("%s: %d entropy groups requested, %d computed, %d einsum contractions, "
@@ -711,28 +742,33 @@ class _EntropyLedger:
                    self.planned, self.kernel_calls, self.most_held, self.cell_sums, self.dense_sums)
 
 
-def _evaluate(build, *ledgers):
-    """build() run twice: a plan pass in which every term reads 0.0, then the read pass.
-
-    Between the two each ledger computes every group its plan asked for.
-    The read pass must ask for the planned groups in the planned order;
-    its result is returned.
-    """
+def _planned(build, *ledgers):
+    """build(), run once with an evaluation open on each ledger, which then computes its new groups."""
     for ledger in ledgers:
-        ledger._plan = _Plan()
+        ledger._jobs = {}
     try:
-        build()
-        for ledger in ledgers:
-            ledger._compute()
         out = build()
         for ledger in ledgers:
-            if ledger._plan.read != len(ledger._plan.requests):
-                raise RuntimeError("the read pass asked for fewer groups than the plan: "
-                                   "a row builder must not branch on a term's value")
+            ledger._compute()
     finally:
         for ledger in ledgers:
-            ledger._plan = None
+            ledger._jobs = None
     return out
+
+
+def _evaluate(family: str, build, *ledgers) -> tuple[InequalityRecord, ...]:
+    """The records of the (id, lhs, rhs[, equality]) rows build() returns, valued from terms.
+
+    build runs once (_planned).  A mutual information below MI_CLAMP is
+    refused with the family and the row id.
+    """
+    records = []
+    for rid, lhs, rhs, *equality in _planned(build, *ledgers):
+        try:
+            records.append(InequalityRecord(rid, _value(lhs), _value(rhs), *equality))
+        except ValueError as exc:
+            raise ValueError(f"{family} row {rid}: {exc}") from None
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -771,29 +807,16 @@ def eval_ces2(pair_joint: JointPMF, channel_cond: ConditionalPMF, dist: CES2Dist
 
     def rows():
         return (
-            InequalityRecord(
-                "solo-1",
-                ledger.cond_entropy(("S1",), ("S2",)),
-                ledger.mi(("X1",), ("Y",), ("X2", "S2", "U12")),
-            ),
-            InequalityRecord(
-                "solo-2",
-                ledger.cond_entropy(("S2",), ("S1",)),
-                ledger.mi(("X2",), ("Y",), ("X1", "S1", "U12")),
-            ),
-            InequalityRecord(
-                "pair-w",
-                ledger.cond_entropy(("S1", "S2"), ("W12",)),
-                ledger.mi(("X1", "X2"), ("Y",), ("W12", "U12")),
-            ),
-            InequalityRecord(
-                "sum",
-                ledger.entropy_of(("S1", "S2")),
-                ledger.mi(("X1", "X2"), ("Y",)),
-            ),
+            ("solo-1", ledger.cond_entropy(("S1",), ("S2",)),
+             ledger.mi(("X1",), ("Y",), ("X2", "S2", "U12"))),
+            ("solo-2", ledger.cond_entropy(("S2",), ("S1",)),
+             ledger.mi(("X2",), ("Y",), ("X1", "S1", "U12"))),
+            ("pair-w", ledger.cond_entropy(("S1", "S2"), ("W12",)),
+             ledger.mi(("X1", "X2"), ("Y",), ("W12", "U12"))),
+            ("sum", ledger.entropy_of(("S1", "S2")), ledger.mi(("X1", "X2"), ("Y",))),
         )
 
-    report = RegionReport("ces2", _evaluate(rows, ledger))
+    report = RegionReport("ces2", _evaluate("ces2", rows, ledger))
     ledger.log("ces2")
     return report
 
@@ -825,12 +848,12 @@ def eval_cl2(rates, channel_cond: ConditionalPMF, p_u: JointPMF,
 
     def rows():
         return (
-            InequalityRecord("rate-1", r1, ledger.mi(("X1",), ("Y",), ("X2", "U"))),
-            InequalityRecord("rate-2", r2, ledger.mi(("X2",), ("Y",), ("X1", "U"))),
-            InequalityRecord("rate-sum", r1 + r2, ledger.mi(("X1", "X2"), ("Y",))),
+            ("rate-1", r1, ledger.mi(("X1",), ("Y",), ("X2", "U"))),
+            ("rate-2", r2, ledger.mi(("X2",), ("Y",), ("X1", "U"))),
+            ("rate-sum", r1 + r2, ledger.mi(("X1", "X2"), ("Y",))),
         )
 
-    report = RegionReport("cl2", _evaluate(rows, ledger))
+    report = RegionReport("cl2", _evaluate("cl2", rows, ledger))
     ledger.log("cl2")
     return report
 
@@ -848,7 +871,7 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
         rows = []
         for i in (1, 2, 3):
             j, k = sorted({1, 2, 3} - {i})
-            rows.append(InequalityRecord(
+            rows.append((
                 f"solo-{i}",
                 ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
                 ledger.mi(
@@ -859,7 +882,7 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
         for b in PAIRS:
             i, j = PAIR_USERS[b]
             k = PAIR_COMPLEMENT[b]
-            rows.append(InequalityRecord(
+            rows.append((
                 f"pair-{b}",
                 ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",)),
                 ledger.mi(
@@ -867,7 +890,7 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
                     (f"S{k}", "U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k), f"X{k}"),
                 ),
             ))
-            rows.append(InequalityRecord(
+            rows.append((
                 f"pair-{b}-wpair",
                 ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}", f"W{b}")),
                 ledger.mi(
@@ -879,7 +902,7 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
             tag = _subset_tag(subset)
             w_axes = tuple("W" + b for b in subset)
             u_axes = tuple("U" + b for b in subset)
-            rows.append(InequalityRecord(
+            rows.append((
                 f"joint-wgroup-{tag}",
                 ledger.cond_entropy(("S1", "S2", "S3"), ("W123",) + w_axes),
                 ledger.mi(
@@ -887,14 +910,14 @@ def eval_ces3(source: SourceModel, channel: DMChannel, dist: CESDist) -> RegionR
                     ("W123",) + w_axes + ("U123",) + u_axes,
                 ),
             ))
-        rows.append(InequalityRecord(
+        rows.append((
             "sum",
             ledger.entropy_of(("S1", "S2", "S3")),
             ledger.mi(("X1", "X2", "X3"), ("Y",)),
         ))
         return tuple(rows)
 
-    report = RegionReport("ces3", _evaluate(build, ledger))
+    report = RegionReport("ces3", _evaluate("ces3", build, ledger))
     ledger.log("ces3")
     return report
 
@@ -933,7 +956,7 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
         rows = []
         for i in (1, 2, 3):
             j, k = sorted({1, 2, 3} - {i})
-            rows.append(InequalityRecord(
+            rows.append((
                 f"solo-{i}",
                 ledger.cond_entropy((f"S{i}",), (f"S{j}", f"S{k}")),
                 ledger.mi(
@@ -950,7 +973,7 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
             u_axes = tuple(dict.fromkeys(
                 ("U123", "U" + _pair_name(i, k), "U" + _pair_name(j, k)) + tuple("U" + s for s in subset)
             ))
-            rows.append(InequalityRecord(
+            rows.append((
                 f"pair-{b}-wgroup-{tag}",
                 ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes),
                 ledger.mi(
@@ -958,7 +981,7 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
                     (f"S{k}",) + w_axes + u_axes + (f"V{k}", f"X{k}"),
                 ),
             ))
-            rows.append(InequalityRecord(
+            rows.append((
                 f"pair-{b}-wgroup-{tag}-t",
                 ledger.cond_entropy((f"S{i}", f"S{j}"), (f"S{k}",) + w_axes + T),
                 ledger.mi(
@@ -970,19 +993,19 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
             tag = _subset_tag(subset)
             w_axes = ("W123",) + tuple("W" + s for s in subset)
             u_axes = ("U123",) + tuple("U" + s for s in subset)
-            rows.append(InequalityRecord(
+            rows.append((
                 f"joint-wgroup-{tag}-t",
                 ledger.cond_entropy(S, w_axes + T),
                 ledger.mi(X, ("Y",), w_axes + u_axes + T + V),
             ))
-        rows.append(InequalityRecord(
+        rows.append((
             "sum-t",
             ledger.cond_entropy(S, T),
             ledger.mi(X, ("Y",), T + V),
         ))
         for prefix, w_axes, u_axes in lin_groups:
             # conditioning on 0*T1 + 0*T2 is conditioning on a constant
-            rows.append(InequalityRecord(
+            rows.append((
                 f"{prefix}-lin-00-unconditioned",
                 ledger.cond_entropy(S, w_axes),
                 ledger.mi(X, ("Y",), w_axes + u_axes),
@@ -990,32 +1013,16 @@ def eval_hybrid(source: SourceModel, channel: DMChannel, dist: HybridDist) -> Re
             for a, b2 in lin:
                 tl, vl = f"TL{a}{b2}", f"VL{a}{b2}"
                 with ledger.holding(S + X + ("Y",) + w_axes + u_axes + ("T1", "T2", "V1", "V2", tl, vl)):
-                    rows.append(InequalityRecord(
+                    rows.append((
                         f"{prefix}-lin-{a}{b2}",
                         ledger.cond_entropy(S, w_axes + (tl,)),
                         ledger.mi(X, ("Y",), w_axes + u_axes + (tl, vl)),
                     ))
         return tuple(rows)
 
-    report = RegionReport("hybrid", _evaluate(build, ledger))
+    report = RegionReport("hybrid", _evaluate("hybrid", build, ledger))
     ledger.log("hybrid")
     return report
-
-
-def _shared_rows() -> tuple[tuple[str, str], ...]:
-    pairs = [(f"solo-{i}", f"solo-{i}") for i in (1, 2, 3)]
-    pairs += [(f"pair-{b}-wgroup-none", f"pair-{b}") for b in PAIRS]
-    pairs += [(f"pair-{b}-wgroup-{b}", f"pair-{b}-wpair") for b in PAIRS]
-    pairs.append(("sum-lin-00-unconditioned", "sum"))
-    pairs += [
-        (f"joint-wgroup-{_subset_tag(s)}-lin-00-unconditioned", f"joint-wgroup-{_subset_tag(s)}")
-        for s in W_SUBSETS
-    ]
-    return tuple(pairs)
-
-
-# (hybrid id, layered id) rows that coincide whenever X_i is independent of V_i
-HYBRID_CES3_SHARED = _shared_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -1416,22 +1423,6 @@ def product_ces_dist(source: SourceModel, x_tables) -> CESDist:
     return CESDist(u123, pair_conds, tuple(x_conds))
 
 
-def lift_ces_to_hybrid(dist: CESDist, q: int = 2) -> HybridDist:
-    """Embed a layered spec by giving every input a vacuous V axis."""
-    x_conds = []
-    for i in (1, 2, 3):
-        t = dist.x_conds[i - 1].table
-        lifted = np.broadcast_to(t[:, :, :, :, None, :], t.shape[:4] + (q, t.shape[-1])).copy()
-        ba, bb = USER_PAIRS[i]
-        x_conds.append(_cond(
-            lifted,
-            [(f"S{i}", t.shape[0]), ("U123", t.shape[1]), ("U" + ba, t.shape[2]),
-             ("U" + bb, t.shape[3]), (f"V{i}", q)],
-            [(f"X{i}", t.shape[-1])],
-        ))
-    return HybridDist(q, dist.u123, dist.pair_conds, tuple(x_conds))
-
-
 def hybrid_example_dist(source: SourceModel, alpha: float) -> HybridDist:
     """The binary construction X1 = V1 xor E1 (E1 ~ Ber(alpha)), X2 = V2, X3 = V3."""
     if not 0.0 <= alpha <= 1.0:
@@ -1458,19 +1449,6 @@ def hybrid_example_dist(source: SourceModel, alpha: float) -> HybridDist:
 
 # ---------------------------------------------------------------------------
 # total-variation separation
-
-
-def structured_pair_joint(p00: float, p01: float) -> JointPMF:
-    """Member of the structured family: X3 = X1 xor X2 a.s. with X3 uniform."""
-    for v in (p00, p01):
-        if not 0.0 <= v <= 0.5:
-            raise ValueError("cell masses must lie in [0, 1/2]")
-    probs = np.zeros((2, 2, 2))
-    probs[0, 0, 0] = p00
-    probs[1, 1, 0] = 0.5 - p00
-    probs[0, 1, 1] = p01
-    probs[1, 0, 1] = 0.5 - p01
-    return JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], probs)
 
 
 def min_tv_to_structured(input_joint: JointPMF, grid_step: float = 1.0 / 400.0):
@@ -1546,13 +1524,6 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
     return TVBoundReport(delta, gstar, bound, grid_step, tuple(samples), min_tv)
 
 
-def linear_threshold(p: float, delta: float) -> bool:
-    """Whether a doubly-symmetric bias-p pair fits through the erasure-like MAC."""
-    if not 0.0 <= p <= 0.5 or not 0.0 <= delta <= 0.5:
-        raise ValueError("p and delta must lie in [0, 1/2]")
-    return (1.0 - binary_entropy(delta)) - binary_entropy(p) >= SLACK_FLOOR
-
-
 # ---------------------------------------------------------------------------
 # feedback block conditions
 
@@ -1568,8 +1539,8 @@ class MacFBReport(RegionReport):
 
     joint chains the factors out on first access.  entropy_terms /
     w_entropy_terms map frozen axis groups to bits; mi_groups / w_groups map
-    a row id to ((sign, group), ...) so each side can be recomputed term by
-    term; derived_axes describes the linear axes (TA*, WA*) as {"base":
+    a row id to ((sign, group), ...), the groups its rhs / lhs expression
+    reads, so each side can be recomputed term by term; derived_axes describes the linear axes (TA*, WA*) as {"base":
     names, "coeffs": ints, "q": modulus}.
     """
 
@@ -1670,34 +1641,23 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     })
 
     w_ledger = _EntropyLedger(w_factors)
+    rows = []
 
-    def w_entropy(target, given=()):
-        tg, gg = frozenset(target), frozenset(given)
-        groups = ((1, tg | gg),) if not gg else ((1, tg | gg), (-1, gg))
-        return w_ledger.cond_entropy(tg, gg), groups
+    def add(rid, lhs, mis=(), rhs=0.0, equality=False):
+        """Row rid: alpha times a W entropy against rhs plus I(a; b | g) per (a, b, g)."""
+        for a, b, g in mis:
+            rhs += ledger.mi(a, b, g)
+        rows.append((rid, alpha * lhs, rhs, equality))
 
     def build():
-        rows, mi_groups, w_groups = [], {}, {}
-
-        def add(rid, w_side, mis=(), rhs=0.0, equality=False):
-            """Row rid: alpha times a W entropy against rhs plus I(a; b | g) per (a, b, g)."""
-            lhs, w_groups[rid] = w_side
-            groups = ()
-            for a, b, g in mis:
-                a, b, g = frozenset(a), frozenset(b), frozenset(g)
-                rhs += ledger.mi(a, b, g)
-                groups += ((1, a | g), (1, b | g), (-1, a | b | g)) + (((-1, g),) if g else ())
-            mi_groups[rid] = groups
-            rows.append(InequalityRecord(rid, alpha * lhs, rhs, equality))
-
         for i in (1, 2, 3):
-            add(f"rate-match-{i}", w_entropy((f"W{i}",)), rhs=rates[i - 1], equality=True)
+            add(f"rate-match-{i}", w_ledger.cond_entropy((f"W{i}",)), rhs=rates[i - 1], equality=True)
         for i in (1, 2, 3):
-            add(f"sum-decode-{i}", w_entropy((f"WA{i}",), (f"W{i}",)),
+            add(f"sum-decode-{i}", w_ledger.cond_entropy((f"WA{i}",), (f"W{i}",)),
                 [((f"TA{i}",), ("Y",), ("U", f"T{i}", f"V{i}", f"X{i}"))])
         for i in (1, 2, 3):
             j, k = sorted({1, 2, 3} - {i})
-            add(f"cross-pair-{i}", w_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}")), [(
+            add(f"cross-pair-{i}", w_ledger.cond_entropy((f"W{j}", f"W{k}"), (f"WA{i}", f"W{i}")), [(
                 (f"T{j}t", f"X{j}t", f"T{k}t", f"X{k}t"),
                 ("Y", "Yt"),
                 ("Ut", f"X{i}t", f"T{i}t", f"V{i}t", "U", f"X{i}", f"T{i}", f"V{i}", f"V{j}t", f"V{k}t"),
@@ -1706,13 +1666,18 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
             rest = sorted({1, 2, 3} - set(subset))
             given = ("U",) + tuple(f"{ax}{i}" for i in rest for ax in ("X", "T", "V")) + ("V1t", "V2t", "V3t")
             add(f"list-{_subset_tag(subset)}",
-                w_entropy(tuple(f"W{i}" for i in subset)) if subset else (0.0, ()),
+                w_ledger.cond_entropy(tuple(f"W{i}" for i in subset)) if subset else 0.0,
                 [(tuple(f"X{i}" for i in subset), ("Y",), given), (("U",), ("Y",), ())])
-        return tuple(rows), mi_groups, w_groups
+        return rows
 
-    rows, mi_groups, w_groups = _evaluate(build, ledger, w_ledger)
+    records = _evaluate("macfb", build, ledger, w_ledger)
     ledger.log("macfb")
+
+    def groups(side):
+        return tuple((sign, group) for sign, _, group in _leaves(side))
+
     return MacFBReport(
-        "macfb", rows, ledger.factors, chain_all(w_factors),
-        dict(ledger.terms), dict(w_ledger.terms), mi_groups, w_groups, derived_axes, alpha,
+        "macfb", records, ledger.factors, chain_all(w_factors), dict(ledger.terms),
+        dict(w_ledger.terms), {rid: groups(rhs) for rid, _, rhs, _ in rows},
+        {rid: groups(lhs) for rid, lhs, _, _ in rows}, derived_axes, alpha,
     )

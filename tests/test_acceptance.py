@@ -40,7 +40,6 @@ from trimac.probcore import (
     sample_cells,
 )
 from trimac.regions import (
-    HYBRID_CES3_SHARED,
     MacFBDist,
     ProductSearchConfig,
     eta1,
@@ -51,7 +50,6 @@ from trimac.regions import (
     example_conditions,
     gamma_star,
     hybrid_example_dist,
-    lift_ces_to_hybrid,
     max_product_mi,
     product_ces_dist,
     product_conditionals,
@@ -60,6 +58,8 @@ from trimac.regions import (
 )
 from trimac.rng import stream
 from trimac.sources import make_additive_triple, make_sigma_gamma_triple
+
+from region_fixtures import HYBRID_CES3_SHARED, lift_ces_to_hybrid
 
 DELTA = 0.25
 

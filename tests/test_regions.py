@@ -44,7 +44,6 @@ from trimac.regions import (
     CES2Dist,
     CESDist,
     FactorizationError,
-    HYBRID_CES3_SHARED,
     HybridDist,
     InequalityRecord,
     MacFBDist,
@@ -61,18 +60,17 @@ from trimac.regions import (
     example_conditions,
     gamma_star,
     hybrid_example_dist,
-    lift_ces_to_hybrid,
-    linear_threshold,
     max_product_mi,
     min_tv_to_structured,
     product_ces_dist,
     product_conditionals,
     sigma0_frontier,
-    structured_pair_joint,
     tv_bound_check,
 )
 from trimac.rng import stream
 from trimac.sources import SourceModel, make_sigma_gamma_triple
+
+from region_fixtures import HYBRID_CES3_SHARED, lift_ces_to_hybrid, structured_pair_joint
 
 PAIRS = ("12", "13", "23")
 PAIR_USERS = {"12": (1, 2), "13": (1, 3), "23": (2, 3)}
@@ -822,25 +820,6 @@ def test_grid_aligned_members_have_zero_grid_distance(i, j):
     assert got == 0.0
 
 
-def test_linear_threshold_boundary_and_monotonicity():
-    assert linear_threshold(0.0, 0.25)
-    assert linear_threshold(0.5, 0.0)
-    assert not linear_threshold(0.5, 0.1)
-    assert linear_threshold(hb_inv(1.0 - hb(0.1)), 0.1)
-    flags = [linear_threshold(float(p), 0.1) for p in np.linspace(0.0, 0.5, 51)]
-    assert flags == sorted(flags, reverse=True)
-    with pytest.raises(ValueError):
-        linear_threshold(0.7, 0.1)
-
-
-@given(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
-@settings(max_examples=50, deadline=None)
-def test_linear_threshold_monotone_in_p(pa, pb):
-    lo, hi = sorted((pa, pb))
-    if linear_threshold(hi, 0.1):
-        assert linear_threshold(lo, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # frontier helpers
 
@@ -1267,7 +1246,7 @@ def spy_covers(monkeypatch):
             made.append(self)
 
         def _compute(self):
-            self.covers.update(self._plan.jobs)
+            self.covers.update(self._jobs)
             super()._compute()
 
         def _release(self, held):
@@ -1321,42 +1300,87 @@ def test_a_row_builder_that_branches_on_a_term_is_refused():
     law = JointPMF([("A", 2), ("B", 2)], [[0.1, 0.2], [0.3, 0.4]])
     ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
 
-    def reads_more():  # asks for H(B) only when H(A) is large: never in the plan pass
+    def reads_more():  # asks for H(B) only when H(A) is large
         if ledger.entropy_of(("A",)) > 0.5:
             ledger.entropy_of(("B",))
 
-    with pytest.raises(RuntimeError, match="did not ask for"):
-        regions._evaluate(reads_more, ledger)
-
-    def reads_less():  # asks for H(B) only while H(A) reads 0.0: in the plan pass alone
+    def reads_less():  # asks for H(B) only when H(A) is zero
         if ledger.entropy_of(("A",)) == 0.0:
             ledger.entropy_of(("B",))
 
-    with pytest.raises(RuntimeError, match="fewer groups"):
-        regions._evaluate(reads_less, ledger)
-    # a refused evaluation leaves the ledger usable: a bare call is a plan of one
+    # a builder sees expressions, which have no ordering, float equality or truth value
+    for build in (reads_more, reads_less):
+        with pytest.raises(TypeError):
+            regions._evaluate("test", build, ledger)
+    with pytest.raises(TypeError):
+        regions._evaluate("test", lambda: [("a", 0.0, ledger.mi(("A",), ("B",)) or 0.0)], ledger)
+    # a refused evaluation leaves the ledger usable: a bare call is an evaluation of one
     assert ledger.entropy_of(("B",)) == entropy(law, "B")
+
+
+def test_a_mutual_information_below_the_clamp_names_its_family_and_row(monkeypatch, tmp_path, capsys):
+    law = JointPMF([("A", 2), ("B", 2)], [[0.1, 0.2], [0.3, 0.4]])
+    ledger = regions._EntropyLedger([ConditionalPMF.from_joint(law)])
+
+    def build():
+        # H(A) - H(A, B) = -H(B | A), far below MI_CLAMP, read as a mutual information
+        forced = regions._Expr("clamp", regions._Expr("-", ledger.entropy_of(("A",)),
+                                                      ledger.entropy_of(("A", "B"))))
+        return [("fine", 0.0, ledger.mi(("A",), ("B",))), ("forced", 0.0, forced)]
+
+    with pytest.raises(ValueError, match="^test row forced: mutual information"):
+        regions._evaluate("test", build, ledger)
+
+    class Skewed(regions._EntropyLedger):
+        def _compute(self):
+            super()._compute()
+            self.terms[frozenset({"X1", "X2", "Y", "U"})] += 10.0  # I(X1; Y | X2, U) falls by 10 bits
+
+    monkeypatch.setattr(regions, "_EntropyLedger", Skewed)
+    assert run(["region", "--family", "cl2", "--out-dir", str(tmp_path)]) == 2
+    assert "error: cl2 row rate-1: mutual information" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["ces2", "cl2", "ces3", "hybrid", "macfb"])
 def test_every_family_reads_exactly_the_groups_it_planned(monkeypatch, tmp_path, family):
-    asked = []
+    ledgers = spy_ledgers(monkeypatch)
+    evaluate, built = regions._evaluate, []
 
-    class Spy(regions._EntropyLedger):
-        def entropy_of(self, group):
-            if self._plan is not None:
-                asked.append((self, self._plan.read is None, frozenset(group)))
-            return super().entropy_of(group)
+    def spy(name, build, *args):
+        def once():
+            built.append(build())
+            return built[-1]
+        records = evaluate(name, once, *args)
+        assert len(built) == len(evaluations) + 1  # one builder call per evaluation
+        evaluations.append(records)
+        return records
 
-    monkeypatch.setattr(regions, "_EntropyLedger", Spy)
+    evaluations = []
+    monkeypatch.setattr(regions, "_evaluate", spy)
     assert run(["region", "--family", family, "--out-dir", str(tmp_path)]) == 0
-    ledgers = list(dict.fromkeys(led for led, _, _ in asked))
+    assert len(evaluations) == 1
     assert len(ledgers) == (2 if family == "macfb" else 1)  # macfb plans its W ledger alongside
+    (rows,) = built
     for ledger in ledgers:
-        planned = [g for led, planning, g in asked if led is ledger and planning]
-        read = [g for led, planning, g in asked if led is ledger and not planning]
-        assert planned and planned == read
-        assert set(ledger.terms) == set(planned)
+        read = {group for row in rows for side in row[1:3]
+                for _, led, group in regions._leaves(side) if led is ledger}
+        assert read and set(ledger.terms) == read
+
+
+def test_macfb_term_maps_keep_their_counts(monkeypatch, tmp_path):
+    reports = []
+    eval_macfb_once = regions.eval_macfb
+    monkeypatch.setattr("trimac.cli.eval_macfb", lambda *a, **k: reports.append(eval_macfb_once(*a, **k))
+                        or reports[-1])
+    assert run(["region", "--family", "macfb", "--out-dir", str(tmp_path)]) == 0
+    (rep,) = reports
+    assert len(rep.records) == 17
+    assert len(rep.entropy_terms) == 57 and len(rep.w_entropy_terms) == 13
+    assert sum(map(len, rep.mi_groups.values())) == 80
+    assert sum(map(len, rep.w_groups.values())) == 22
+    # every group a row reads is a computed term, and every computed term is read
+    assert {g for groups in rep.mi_groups.values() for _, g in groups} == set(rep.entropy_terms)
+    assert {g for groups in rep.w_groups.values() for _, g in groups} == set(rep.w_entropy_terms)
 
 
 def test_each_evaluation_logs_one_ledger_line(caplog):
