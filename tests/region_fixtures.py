@@ -3,11 +3,7 @@
 import numpy as np
 
 from trimac.probcore import ConditionalPMF, JointPMF
-from trimac.regions import PAIRS, USER_PAIRS, W_SUBSETS, CESDist, HybridDist
-
-
-def _subset_tag(subset) -> str:
-    return "+".join(subset) if subset else "none"
+from trimac.regions import PAIRS, USER_PAIRS, W_SUBSETS, CESDist, HybridDist, _subset_tag
 
 
 def _shared_rows() -> tuple[tuple[str, str], ...]:

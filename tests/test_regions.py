@@ -1303,10 +1303,12 @@ def test_a_row_builder_that_branches_on_a_term_is_refused():
     def reads_more():  # asks for H(B) only when H(A) is large
         if ledger.entropy_of(("A",)) > 0.5:
             ledger.entropy_of(("B",))
+        return []
 
     def reads_less():  # asks for H(B) only when H(A) is zero
         if ledger.entropy_of(("A",)) == 0.0:
             ledger.entropy_of(("B",))
+        return []
 
     # a builder sees expressions, which have no ordering, float equality or truth value
     for build in (reads_more, reads_less):
@@ -1343,24 +1345,19 @@ def test_a_mutual_information_below_the_clamp_names_its_family_and_row(monkeypat
 
 @pytest.mark.parametrize("family", ["ces2", "cl2", "ces3", "hybrid", "macfb"])
 def test_every_family_reads_exactly_the_groups_it_planned(monkeypatch, tmp_path, family):
-    ledgers = spy_ledgers(monkeypatch)
-    evaluate, built = regions._evaluate, []
+    ledgers, built = spy_ledgers(monkeypatch), []
+    evaluate = regions._evaluate
 
     def spy(name, build, *args):
-        def once():
-            built.append(build())
-            return built[-1]
-        records = evaluate(name, once, *args)
-        assert len(built) == len(evaluations) + 1  # one builder call per evaluation
-        evaluations.append(records)
+        calls = len(built)
+        records = evaluate(name, lambda: built.append(build()) or built[-1], *args)
+        assert len(built) == calls + 1  # one builder call per evaluation
         return records
 
-    evaluations = []
     monkeypatch.setattr(regions, "_evaluate", spy)
     assert run(["region", "--family", family, "--out-dir", str(tmp_path)]) == 0
-    assert len(evaluations) == 1
-    assert len(ledgers) == (2 if family == "macfb" else 1)  # macfb plans its W ledger alongside
     (rows,) = built
+    assert len(ledgers) == (2 if family == "macfb" else 1)  # macfb plans its W ledger alongside
     for ledger in ledgers:
         read = {group for row in rows for side in row[1:3]
                 for _, led, group in regions._leaves(side) if led is ledger}
@@ -1369,9 +1366,12 @@ def test_every_family_reads_exactly_the_groups_it_planned(monkeypatch, tmp_path,
 
 def test_macfb_term_maps_keep_their_counts(monkeypatch, tmp_path):
     reports = []
-    eval_macfb_once = regions.eval_macfb
-    monkeypatch.setattr("trimac.cli.eval_macfb", lambda *a, **k: reports.append(eval_macfb_once(*a, **k))
-                        or reports[-1])
+
+    def spy(*args, **kwargs):
+        reports.append(eval_macfb(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("trimac.cli.eval_macfb", spy)
     assert run(["region", "--family", "macfb", "--out-dir", str(tmp_path)]) == 0
     (rep,) = reports
     assert len(rep.records) == 17
