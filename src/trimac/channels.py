@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import ConditionalPMF, JointPMF, chain, sample_given
+from .probcore import ConditionalPMF, sample_given
 from .rng import stream
 
 __all__ = [
@@ -23,9 +23,6 @@ __all__ = [
     "build_fb_parallel_channel",
     "quaternary_noise_law",
     "transmit",
-    "output_distribution",
-    "channel_to_json",
-    "channel_from_json",
 ]
 
 INPUT_NAMES = ("X1", "X2", "X3")
@@ -124,38 +121,3 @@ def transmit(channel: DMChannel, blocks, seed: int) -> np.ndarray:
         if x.size and (x.min() < 0 or x.max() >= m):
             raise ValueError("input symbol out of range")
     return sample_given(channel.transition.table, (x1, x2, x3), stream(seed).random(x1.shape))
-
-
-def output_distribution(channel: DMChannel, input_joint: JointPMF) -> JointPMF:
-    """Joint law over (X1, X2, X3, Y) from an input law over (X1, X2, X3)."""
-    if set(INPUT_NAMES) - set(input_joint.names):
-        raise ValueError(f"input joint must carry axes {INPUT_NAMES}")
-    return chain(input_joint, channel.transition)
-
-
-def channel_to_json(channel: DMChannel) -> dict:
-    if channel.kind in ("additive-pair", "quaternary", "fb-parallel"):
-        return {"kind": channel.kind, "delta": channel.params["delta"]}
-    return {
-        "kind": "generic",
-        "input_sizes": list(channel.input_sizes),
-        "output_size": channel.output_size,
-        "table": [float(v) for v in channel.transition.table.ravel()],
-    }
-
-
-def channel_from_json(obj: dict) -> DMChannel:
-    kind = obj["kind"]
-    if kind == "additive-pair":
-        return build_additive_pair_channel(float(obj["delta"]))
-    if kind == "quaternary":
-        return build_quaternary_channel(float(obj["delta"]))
-    if kind == "fb-parallel":
-        return build_fb_parallel_channel(float(obj["delta"]))
-    if kind == "generic":
-        sizes = [int(s) for s in obj["input_sizes"]]
-        out = int(obj["output_size"])
-        table = np.array(obj["table"], dtype=np.float64).reshape(*sizes, out)
-        cond = ConditionalPMF(list(zip(INPUT_NAMES, sizes)), [("Y", out)], table)
-        return DMChannel("generic", cond, {})
-    raise ValueError(f"unknown channel kind {kind!r}")

@@ -41,13 +41,11 @@ __all__ = [
     "clamp_mi",
     "binary_entropy",
     "binary_entropy_inverse",
-    "tv_distance",
     "chain",
     "chain_all",
     "check_cells",
     "push_forward",
     "marginalize",
-    "add_derived_axis",
     "deterministic_conditional",
     "mixed_radix",
     "radix_ids",
@@ -146,11 +144,6 @@ class JointPMF:
             "probs": [float(x) for x in self.probs.ravel()],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "JointPMF":
-        axes = [(ax["name"], int(ax["size"])) for ax in obj["axes"]]
-        return cls(axes, np.array(obj["probs"], dtype=np.float64))
-
 
 class ConditionalPMF:
     """P(targets | givens), stored as a tensor of shape given_shape + target_shape."""
@@ -209,7 +202,9 @@ def entropy(p: JointPMF, axes=None) -> float:
 
 def array_entropy(m: np.ndarray) -> float:
     """H of a mass tensor in bits, summed over its positive cells in C order."""
-    return segment_entropies([(np.ravel(m), (0, np.size(m)))])[0]
+    flat = np.ravel(m)
+    pos = flat[flat > 0.0]
+    return float(-(pos * np.log2(pos)).sum() + 0.0)  # keep -0.0 out of reports
 
 
 def segment_entropies(parts) -> list[float]:
@@ -381,13 +376,6 @@ def binary_entropy_inverse(h: float) -> float:
     return mid
 
 
-def tv_distance(p: JointPMF, r: JointPMF) -> float:
-    """Total variation distance; the two laws must share identical axes."""
-    if p.axes != r.axes:
-        raise ValueError("axes mismatch")
-    return 0.5 * float(np.abs(p.probs - r.probs).sum())
-
-
 def chain(base: JointPMF, cond: ConditionalPMF) -> JointPMF:
     """Extend `base` by the conditional law, giving a joint over both axis sets.
 
@@ -455,17 +443,6 @@ def push_forward(p: JointPMF, mapping, new_axes) -> JointPMF:
     out = np.zeros(out_shape, dtype=np.float64)
     np.add.at(out, dest, p.probs.ravel())
     return JointPMF(new_axes, out)
-
-
-def add_derived_axis(p: JointPMF, name: str, size: int, fn) -> JointPMF:
-    """Append a deterministic function of the existing axes as a new axis (fn as in push_forward)."""
-    (axis,) = _norm_axes([(name, size)])
-    size = axis[1]
-    check_cells(p.shape + (size,))
-    _, (vals,) = _cellwise(fn, p.shape, (axis,))
-    out = np.zeros((p.probs.size, size), dtype=np.float64)
-    out[np.arange(p.probs.size), vals] = p.probs.ravel()
-    return JointPMF._wrap(p.axes + (axis,), out.reshape(p.shape + (size,)))
 
 
 def deterministic_conditional(given_axes, target_axes, fn) -> ConditionalPMF:

@@ -1035,7 +1035,10 @@ def _noise_entropy(delta: float) -> float:
 
 def _row_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy in bits of each last-axis row, 0 log 0 = 0 (a row of zero terms gives -0.0)."""
-    return -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
+    positive = p > 0.0
+    if positive.all():
+        return -(p * np.log2(p)).sum(axis=-1)
+    return -np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0).sum(axis=-1)
 
 
 def _eta_image_entropies(alpha, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1246,39 +1249,47 @@ def _flip_tables(params) -> list[np.ndarray]:
 
 
 def _induced_law(source_probs: np.ndarray, t1, t2, t3) -> np.ndarray:
-    """The input law P(X1 = w, X2 = x, X3 = y) of the users' flip tables: (2, 2, 2, *rows).
+    """The input law P(X1 = w, X2 = x, X3 = y) of the users' flip tables: (..., 2, 2, 2, n).
 
-    Each table is cell-major, (2, 2, *rows) with P(X_i = x | S_i = s) at [s, x],
-    and the row shapes broadcast.  The source cells' terms
-    ((P(a, b, c) t1[a, w]) t2[b, x]) t3[c, y] are summed in lexicographic order.
+    t1 and t2 are (2, ..., 2, n) arrays holding P(X_i = x | S_i = s) at
+    [s, ..., x, :].  t3 is one too, or a pair of (..., 2, n) arrays, one per s,
+    whose shapes may differ: user 3's s = 0 and s = 1 rows may lie on axes of
+    their own.  All shapes broadcast.  Each source cell's term
+    ((P(a, b, c) t1[a, w]) t2[b, x]) t3[c, y] is taken at the broadcast shape
+    of the rows it reads, one product per c for its four (a, b) cells, and the
+    terms are summed in lexicographic order: bit for bit the sum at each row.
     """
-    total = None
-    for a, b, c in _SOURCE_CELLS:
-        term = (source_probs[a, b, c] * t1[a][:, None, None]) * t2[b][None, :, None]
-        term = term * t3[c][None, None]
-        if total is None:
-            total = term
-        else:
-            total += term
+    lead = (2, 2) + (1,) * (np.ndim(t1) + 1)
+    terms = [
+        ((source_probs[:, :, c].reshape(lead) * t1[:, None, ..., :, None, None, :])
+         * t2[None, :, ..., None, :, None, :]) * t3[c][..., None, None, :, :]
+        for c in (0, 1)
+    ]
+    total = terms[0][0, 0] + terms[1][0, 0]
+    for a, b, c in _SOURCE_CELLS[2:]:
+        total += terms[c][a, b]
     return total
 
 
 def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
     """Map from the users' flip tables to I(X1X2X3; Y) in bits, one value per row.
 
-    The tables are cell-major (see _induced_law) and the values come out
-    flattened row-major.  The input law's rows are laid out row-major after
-    the lexicographic term sum: that arithmetic is the batched einsum's bit
-    for bit, whatever the rows.  Pass C-contiguous tables: transposed views
-    made the grid twice as slow.
+    The tables are as _induced_law takes them; the values of its (..., n)
+    rows come out flat, n major.  The input law is copied cell-major, and its
+    Y law is one einsum there, the in-order sum over the 8 input cells.
+    H(Y | X) is contracted on a row-major copy.  Both are the batched
+    einsum's arithmetic bit for bit, whatever the rows.
     """
     hcond = _row_entropy(channel_table)
+    cell_rows = channel_table.reshape(8, -1)
 
     def tables_mi(t1, t2, t3) -> np.ndarray:
-        total = _induced_law(source_probs, t1, t2, t3)
-        induced = np.ascontiguousarray(total.reshape(8, -1).T).reshape(-1, 2, 2, 2)
-        ylaw = np.einsum("gwxy,wxyz->gz", induced, channel_table)
-        return _row_entropy(ylaw) - np.einsum("gwxy,wxy->g", induced, hcond)
+        law = _induced_law(source_probs, t1, t2, t3)
+        cells = np.ascontiguousarray(law.reshape(-1, 8, law.shape[-1]).transpose(1, 2, 0))
+        del law
+        cells = cells.reshape(8, -1)
+        hyx = np.einsum("gwxy,wxy->g", np.ascontiguousarray(cells.T).reshape(-1, 2, 2, 2), hcond)
+        return _row_entropy(np.einsum("kg,kz->zg", cells, cell_rows).T.copy()) - hyx
 
     return tables_mi
 
@@ -1293,19 +1304,22 @@ def _grid_slices(tables_mi, m: int):
 
     Grid row r has digits mixed_radix(r, m, 6) over np.linspace(0, 1, m), so
     user u's table is digit pair u, one of m^2.  A slice is one user-1 table
-    against a run of user-2 tables and every user-3 table, each on its own
-    broadcast axis: about _SLICE_ROWS rows, whatever m.  Its values equal
+    against a run of user-2 tables and every user-3 table: about _SLICE_ROWS
+    rows, whatever m.  User 3's s = 0 and s = 1 rows lie on broadcast axes
+    of their own, before the run's axis, so each input-law term is taken once
+    per user-2 table and user-3 digit it depends on.  Its values equal
     tables_mi on those rows' own tables.
     """
     grid = np.linspace(0.0, 1.0, m)
+    flips = _flip_table(grid)
     tables = _flip_table(grid[mixed_radix(np.arange(m * m), m, 2)])
-    cells = np.ascontiguousarray(tables.transpose(1, 2, 0))
-    t3 = cells[:, :, None, :]
+    cells = np.ascontiguousarray(tables.transpose(1, 2, 0))[:, None, None]
+    t3 = (flips[:, None, :, None], flips[None, :, :, None])
     run = max(1, _SLICE_ROWS // (m * m))
     for i1 in range(m * m):
-        t1 = cells[:, :, i1, None, None]
+        t1 = cells[..., i1, None]
         for i2 in range(0, m * m, run):
-            yield tables_mi(t1, cells[:, :, i2:i2 + run, None], t3)
+            yield tables_mi(t1, cells[..., i2:i2 + run], t3)
 
 
 def _grid_top(slices, total: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1339,11 +1353,12 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
     """Deterministic maximization of I(inputs; output) over product strategies.
 
     Coarse 6-dimensional grid, then coordinate-wise golden refinement of the
-    top_k grid points in lockstep.  The grid is evaluated separably: each
-    user's m^2 distinct tables are built once and combined on broadcast
-    axes, one user-1 table and a run of user-2 tables per slice (see
-    _grid_slices), with the refinement's kernel arithmetic, so every grid
-    value is bit for bit its own row's and ties cannot reorder.  Only one
+    top_k grid points in lockstep.  The grid is evaluated separably: one
+    user-1 table and a run of user-2 tables per slice, against user 3's
+    s = 0 and s = 1 table rows on broadcast axes of their own, so each
+    input-law term is taken once per grid digit it depends on (see
+    _grid_slices).  The refinement runs the same kernel on its rows, so every
+    grid value is bit for bit its own row's and ties cannot reorder.  Only one
     _GRID_CHUNK value buffer and the kept rows are held; params are rebuilt
     for the kept rows only.  A grid above _MAX_GRID_ROWS rows is refused
     when the config is built, before any work.  candidates holds every
@@ -1516,7 +1531,8 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
         gamma = gstar * (1.0 - float(rng.random()))
         params = rng.random(6)
         source = make_sigma_gamma_triple(sigma, gamma)
-        induced = _induced_law(source.joint.probs, *_flip_tables(params))
+        tables = (t[..., None] for t in _flip_tables(params))
+        induced = _induced_law(source.joint.probs, *tables)[..., 0]
         law = JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], induced)
         tv, _ = min_tv_to_structured(law, grid_step)
         samples.append(TVSample(sigma, gamma, tuple(float(x) for x in params), tv))

@@ -20,7 +20,6 @@ __all__ = [
     "make_sigma_gamma_triple",
     "sample_iid",
     "source_to_json",
-    "source_from_json",
 ]
 
 AXIS_NAMES = ("S1", "S2", "S3")
@@ -99,14 +98,3 @@ def source_to_json(model: SourceModel) -> dict:
             "gamma": model.params["gamma"],
         }
     return {"family": "generic", "joint": model.joint.to_json()}
-
-
-def source_from_json(obj: dict) -> SourceModel:
-    family = obj.get("family", "generic")
-    if family == "additive":
-        return make_additive_triple(float(obj["p1"]), float(obj["p2"]))
-    if family == "sigma_gamma":
-        return make_sigma_gamma_triple(float(obj["sigma"]), float(obj["gamma"]))
-    if family == "generic":
-        return SourceModel(JointPMF.from_json(obj["joint"]))
-    raise ValueError(f"unknown source family {family!r}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from trimac.probcore import ConditionalPMF, JointPMF
+from trimac.probcore import ConditionalPMF, JointPMF, chain, deterministic_conditional
 from trimac.regions import PAIRS, USER_PAIRS, W_SUBSETS, CESDist, HybridDist, _subset_tag
 
 
@@ -49,3 +49,8 @@ def structured_pair_joint(p00: float, p01: float) -> JointPMF:
     probs[0, 1, 1] = p01
     probs[1, 0, 1] = 0.5 - p01
     return JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], probs)
+
+
+def add_derived_axis(p: JointPMF, name: str, size: int, fn) -> JointPMF:
+    """p with the axis (name, size) = fn(p's axes) appended (fn as in push_forward)."""
+    return chain(p, deterministic_conditional(p.axes, [(name, size)], fn))

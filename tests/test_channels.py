@@ -10,13 +10,10 @@ from trimac.channels import (
     build_additive_pair_channel,
     build_fb_parallel_channel,
     build_quaternary_channel,
-    channel_from_json,
-    channel_to_json,
-    output_distribution,
     quaternary_noise_law,
     transmit,
 )
-from trimac.probcore import JointPMF, binary_entropy, entropy, mutual_information
+from trimac.probcore import JointPMF, binary_entropy, chain, entropy, mutual_information
 
 
 def test_additive_pair_states():
@@ -45,7 +42,7 @@ def test_quaternary_structured_input_hits_noise_bound():
         for x2 in range(2):
             probs[x1, x2, x1 ^ x2] = 0.25
     joint = JointPMF([("X1", 2), ("X2", 2), ("X3", 2)], probs)
-    out = output_distribution(ch, joint)
+    out = chain(joint, ch.transition)
     want = 2 - (1 + 0.5 * binary_entropy(2 * delta))
     got = mutual_information(out, ("X1", "X2", "X3"), "Y")
     assert got == pytest.approx(want, abs=1e-12)
@@ -148,33 +145,6 @@ def test_transmit_frequencies_and_determinism():
     assert stat < scipy.stats.chi2.ppf(0.9999, df=(want > 0).sum() - 1)
     assert np.array_equal(y, transmit(ch, (x1, x2, x3), seed=4))
     assert not np.array_equal(y, transmit(ch, (x1, x2, x3), seed=5))
-
-
-def test_json_roundtrip():
-    for ch in [
-        build_additive_pair_channel(0.12),
-        build_quaternary_channel(0.2),
-        build_fb_parallel_channel(0.07),
-    ]:
-        back = channel_from_json(channel_to_json(ch))
-        assert back.kind == ch.kind
-        assert np.allclose(back.transition.table, ch.transition.table, atol=1e-15)
-    generic = channel_from_json(
-        {
-            "kind": "generic",
-            "input_sizes": [2, 2, 2],
-            "output_size": 2,
-            "table": list(np.tile([0.5, 0.5], 8)),
-        }
-    )
-    assert generic.output_size == 2
-
-
-def test_output_distribution_requires_input_axes():
-    ch = build_quaternary_channel(0.1)
-    bad = JointPMF([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), 0.125))
-    with pytest.raises(ValueError):
-        output_distribution(ch, bad)
 
 
 def test_transmit_pinned_draws():

@@ -21,3 +21,17 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from trimac import *", namespace)
     assert set(trimac.__all__) <= namespace.keys()
+
+
+
+def test_removed_library_api_stays_out():
+    # no command, demo or workload used these; they went with their round-trip tests
+    from trimac import channels, probcore, sources
+
+    removed = {
+        channels: ["channel_to_json", "channel_from_json", "output_distribution"],
+        sources: ["source_from_json"],
+        probcore: ["tv_distance", "add_derived_axis"],
+        probcore.JointPMF: ["from_json"],
+    }
+    assert [n for owner, names in removed.items() for n in names if hasattr(owner, n)] == []

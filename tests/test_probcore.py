@@ -18,7 +18,6 @@ from trimac.probcore import (
     MI_CLAMP,
     ConditionalPMF,
     JointPMF,
-    add_derived_axis,
     array_entropy,
     binary_entropy,
     binary_entropy_inverse,
@@ -38,10 +37,11 @@ from trimac.probcore import (
     sample_given,
     segment_entropies,
     support_cells,
-    tv_distance,
     _pinned_cdf,
 )
 from trimac.rng import stream
+
+from region_fixtures import add_derived_axis
 
 
 def random_joint(rng, shape, names=None):
@@ -256,25 +256,6 @@ def test_cell_maps_check_the_cap_before_calling_fn(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         add_derived_axis(law, "X", 10, label)
     assert not calls
-
-
-def test_tv_distance_basic():
-    p = JointPMF([("X", 2)], [0.5, 0.5])
-    q = JointPMF([("X", 2)], [0.8, 0.2])
-    assert tv_distance(p, q) == pytest.approx(0.3, abs=1e-15)
-    assert tv_distance(p, p) == 0.0
-    r = JointPMF([("Y", 2)], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        tv_distance(p, r)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(8)
-    p = random_joint(rng, (2, 3), names=["A", "B"])
-    blob = json.dumps(p.to_json())
-    back = JointPMF.from_json(json.loads(blob))
-    assert back.names == p.names
-    assert np.allclose(back.probs, p.probs, atol=1e-15)
 
 
 def test_mass_validation_rejects_bad_tensors():

@@ -19,6 +19,7 @@ the batched einsum it replaced, so grid ties cannot reorder.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -42,6 +43,8 @@ from trimac.probcore import (
 from trimac.regions import (
     FrontierPoint,
     ProductSearchConfig,
+    _flip_table,
+    _flip_tables,
     _golden_max,
     _grid_slices,
     _mi_kernel,
@@ -378,6 +381,35 @@ def test_mi_kernel_equals_the_einsum_oracle_on_random_rows(channel, source):
     assert np.array_equal(_rows_mi(kernel, rows), oracle(rows))
     for n in (1, 2, 12, 32):  # the refinement's batch sizes
         assert np.array_equal(_rows_mi(kernel, rows[-n:]), oracle(rows[-n:]))
+    # the grid's layout: user 3's s = 0 and s = 1 rows on broadcast axes of their own, before
+    # the n rows of users 1 and 2; the values come out n first
+    n, k, l = 7, 5, 3
+    t1, t2, _ = (np.ascontiguousarray(t.transpose(1, 2, 0))[:, None, None]
+                 for t in _flip_tables(rows[:n]))
+    s0, s1 = _flip_table(rows[:k, 4]), _flip_table(rows[:l, 5])
+    got = kernel(t1, t2, (s0[:, None, :, None], s1[None, :, :, None]))
+    user3 = np.stack(np.meshgrid(rows[:k, 4], rows[:l, 5], indexing="ij"), axis=-1).reshape(-1, 2)
+    full = np.hstack([np.repeat(rows[:n, :4], k * l, axis=0), np.tile(user3, (n, 1))])
+    assert np.array_equal(got, oracle(full))
+
+
+def test_grid_slices_hold_nothing_from_one_slice_to_the_next():
+    channel, source = build_quaternary_channel(0.25), make_sigma_gamma_triple(0.3, 0.2)
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    peaks = []
+    for count in (1, 20):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held = 0
+            for vals in itertools.islice(_grid_slices(kernel, 22), count):
+                held = max(held, tracemalloc.get_traced_memory()[0] - base - vals.nbytes)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        # the m^2 tables and one slice's values; an m^4 cache of the input law would be 14 MiB
+        assert held < 2**20
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_grid_cap_refuses_before_any_allocation():

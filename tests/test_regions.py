@@ -32,7 +32,6 @@ from trimac.commonparts import additive_common_search, gkw_mutual, gkw_pairwise
 from trimac.probcore import (
     ConditionalPMF,
     JointPMF,
-    add_derived_axis,
     chain,
     chain_all,
     deterministic_conditional,
@@ -70,7 +69,12 @@ from trimac.regions import (
 from trimac.rng import stream
 from trimac.sources import SourceModel, make_sigma_gamma_triple
 
-from region_fixtures import HYBRID_CES3_SHARED, lift_ces_to_hybrid, structured_pair_joint
+from region_fixtures import (
+    HYBRID_CES3_SHARED,
+    add_derived_axis,
+    lift_ces_to_hybrid,
+    structured_pair_joint,
+)
 
 PAIRS = ("12", "13", "23")
 PAIR_USERS = {"12": (1, 2), "13": (1, 3), "23": (2, 3)}

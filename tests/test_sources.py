@@ -10,8 +10,6 @@ from trimac.sources import (
     make_additive_triple,
     make_sigma_gamma_triple,
     sample_iid,
-    source_from_json,
-    source_to_json,
 )
 
 
@@ -78,21 +76,6 @@ def test_sample_iid_deterministic():
     c = sample_iid(m, 50, seed=6)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-
-def test_json_roundtrip_families():
-    for m in [
-        make_additive_triple(0.3, 0.2),
-        make_sigma_gamma_triple(0.1, 0.45),
-    ]:
-        back = source_from_json(source_to_json(m))
-        assert np.allclose(back.joint.probs, m.joint.probs, atol=1e-15)
-        assert back.family == m.family
-    generic = SourceModel(
-        JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], np.full((2, 2, 2), 0.125))
-    )
-    back = source_from_json(source_to_json(generic))
-    assert np.allclose(back.joint.probs, generic.joint.probs)
 
 
 def test_generic_source_requires_named_axes():
