@@ -1286,7 +1286,7 @@ def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
     def tables_mi(t1, t2, t3) -> np.ndarray:
         law = _induced_law(source_probs, t1, t2, t3)
         cells = np.ascontiguousarray(law.reshape(-1, 8, law.shape[-1]).transpose(1, 2, 0))
-        del law
+        del law  # at most two slice-sized copies of the law live at once
         cells = cells.reshape(8, -1)
         hyx = np.einsum("gwxy,wxy->g", np.ascontiguousarray(cells.T).reshape(-1, 2, 2, 2), hcond)
         return _row_entropy(np.einsum("kg,kz->zg", cells, cell_rows).T.copy()) - hyx
