@@ -1312,7 +1312,7 @@ def _grid_slices(tables_mi, m: int):
     """
     grid = np.linspace(0.0, 1.0, m)
     flips = _flip_table(grid)
-    tables = _flip_table(grid[mixed_radix(np.arange(m * m), m, 2)])
+    tables = flips[mixed_radix(np.arange(m * m), m, 2)]
     cells = np.ascontiguousarray(tables.transpose(1, 2, 0))[:, None, None]
     t3 = (flips[:, None, :, None], flips[None, :, :, None])
     run = max(1, _SLICE_ROWS // (m * m))

@@ -13,7 +13,7 @@ from trimac.channels import (
     quaternary_noise_law,
     transmit,
 )
-from trimac.probcore import JointPMF, binary_entropy, chain, entropy, mutual_information
+from trimac.probcore import JointPMF, binary_entropy, chain, mutual_information
 
 
 def test_additive_pair_states():

@@ -23,7 +23,6 @@ def test_star_import_binds_every_exported_name():
     assert set(trimac.__all__) <= namespace.keys()
 
 
-
 def test_removed_library_api_stays_out():
     # no command, demo or workload used these; they went with their round-trip tests
     from trimac import channels, probcore, sources
