@@ -8,15 +8,16 @@ Two scheme families:
   * unstructured: independent random codebooks, one codeword per source
     block, entries drawn symbolwise from per-user conditionals.
 
-A scheme is one per-user expansion: it maps a user's (rows, n) stack of
-source blocks to the user's codewords, every random row drawn from its own
-stream keyed by (scheme seed, user tag, block content), so any block
-re-expands to the same codeword and nothing is memoized.  The generic ML
-decoder reads its candidates off a CandidateSpace, built once per
-(source, n) and shared by a run's decodes; per call it expands each user's
-distinct blocks once into a table and reads every candidate's codewords off
-it.  Decoders return a DecodeResult; ties and zero likelihood are
-failures, never silent guesses.
+A scheme is one expansion: it maps the three users' (rows_i, n) stacks of
+source blocks to their codewords in one call, every random row drawn from
+its own stream keyed by (scheme seed, user tag, block content), so any
+block re-expands to the same codeword and nothing is memoized.  The
+generic ML decoder reads its candidates off a CandidateSpace, built once
+per (source, n) and shared by a run's decodes; per call it expands every
+user's distinct blocks in one expansion into tables, then scores the
+candidates chunk by chunk, reading their codewords off the tables.
+Decoders return a DecodeResult; ties and zero likelihood are failures,
+never silent guesses.
 """
 
 from __future__ import annotations
@@ -58,35 +59,39 @@ __all__ = [
 
 MAX_CANDIDATES = 2**26
 # Candidate-positions (support^n candidates times n positions, summed over a
-# run's decodes) the generic decoder may score in one run: about a minute
-# at the 103-123M candidate-positions/s ml_decode scored at n = 10-12
-# (support 4, quaternary channel, one thread, the candidate-space build
-# included) on a 2-vCPU VM with numpy 2.4.6.
+# run's decodes) the generic decoder may score in one run: 30-50 s at the
+# 120-190M candidate-positions/s ml_decode scored at n = 10-12 (support 4,
+# quaternary channel, one thread, on the run's candidate space), plus the
+# space's one build (0.1 s at n = 10, about 2 s at n = 12), on a 2-vCPU VM
+# with numpy 2.4.6.
 MAX_DECODE_WORK = 6 * 10**9
-# candidate rows scored per chunk by the generic decoder
-_CHUNK = 1 << 18
+# Cells (candidate rows times n) per scoring chunk of the generic decoder,
+# and per prior chunk of candidate_space.  A chunk's int32 offsets and
+# float64 log terms then take 0.75 MiB, inside a 2 MiB L2 cache.  On that
+# VM one decode at n = 8-12 ran fastest at 2^15-2^16 cells, 1.6-2.1x faster
+# than at 2^21; smaller chunks pay numpy's per-call cost more often.
+_CHUNK = 1 << 16
 
 _LOG = logging.getLogger("trimac")
 
 
 @dataclass
 class CodingScheme:
-    """A block scheme; expand(user, blocks) maps a user's (rows, n) stack of
-    source blocks to the user's (rows, n) codewords."""
+    """A block scheme; expand(stacks) maps the three users' (rows_i, n) stacks
+    of source blocks to their (rows_i, n) codewords.  Row counts may differ
+    between users, and a stack may be empty."""
 
     kind: str
     n: int
     source: SourceModel
-    expand: Callable[[int, np.ndarray], np.ndarray]
+    expand: Callable[[tuple], tuple]
     meta: dict = field(default_factory=dict)
 
     def encode(self, s1, s2, s3):
         """Every user's codewords, on one block each or on stacks of blocks."""
-        out = []
-        for user, s in enumerate((s1, s2, s3), start=1):
-            s = np.asarray(s, dtype=np.int64)
-            out.append(self.expand(user, s.reshape(-1, s.shape[-1])).reshape(s.shape))
-        return tuple(out)
+        blocks = [np.asarray(s, dtype=np.int64) for s in (s1, s2, s3)]
+        books = self.expand(tuple(s.reshape(-1, s.shape[-1]) for s in blocks))
+        return tuple(x.reshape(s.shape) for x, s in zip(books, blocks))
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,8 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
     g = sample_uniform_matrix(q, n, n, seed, 0)
     offsets = sample_zero_sum_offsets(q, n, 3, seed, 1)
 
-    def expand(user: int, blocks: np.ndarray) -> np.ndarray:
-        return (blocks @ g + offsets[user - 1]) % q
+    def expand(stacks: tuple) -> tuple:
+        return tuple((s @ g + b) % q for s, b in zip(stacks, offsets))
 
     return CodingScheme(
         kind="linear-jscc",
@@ -128,7 +133,8 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
 
 def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
     """Independent random codebooks with symbolwise conditional draws; user i's
-    codeword for block s is drawn from stream (seed, i - 1, *s)."""
+    codeword for block s is drawn from stream (seed, i - 1, *s), every user's
+    streams in one rng.uniforms call."""
     tables = [np.asarray(t, dtype=np.float64) for t in conditionals]
     if len(tables) != 3:
         raise ValueError("need three conditional tables")
@@ -138,10 +144,12 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("conditional rows must sum to 1")
 
-    def expand(user: int, blocks: np.ndarray) -> np.ndarray:
-        paths = np.column_stack((np.full(len(blocks), user - 1, dtype=np.int64), blocks))
-        u = uniforms(seed, paths, blocks.shape[1]).reshape(blocks.shape)
-        return sample_given(tables[user - 1], (blocks,), u)
+    def expand(stacks: tuple) -> tuple:
+        paths = np.concatenate([np.column_stack((np.full(len(s), tag, dtype=np.int64), s))
+                                for tag, s in enumerate(stacks)])
+        u = uniforms(seed, paths, paths.shape[1] - 1)
+        parts = np.split(u, np.cumsum([len(s) for s in stacks[:-1]]))
+        return tuple(sample_given(t, (s,), part) for t, s, part in zip(tables, stacks, parts))
 
     return CodingScheme(
         kind="unstructured-jscc",
@@ -192,9 +200,10 @@ class CandidateSpace:
     log_prior: np.ndarray
 
     def chunks(self):
-        """(first candidate, per-user block ids) of runs of whole hi rows, about _CHUNK each."""
+        """(first candidate, per-user block ids) of runs of whole hi rows, about
+        _CHUNK // n candidates each."""
         width = len(self.lo[0])
-        rows = max(1, _CHUNK // width)
+        rows = max(1, _CHUNK // (self.n * width))
         for h in range(0, len(self.hi[0]), rows):
             yield h * width, [(hi[h:h + rows, None] + lo).ravel() for hi, lo in zip(self.hi, self.lo)]
 
@@ -219,8 +228,9 @@ def candidate_space(source: SourceModel, n: int) -> CandidateSpace:
     lo_digits = mixed_radix(np.arange(m**(n - half)), m, n - half)
     log_p = np.log(source.support_probs())
     log_prior = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        digits = mixed_radix(np.arange(start, min(start + _CHUNK, total)), m, n)
+    step = max(1, _CHUNK // n)
+    for start in range(0, total, step):
+        digits = mixed_radix(np.arange(start, min(start + step, total)), m, n)
         log_prior[start:start + len(digits)] = log_p[digits].sum(axis=1)
     space = CandidateSpace(
         source=source,
@@ -272,8 +282,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
     # each user's codewords, and y, as int32 offsets into the flat log table
     # (check_cells keeps its size below 2^31)
     books = []
-    for user, blocks in enumerate(space.blocks, start=1):
-        book = scheme.expand(user, blocks)
+    for user, book in enumerate(scheme.expand(space.blocks), start=1):
         _check_symbols(book, shape[user - 1], f"X{user}")
         books.append((book * math.prod(shape[user:])).astype(np.int32))
     _check_symbols(y, shape[3], "Y")

@@ -17,6 +17,7 @@ coset, whose minimal-weight patterns e give its nearest codewords y ^ e.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -222,19 +223,30 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
         raise ValueError(f"count table of {cells} cells exceeds guard {MAX_COUNT_CELLS}")
 
     all_s = mixed_radix(np.arange(n_s), q, k)  # (n_s, k)
-    # one float64 GEMM per chunk: each entry is at most k (q-1)^2, exact far below 2^53
-    s_float = all_s.astype(np.float64)
-    # flat id of cell (i, j, v1, v2) is pair_base[i, j] + v1 * n_v + v2
+    # G's columns range over the same q^k vectors as the indices, and column c
+    # of value g sets digit c of s_i G to digits[g, i] = s_i . g mod q,
+    # whatever the other columns are
+    digits = all_s @ all_s.T % q
+
+    def column(c, g):
+        """What column c of value g (an int or an array of values) adds to every pair's flat id."""
+        d = digits[g]
+        return (d[..., :, None] * n_v + d[..., None, :]) * q ** (n - 1 - c)
+
+    # flat id of cell (i, j, v1, v2) is pair_base[i, j] + v1 * n_v + v2: per
+    # matrix, pair_base plus the sum of its columns' tables.  The last `tail`
+    # columns' outer sum, at most _TALLY_CELLS ids, is tallied once for every
+    # value of the leading columns.
     pair_base = np.arange(n_s * n_s, dtype=np.int64).reshape(n_s, n_s) * (n_v * n_v)
+    tail = 0
+    while tail < n and n_s ** (tail + 3) <= _TALLY_CELLS:
+        tail += 1
+    ids = pair_base[None]
+    for c in range(n - tail, n):
+        ids = (ids[:, None] + column(c, np.arange(n_s))).reshape(-1, n_s, n_s)
     counts = np.zeros(cells, dtype=np.int64)
-    chunk = max(1, _TALLY_CELLS // (n_s * n_s))
-    for start in range(0, m_total, chunk):
-        mats = mixed_radix(np.arange(start, min(start + chunk, m_total)), q, k * n)
-        stacked = mats.reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)  # (k, c * n)
-        images = (s_float @ stacked).astype(np.int64).reshape(n_s, -1, n).transpose(1, 0, 2)
-        vids = radix_ids(images % q, q)  # (c, n_s)
-        flat_ids = pair_base + (vids * n_v)[:, :, None] + vids[:, None, :]
-        np.add.at(counts, flat_ids.ravel(), 1)
+    for lead in itertools.product(range(n_s), repeat=n - tail):
+        np.add.at(counts, (ids + sum(column(c, g) for c, g in enumerate(lead))).ravel(), 1)
     counts = counts.reshape(n_s, n_s, n_v, n_v)
 
     case_counts: dict[str, int] = {}

@@ -607,12 +607,12 @@ def test_stream_counts_do_not_depend_on_the_worker_count(caplog):
                               decoder, 7, seed=2, workers=workers)
         lines += [r.getMessage() for r in caplog.records if r.name == "trimac"]
     # per trial: three one-row encodes (too few rows for the kernel) and three
-    # 2^4-row decode tables (one kernel call each), plus the source and noise
-    # streams; each decode scores the 4^4 support candidates
+    # 2^4-row decode tables (one kernel call for all three), plus the source and
+    # noise streams; each decode scores the 4^4 support candidates
     streams = 3 * 7 + 7 * (3 + 3 * 16 + 2)
     assert lines == [f"monte_carlo_error n=4: 7 decodes, 0 popcount cells scored, "
                      f"{7 * 4**4} generic candidates scored, {streams} keyed streams drawn, "
-                     f"{1 + 3 * 7} kernel calls"] * 2
+                     f"{1 + 7} kernel calls"] * 2
 
 
 def test_debug_logging_leaves_csv_and_json_bytes_unchanged(tmp_path, caplog):

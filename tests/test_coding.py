@@ -31,6 +31,7 @@ from trimac.probcore import (
     binary_entropy_inverse,
     mixed_radix,
     radix_ids,
+    sample_given,
 )
 from trimac.rng import stream
 from trimac.sources import (
@@ -67,12 +68,14 @@ def test_linear_is_affine_with_shared_matrix():
     b1, b2, b3 = scheme.meta["offsets"]
     assert np.array_equal((b1 + b2 + b3) % 2, np.zeros(6, dtype=np.int64))
     s = np.array([1, 0, 1, 1, 0, 0])
-    assert np.array_equal(scheme.expand(1, s[None])[0], (s @ g + b1) % 2)
-    assert np.array_equal(scheme.expand(3, s[None])[0], (s @ g + b3) % 2)
-    # a stacked expansion agrees with row-by-row expansions
-    batch = np.stack([s, 1 - s])
-    out = scheme.expand(2, batch)
-    assert np.array_equal(out[1], scheme.expand(2, (1 - s)[None])[0])
+    x1, x2, x3 = scheme.expand((s[None], np.stack([s, 1 - s]), s[None]))
+    assert np.array_equal(x1[0], (s @ g + b1) % 2)
+    assert np.array_equal(x3[0], (s @ g + b3) % 2)
+    # a stacked expansion agrees with row-by-row expansions, and a stack may be empty
+    empty = np.zeros((0, 6), dtype=np.int64)
+    alone = scheme.expand((empty, (1 - s)[None], empty))
+    assert np.array_equal(x2[1], alone[1][0])
+    assert alone[0].shape == alone[2].shape == (0, 6)
 
 
 def test_linear_rejects_oversized_symbols():
@@ -92,7 +95,8 @@ def test_unstructured_codewords_deterministic_and_block_keyed():
     blk = np.array([0, 1, 1, 0, 0, 1, 0, 1])
 
     def x1(scheme, block):
-        return scheme.expand(1, block[None])[0]
+        empty = np.zeros((0, len(block)), dtype=np.int64)
+        return scheme.expand((block[None], empty, empty))[0][0]
 
     assert np.array_equal(x1(a, blk), x1(b, blk))
     assert np.array_equal(x1(a, blk), x1(a, blk))
@@ -199,14 +203,12 @@ def old_candidates(scheme, n):
     m = support.shape[0]
     total = coding.check_decode_cost(m, n, 1)
     symbols, codes = zip(*(np.unique(support[:, i], return_inverse=True) for i in range(3)))
-    tables = []
-    for user, sym in enumerate(symbols, start=1):
-        blocks = sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
-        tables.append(scheme.expand(user, blocks))
+    tables = scheme.expand(tuple(sym[mixed_radix(np.arange(len(sym)**n), len(sym), n)]
+                                 for sym in symbols))
 
     def chunks():
-        for start in range(0, total, coding._CHUNK):
-            digits = mixed_radix(np.arange(start, min(start + coding._CHUNK, total)), m, n)
+        for start in range(0, total, 2**12):
+            digits = mixed_radix(np.arange(start, min(start + 2**12, total)), m, n)
             yield digits, [radix_ids(code[digits], len(sym)) for code, sym in zip(codes, symbols)]
 
     return support, tables, chunks()
@@ -317,6 +319,53 @@ def test_ml_decode_over_several_chunks_keeps_ties_and_zero_likelihood(kind, monk
     assert outcomes[:8] == ["tie"] * 8 and outcomes[8:16] == ["zero-likelihood"] * 8
 
 
+def scored_decode(monkeypatch, channel, scheme, y, space):
+    """ml_decode's result and every candidate's score, in candidate order."""
+    seen = []
+    argmax = np.argmax
+    with monkeypatch.context() as m:
+        m.setattr(np, "argmax", lambda scores: seen.append(scores.copy()) or argmax(scores))
+        res = ml_decode(channel, scheme, y, space=space)
+    return res, np.concatenate(seen), len(seen)
+
+
+@pytest.mark.parametrize("kind", ["linear", "unstructured"])
+def test_default_chunks_score_like_one_chunk(kind, monkeypatch):
+    n = 8
+    for case, ch in enumerate((build_quaternary_channel(0.15), build_additive_pair_channel(0.1))):
+        src = make_additive_triple(0.2, 0.35) if case else make_sigma_gamma_triple(0.1, 0.2)
+        space = coding.candidate_space(src, n)
+        for seed in range(3):
+            scheme = scheme_for(kind, src, n, seed)
+            y = transmit(ch, scheme.encode(*sample_iid(src, n, seed)), seed + 11)
+            got, scores, chunks = scored_decode(monkeypatch, ch, scheme, y, space)
+            assert chunks > 1 and len(scores) == len(src.support())**n
+            with monkeypatch.context() as m:
+                m.setattr(coding, "_CHUNK", 2**40)
+                want, one_scores, one = scored_decode(monkeypatch, ch, scheme, y, space)
+            assert one == 1
+            assert same_result(got, want)
+            assert np.array_equal(scores, one_scores)
+
+
+def test_unstructured_expand_draws_each_row_from_its_own_stream():
+    src = make_sigma_gamma_triple(0.1, 0.2)
+    tables = [np.array([[0.8, 0.2], [0.25, 0.75]]), np.array([[0.5, 0.5], [0.1, 0.9]]),
+              np.array([[0.3, 0.7], [0.6, 0.4]])]
+    n, seed = 5, 17
+    scheme = build_unstructured_jscc(src, tables, n, seed)
+    blocks = mixed_radix(np.arange(2**n), 2, n)
+    # unequal stacks with an empty one, past and below the batched kernel's key count
+    for rows in ((9, 0, 5), (1, 0, 2), (0, 32, 3), (0, 0, 0)):
+        stacks = tuple(blocks[(7 * tag + np.arange(r)) % 2**n] for tag, r in enumerate(rows))
+        books = scheme.expand(stacks)
+        for tag, (s, book) in enumerate(zip(stacks, books)):
+            assert book.shape == s.shape
+            for block, x in zip(s, book):
+                u = stream(seed, tag, *block).random(n)
+                assert np.array_equal(x, sample_given(tables[tag], (block,), u))
+
+
 def test_monte_carlo_error_with_a_shared_space_is_worker_invariant():
     src = make_sigma_gamma_triple(0.1, 0.2)
     ch = build_quaternary_channel(0.1)
@@ -343,7 +392,7 @@ def test_a_space_for_another_source_or_block_length_is_refused_before_scoring():
     scheme = build_linear_jscc(src, 2, 6, seed=1)
     expand = scheme.expand
     expanded = []
-    scheme.expand = lambda user, blocks: expanded.append(user) or expand(user, blocks)
+    scheme.expand = lambda stacks: expanded.append(len(stacks)) or expand(stacks)
     y = np.zeros(6, dtype=np.int64)
     for other in (coding.candidate_space(make_sigma_gamma_triple(0.1, 0.2), 6),
                   coding.candidate_space(make_additive_triple(0.2, 0.35), 6),
@@ -351,9 +400,9 @@ def test_a_space_for_another_source_or_block_length_is_refused_before_scoring():
         with pytest.raises(ValueError, match="another source law or block length"):
             ml_decode(ch, scheme, y, space=other)
     assert expanded == []
-    # an equal law built apart is accepted
+    # an equal law built apart is accepted, and all three users expand in one call
     ok = ml_decode(ch, scheme, y, space=coding.candidate_space(make_additive_triple(0.2, 0.3), 6))
-    assert expanded == [1, 2, 3]
+    assert expanded == [3]
     assert same_result(ok, old_ml_decode(ch, scheme, y))
 
 

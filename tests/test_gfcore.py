@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trimac import gfcore
+from trimac.cli import run
 from trimac.gfcore import (
     check_prime_field,
     image_probability_case,
@@ -88,6 +89,29 @@ def test_verify_image_probability_exact(q, k, n):
     assert sum(report.case_counts.values()) == q ** (2 * k)
 
 
+_SUPPORT_SIZE, _IN_SUPPORT = gfcore._support_size, gfcore._in_support
+
+
+def _support_size_times_q(case, q, n):
+    return _SUPPORT_SIZE(case, q, n) * q
+
+
+def _slice_of_minus_a(case, a, v1, v2, q):
+    # v1 = -a v2 in place of v1 = a v2: a different slice whenever 2a != 0 mod q
+    return _IN_SUPPORT(case, None if a is None else -a % q, v1, v2, q)
+
+
+@pytest.mark.parametrize("name,wrong,q", [("_support_size", _support_size_times_q, 2),
+                                          ("_support_size", _support_size_times_q, 3),
+                                          ("_in_support", _slice_of_minus_a, 3)])
+def test_a_wrong_closed_form_fails_the_verifier(monkeypatch, tmp_path, name, wrong, q):
+    monkeypatch.setattr(gfcore, name, wrong)
+    report = verify_image_probability(q, 2, 2)
+    assert report.ok is False and report.max_abs_deviation > 0
+    argv = ["verify-lemmas", "--q", str(q), "--k", "2", "--n", "2", "--out-dir", str(tmp_path)]
+    assert run(argv) == 1
+
+
 # recorded from the object-layer verifier, before the array rewrite
 PINNED_REPORTS = {
     (2, 4, 4): (65536, {"zero-zero": 1, "left-zero": 15, "right-zero": 15,
@@ -110,12 +134,25 @@ def test_verify_image_probability_report_is_pinned(q, k, n):
     assert report.ok is True
 
 
-@pytest.mark.parametrize("budget", [1, 3 * 16, 10**9])
+@pytest.mark.parametrize("budget", [1, 3 * 16, 4 * 16, 10**9])
 def test_verify_tally_does_not_depend_on_the_chunk_size(monkeypatch, budget):
-    # one matrix per chunk, a short last chunk, and every matrix in one chunk
+    # per tally call at (2, 2, 2), 4 index vectors and 4 column values: one
+    # matrix (below the 64 ids of one column's values), the 4 values of the
+    # last column, and every matrix
     monkeypatch.setattr(gfcore, "_TALLY_CELLS", budget)
+    add, calls = np.add, []
+
+    class SpyAdd:
+        def at(self, counts, ids, value):
+            calls.append(ids.size)
+            add.at(counts, ids, value)
+
+    monkeypatch.setattr(np, "add", SpyAdd())
     report = verify_image_probability(2, 2, 2)
+    monkeypatch.undo()
     assert report.ok and report.matrices == 16
+    # every matrix's 4 x 4 index pairs are tallied once
+    assert calls == {1: [16] * 16, 3 * 16: [16] * 16, 4 * 16: [64] * 4, 10**9: [256]}[budget]
 
 
 def test_verify_memory_stays_small():
