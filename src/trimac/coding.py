@@ -66,10 +66,11 @@ MAX_CANDIDATES = 2**26
 # with numpy 2.4.6.
 MAX_DECODE_WORK = 6 * 10**9
 # Cells (candidate rows times n) per scoring chunk of the generic decoder,
-# and per prior chunk of candidate_space.  A chunk's int32 offsets and
-# float64 log terms then take 0.75 MiB, inside a 2 MiB L2 cache.  On that
-# VM one decode at n = 8-12 ran fastest at 2^15-2^16 cells, 1.6-2.1x faster
-# than at 2^21; smaller chunks pay numpy's per-call cost more often.
+# and per prior chunk of candidate_space.  A decode's chunk buffers (two of
+# int32 offsets, one of float64 log terms) then take 1 MiB, inside a 2 MiB
+# L2 cache.  On that VM one decode ran fastest at 2^15-2^17 cells: at
+# n = 8, 10 and 12 it took 2.2x, 1.5x and 1.15x less time than at 2^21
+# cells; smaller chunks pay numpy's per-call cost more often.
 _CHUNK = 1 << 16
 
 _LOG = logging.getLogger("trimac")
@@ -199,11 +200,16 @@ class CandidateSpace:
     lo: tuple
     log_prior: np.ndarray
 
-    def chunks(self):
-        """(first candidate, per-user block ids) of runs of whole hi rows, about
-        _CHUNK // n candidates each."""
+    @property
+    def chunk(self) -> int:
+        """Candidates per chunk: whole hi rows, about _CHUNK // n candidates."""
         width = len(self.lo[0])
-        rows = max(1, _CHUNK // (self.n * width))
+        return width * min(len(self.hi[0]), max(1, _CHUNK // (self.n * width)))
+
+    def chunks(self):
+        """(first candidate, per-user block ids) of runs of `chunk` candidates, the last shorter."""
+        width = len(self.lo[0])
+        rows = self.chunk // width
         for h in range(0, len(self.hi[0]), rows):
             yield h * width, [(hi[h:h + rows, None] + lo).ravel() for hi, lo in zip(self.hi, self.lo)]
 
@@ -289,15 +295,26 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
     y = y.astype(np.int32)
     log_t = log_t.reshape(-1)
 
+    # One chunk's offsets, gathered codeword rows and log terms, reused by
+    # every chunk: freed temporaries of this size go back to the OS and are
+    # faulted in again.  mode="clip" lets np.take write them unbuffered; no
+    # index is clipped, since the ids index the space's blocks and the
+    # offsets passed _check_symbols.
+    flat = np.empty((space.chunk, n), dtype=np.int32)
+    rows = np.empty_like(flat)
+    terms = np.empty(flat.shape)
     best_score = -np.inf
     best = -1
     tie = False
     for start, ids in space.chunks():
-        flat = np.take(books[0], ids[0], axis=0)
-        flat += np.take(books[1], ids[1], axis=0)
-        flat += np.take(books[2], ids[2], axis=0)
-        flat += y
-        scores = np.take(log_t, flat).sum(axis=1)
+        f, r, t = (buf[:len(ids[0])] for buf in (flat, rows, terms))
+        np.take(books[0], ids[0], axis=0, out=f, mode="clip")
+        np.take(books[1], ids[1], axis=0, out=r, mode="clip")
+        f += r
+        np.take(books[2], ids[2], axis=0, out=r, mode="clip")
+        f += r
+        f += y
+        scores = np.take(log_t, f, out=t, mode="clip").sum(axis=1)
         scores += space.log_prior[start:start + len(scores)]
         top = int(np.argmax(scores))
         top_score = float(scores[top])

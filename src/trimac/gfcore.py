@@ -239,7 +239,7 @@ def verify_image_probability(q: int, k: int, n: int) -> ImageProbabilityReport:
     # value of the leading columns.
     pair_base = np.arange(n_s * n_s, dtype=np.int64).reshape(n_s, n_s) * (n_v * n_v)
     tail = 0
-    while tail < n and n_s ** (tail + 3) <= _TALLY_CELLS:
+    while tail < n and n_s ** (tail + 1) * n_s * n_s <= _TALLY_CELLS:
         tail += 1
     ids = pair_base[None]
     for c in range(n - tail, n):

@@ -348,6 +348,24 @@ def test_default_chunks_score_like_one_chunk(kind, monkeypatch):
             assert np.array_equal(scores, one_scores)
 
 
+def test_a_decode_holds_one_chunk_of_buffers():
+    src = make_additive_triple(0.2, 0.35)
+    ch = build_quaternary_channel(0.15)
+    n = 9
+    scheme = scheme_for("linear", src, n, seed=1)
+    y = transmit(ch, scheme.encode(*sample_iid(src, n, 1)), 2)
+    space = coding.candidate_space(src, n)
+    tracemalloc.start()
+    try:
+        ml_decode(ch, scheme, y, space=space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4^9 candidates: their log terms alone would take 18 MiB
+    assert len(list(space.chunks())) > 1
+    assert peak < 3 * 2**20
+
+
 def test_unstructured_expand_draws_each_row_from_its_own_stream():
     src = make_sigma_gamma_triple(0.1, 0.2)
     tables = [np.array([[0.8, 0.2], [0.25, 0.75]]), np.array([[0.5, 0.5], [0.1, 0.9]]),

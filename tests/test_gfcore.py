@@ -143,6 +143,9 @@ def test_verify_tally_does_not_depend_on_the_chunk_size(monkeypatch, budget):
     add, calls = np.add, []
 
     class SpyAdd:
+        def __getattr__(self, name):
+            return getattr(add, name)
+
         def at(self, counts, ids, value):
             calls.append(ids.size)
             add.at(counts, ids, value)
