@@ -60,7 +60,7 @@ __all__ = [
 MAX_CANDIDATES = 2**26
 # Candidate-positions (support^n candidates times n positions, summed over a
 # run's decodes) the generic decoder may score in one run: 30-50 s at the
-# 120-190M candidate-positions/s ml_decode scored at n = 10-12 (support 4,
+# 120-200M candidate-positions/s ml_decode scored at n = 10-12 (support 4,
 # quaternary channel, one thread, on the run's candidate space), plus the
 # space's one build (0.1 s at n = 10, about 2 s at n = 12), on a 2-vCPU VM
 # with numpy 2.4.6.
