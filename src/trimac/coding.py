@@ -38,7 +38,7 @@ from .gfcore import (
     unpack_bits,
     xor_codebook,
 )
-from .probcore import check_cells, marginalize, mixed_radix, radix_ids, sample_given
+from .probcore import check_cells, marginalize, mixed_radix, radix_ids, row_sums, sample_given
 from .rng import sub_seeds, tally, uniforms
 from .sources import SourceModel, sample_iid
 
@@ -237,7 +237,7 @@ def candidate_space(source: SourceModel, n: int) -> CandidateSpace:
     step = max(1, _CHUNK // n)
     for start in range(0, total, step):
         digits = mixed_radix(np.arange(start, min(start + step, total)), m, n)
-        log_prior[start:start + len(digits)] = log_p[digits].sum(axis=1)
+        log_prior[start:start + len(digits)] = row_sums(log_p[digits.T])
     space = CandidateSpace(
         source=source,
         n=n,
@@ -277,7 +277,10 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
 
     Zero-prior blocks can never be the argmax, so enumerating support^n is
     exhaustive.  An exact score tie is a decode failure.  space is the run's
-    candidate_space(scheme.source, n), built here unless passed in.
+    candidate_space(scheme.source, n), built here unless passed in.  A
+    candidate's score is its n log terms summed by row_sums over the columns
+    of the chunk's term buffer, bit for bit numpy's sum of each row, plus its
+    log prior: ties are decided on the same bits as by a per-row sum.
     """
     y = np.asarray(y_block, dtype=np.int64)
     n = y.shape[0]
@@ -314,7 +317,7 @@ def ml_decode(channel: DMChannel, scheme: CodingScheme, y_block,
         np.take(books[2], ids[2], axis=0, out=r, mode="clip")
         f += r
         f += y
-        scores = np.take(log_t, f, out=t, mode="clip").sum(axis=1)
+        scores = row_sums(np.take(log_t, f, out=t, mode="clip").T)
         scores += space.log_prior[start:start + len(scores)]
         top = int(np.argmax(scores))
         top_score = float(scores[top])

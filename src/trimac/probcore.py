@@ -6,7 +6,8 @@ multiplies an ordered list of conditionals out into one tensor, but the
 region evaluators keep large laws factored and read each entropy off a
 marginal contracted from the factors it needs; a small chained law keeps
 its nonzero cells (`support_cells`), and `cells_marginal` sums a marginal
-from them in numpy's own association, so its bits are `ndarray.sum`'s.
+from them in numpy's own association, so its bits are `ndarray.sum`'s;
+`row_sums` adds short rows the same way, a whole column per numpy call.
 Tensors are capped at 1e8 cells, checked before anything is allocated;
 axis names are unique per tensor; all masses are validated at
 construction.
@@ -33,6 +34,7 @@ __all__ = [
     "ConditionalPMF",
     "entropy",
     "array_entropy",
+    "row_sums",
     "segment_entropies",
     "support_cells",
     "cells_marginal",
@@ -205,6 +207,46 @@ def array_entropy(m: np.ndarray) -> float:
     flat = np.ravel(m)
     pos = flat[flat > 0.0]
     return float(-(pos * np.log2(pos)).sum() + 0.0)  # keep -0.0 out of reports
+
+
+def row_sums(cols: np.ndarray) -> np.ndarray:
+    """Bit for bit ndarray.sum(axis=-1) of the rows whose cells are cols[0], cols[1], ...
+
+    cols is a float array whose first axis holds a row's k >= 1 cells, at
+    any strides; the sums have the shape of one column.  numpy reduces each
+    row of a C-contiguous array by one call of its pairwise_sum
+    (numpy/_core/src/umath/loops_utils.h.src), added to a 0.0 start: fewer
+    than 8 cells in order; 8 to 128 cells in 8 lanes, lane j taking cells
+    j, j + 8, ... up to the last multiple of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order; above 128 cells, the sum of the two parts split at half the
+    count, rounded down to a multiple of 8.  Here each add is one numpy call
+    over whole columns, where the reduce makes one call per row.  Only a
+    zero's sign can tell the 0.0 start apart, so adding 0.0 at any point of
+    the sum, once or more, gives the same bits.
+    """
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return row_sums(cols[:half]) + row_sums(cols[half:])
+    if n < 8:
+        total = cols[0] + 0.0
+        rest = cols[1:]
+    else:
+        whole = n - n % 8
+        r = list(cols[:8])
+        for i in range(8, whole, 8):
+            r = [lane + col for lane, col in zip(r, cols[i:i + 8])]
+        total = r[0] + r[1]
+        total += r[2] + r[3]
+        quad = r[4] + r[5]
+        quad += r[6] + r[7]
+        total += quad
+        total += 0.0
+        rest = cols[whole:]
+    for col in rest:
+        total += col
+    return total
 
 
 def segment_entropies(parts) -> list[float]:

@@ -52,6 +52,7 @@ from .probcore import (
     entropy,
     mixed_radix,
     push_forward,
+    row_sums,
     segment_entropies,
     support_cells,
 )
@@ -1034,11 +1035,18 @@ def _noise_entropy(delta: float) -> float:
 
 
 def _row_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each last-axis row, 0 log 0 = 0 (a row of zero terms gives -0.0)."""
+    """Entropy in bits of each law whose cells are p[0], p[1], ..., 0 log 0 = 0.
+
+    The p log2 p terms are summed by row_sums: bit for bit the .sum(axis=-1)
+    of the cells-last rows (a law of zero terms gives -0.0).
+    """
     positive = p > 0.0
     if positive.all():
-        return -(p * np.log2(p)).sum(axis=-1)
-    return -np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0).sum(axis=-1)
+        terms = np.log2(p)
+        terms *= p
+    else:
+        terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
+    return -row_sums(terms)
 
 
 def _eta_image_entropies(alpha, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1047,10 +1055,10 @@ def _eta_image_entropies(alpha, delta: float) -> tuple[np.ndarray, np.ndarray]:
     Floats for a scalar alpha, else arrays of its shape.  Shifted noise rows are
     added in push_forward's np.add.at cell order: bit for bit the image laws.
     """
-    a = np.asarray(alpha, dtype=np.float64)[..., None]
+    a = np.asarray(alpha, dtype=np.float64)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
-    noise = quaternary_noise_law(delta)
+    noise = quaternary_noise_law(delta).reshape((4,) + (1,) * a.ndim)  # cells first
     up1, up2 = noise[[3, 0, 1, 2]], noise[[2, 3, 0, 1]]  # the law of N + 1 and N + 2 mod 4
     keep, flip = (1.0 - a) * noise, a * up1
     z1 = keep + flip
@@ -1276,11 +1284,13 @@ def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
 
     The tables are as _induced_law takes them; the values of its (..., n)
     rows come out flat, n major.  The input law is copied cell-major, and its
-    Y law is one einsum there, the in-order sum over the 8 input cells.
-    H(Y | X) is contracted on a row-major copy.  Both are the batched
-    einsum's arithmetic bit for bit, whatever the rows.
+    Y law is one einsum there, the in-order sum over the 8 input cells, whose
+    (|Y|, rows) output _row_entropy reads as it is: row_sums adds its rows'
+    terms by whole columns in numpy's order.  H(Y | X) is contracted on a
+    row-major copy.  Both are the batched einsum's arithmetic bit for bit,
+    whatever the rows and |Y|.
     """
-    hcond = _row_entropy(channel_table)
+    hcond = _row_entropy(np.moveaxis(channel_table, -1, 0))
     cell_rows = channel_table.reshape(8, -1)
 
     def tables_mi(t1, t2, t3) -> np.ndarray:
@@ -1289,14 +1299,20 @@ def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
         del law  # at most two slice-sized copies of the law live at once
         cells = cells.reshape(8, -1)
         hyx = np.einsum("gwxy,wxy->g", np.ascontiguousarray(cells.T).reshape(-1, 2, 2, 2), hcond)
-        return _row_entropy(np.einsum("kg,kz->zg", cells, cell_rows).T.copy()) - hyx
+        return _row_entropy(np.einsum("kg,kz->zg", cells, cell_rows)) - hyx
 
     return tables_mi
 
 
 def _rows_mi(tables_mi, params: np.ndarray) -> np.ndarray:
-    """tables_mi (see _mi_kernel) of each row of 6 flip parameters (see _flip_tables)."""
-    return tables_mi(*(np.ascontiguousarray(t.transpose(1, 2, 0)) for t in _flip_tables(params)))
+    """tables_mi (see _mi_kernel) of each row of 6 flip parameters (see _flip_tables).
+
+    The three users' tables are built as one contiguous (3, 2, 2, rows) array
+    from a contiguous copy of the parameter columns: the kernel runs slower
+    on tables that are views of a non-contiguous array.
+    """
+    flips = np.ascontiguousarray(params.T)
+    return tables_mi(*np.stack([1.0 - flips, flips], axis=1).reshape(3, 2, 2, -1))
 
 
 def _grid_slices(tables_mi, m: int):

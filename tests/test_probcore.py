@@ -33,6 +33,7 @@ from trimac.probcore import (
     mutual_information,
     push_forward,
     radix_ids,
+    row_sums,
     sample_cells,
     sample_given,
     segment_entropies,
@@ -600,6 +601,34 @@ def test_segment_entropies_are_each_segments_own_sum_bit_for_bit(parts):
         alone = segment.copy()
         assert same_bits(bits, plain_entropy(alone))
         assert same_bits(bits, array_entropy(alone))
+
+
+def row_sum_cases(rng, k):
+    """40 rows of k cells: magnitudes 1e-300 to 1e300 of both signs, +-0.0, subnormals, -inf."""
+    rows = rng.choice([-1.0, 1.0], (40, k)) * 10.0 ** rng.uniform(-300.0, 300.0, (40, k))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    tiny = rng.random(rows.shape) < 0.1
+    rows[tiny] = rng.integers(-1000, 1000, tiny.sum()) * 5e-324
+    rows[:8] = rng.choice([-1.0, 1.0], (8, k)) * rng.random((8, k))  # a sum that does round
+    rows[8] = -0.0
+    rows[9] = 0.0
+    rows[10] = rng.choice([-1.0, 0.0, 1.0], k) * 5e-324
+    rows[11, rng.integers(k)] = -np.inf
+    return rows
+
+
+def test_row_sums_are_numpys_row_sums_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for k in range(1, 301):
+        rows = row_sum_cases(rng, k)
+        want = rows.sum(axis=-1)  # C-contiguous rows: numpy's pairwise_sum, one call per row
+        wide = np.zeros((2 * k, 40))
+        wide[::2] = rows.T
+        for cols in (np.ascontiguousarray(rows.T), rows.T, wide[::2]):
+            assert same_bits(row_sums(cols), want), (
+                f"{k} cells, column strides {cols.strides}, numpy {np.__version__}")
+            assert not np.shares_memory(row_sums(cols), cols)
 
 
 def test_support_cells_lists_the_nonzero_cells_of_a_c_order_law_only():

@@ -302,11 +302,12 @@ def _dead_channel():
     return DMChannel("dead", ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)], [("Y", 2)], table))
 
 
-def _random_case():
+def _random_case(outputs=3):
     rng = np.random.default_rng(11)
     source = SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], rng.dirichlet(np.ones(8))))
-    table = rng.dirichlet(np.ones(3), size=(2, 2, 2))
-    channel = DMChannel("random", ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)], [("Y", 3)], table))
+    table = rng.dirichlet(np.ones(outputs), size=(2, 2, 2))
+    channel = DMChannel("random", ConditionalPMF([("X1", 2), ("X2", 2), ("X3", 2)],
+                                                 [("Y", outputs)], table))
     return channel, source
 
 
@@ -319,6 +320,8 @@ def _cases():
     return cases + [
         pytest.param(quaternary, make_sigma_gamma_triple(0.1, 0.1), SMALL, id="small"),
         pytest.param(*_random_case(), SMALL, id="small-random-channel"),
+        # 9 outputs: numpy sums each Y law's row in 8 lanes plus a tail, not in order
+        pytest.param(*_random_case(9), SMALL, id="small-random-9-outputs"),
         pytest.param(_dead_channel(), make_sigma_gamma_triple(0.1, 0.1), QUICK, id="quick-dead"),
     ]
 
