@@ -57,7 +57,7 @@ from .regions import (
     sigma0_frontier_points,
     tv_bound_check,
 )
-from .rng import stream
+from .rng import available_cores, stream
 from .sources import make_additive_triple, make_sigma_gamma_triple, source_to_json
 
 __all__ = ["run", "main"]
@@ -183,7 +183,7 @@ def _handle_simulate_mac(args) -> _Emission:
         support = source.support().shape[0]
         for n in n_list:
             check_decode_cost(support, n, args.trials)
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers or available_cores()
     runs = []
     for n in n_list:
         # one candidate space per block length, shared by its trials and freed after them
@@ -517,7 +517,8 @@ def _simulate_mac_parser():
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
-                   help="0 means all available cores; results are partition-independent")
+                   help="0 means every core in the process's CPU affinity mask (as nproc "
+                   "counts them); results are partition-independent")
     return p, _handle_simulate_mac, ()
 
 

@@ -56,7 +56,7 @@ from .probcore import (
     segment_entropies,
     support_cells,
 )
-from .rng import stream
+from .rng import available_cores, stream
 from .sources import SourceModel, make_sigma_gamma_triple
 
 __all__ = [
@@ -1208,9 +1208,14 @@ _GRID_CHUNK = 1 << 18
 # Largest coarse grid searched, about a minute at about 0.5 us a row: m = 22
 # points a coordinate (coarse_step 1/21) is admitted, m = 23 is not.
 _MAX_GRID_ROWS = 1 << 27
-# Grid rows per kernel call: small enough for each (rows, 8) temporary to stay in
-# cache (at m = 21, ~4k-row slices ran ~35% faster than 194k-row ones).
-_SLICE_ROWS = 1 << 12
+# Grid rows per kernel call.  The grid phase at m = 11, in-process (2-vCPU host,
+# numpy 2.4.6, medians of 11 interleaved runs, against 4k-row slices on one
+# thread): on one thread 8k-row slices took 0.88 of the time and 2k-row ones
+# 1.17; on two threads 4k-row slices took 0.76, 8k-row ones 0.59 and 16k-row
+# ones 0.52.  Larger slices spend longer in numpy loops that release the GIL,
+# but each thread keeps a slice's temporaries, about 1 MiB at 8k rows, and at
+# 16k rows the benchmark's peak RSS rose by 3.4 MiB.
+_SLICE_ROWS = 1 << 13
 # source cells (a, b, c) in the order their terms are added
 _SOURCE_CELLS = tuple(itertools.product(range(2), repeat=3))
 
@@ -1299,7 +1304,9 @@ def _mi_kernel(source_probs: np.ndarray, channel_table: np.ndarray):
         del law  # at most two slice-sized copies of the law live at once
         cells = cells.reshape(8, -1)
         hyx = np.einsum("gwxy,wxy->g", np.ascontiguousarray(cells.T).reshape(-1, 2, 2, 2), hcond)
-        return _row_entropy(np.einsum("kg,kz->zg", cells, cell_rows)) - hyx
+        y_law = np.einsum("kg,kz->zg", cells, cell_rows)
+        del cells  # before the entropy terms: every core holds one slice's temporaries
+        return _row_entropy(y_law) - hyx
 
     return tables_mi
 
@@ -1324,7 +1331,9 @@ def _grid_slices(tables_mi, m: int):
     rows, whatever m.  User 3's s = 0 and s = 1 rows lie on broadcast axes
     of their own, before the run's axis, so each input-law term is taken once
     per user-2 table and user-3 digit it depends on.  Its values equal
-    tables_mi on those rows' own tables.
+    tables_mi on those rows' own tables.  The slices are computed on
+    available_cores() threads (see _in_row_order), and no value depends on
+    the slice's thread.
     """
     grid = np.linspace(0.0, 1.0, m)
     flips = _flip_table(grid)
@@ -1332,22 +1341,52 @@ def _grid_slices(tables_mi, m: int):
     cells = np.ascontiguousarray(tables.transpose(1, 2, 0))[:, None, None]
     t3 = (flips[:, None, :, None], flips[None, :, :, None])
     run = max(1, _SLICE_ROWS // (m * m))
-    for i1 in range(m * m):
-        t1 = cells[..., i1, None]
-        for i2 in range(0, m * m, run):
-            yield tables_mi(t1, cells[..., i2:i2 + run], t3)
+
+    def grid_slice(start):
+        i1, i2 = start
+        return tables_mi(cells[..., i1, None], cells[..., i2:i2 + run], t3)
+
+    starts = ((i1, i2) for i1 in range(m * m) for i2 in range(0, m * m, run))
+    yield from _in_row_order(grid_slice, starts, available_cores())
 
 
-def _grid_top(slices, total: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, grid row ids) of the coarse grid's top_k under the tie rule (see _GRID_CHUNK).
+def _in_row_order(fn, items, workers: int):
+    """fn(item) for each item, yielded in item order, computed on `workers` threads.
+
+    Items are taken in runs of `workers`: the calling thread computes a run's
+    first item while workers - 1 pool threads compute the rest, and the run's
+    values are yielded once all of them are done, so at most one item per
+    worker is in flight and none while the caller holds a value.  With one
+    worker no pool is made.  The pool lives as long as the generator: an
+    error in fn, or closing the generator early, starts no further item and
+    joins the pool threads before the generator returns.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        while run := list(itertools.islice(items, workers)):
+            futures = [pool.submit(fn, item) for item in run[1:]]
+            yield from [fn(run[0])] + [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _grid_top(slices, total: int, top_k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(values, grid row ids) of the coarse grid's top_k under the tie rule (see
+    _GRID_CHUNK), and the number of slices streamed.
 
     The streamed slices fill one _GRID_CHUNK buffer at a time.
     """
     chunk = np.empty(min(_GRID_CHUNK, total))
     kept_vals: list[np.ndarray] = []
     kept_ids: list[np.ndarray] = []
-    start = filled = 0
-    for vals in slices:
+    start = filled = count = 0
+    for count, vals in enumerate(slices, start=1):
         while vals.size:
             size = min(_GRID_CHUNK, total - start)
             n = min(size - filled, vals.size)
@@ -1361,7 +1400,7 @@ def _grid_top(slices, total: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
                 start, filled = start + size, 0
     all_vals = np.concatenate(kept_vals)
     order = np.argsort(-all_vals, kind="stable")[:top_k]
-    return all_vals[order], np.concatenate(kept_ids)[order]
+    return all_vals[order], np.concatenate(kept_ids)[order], count
 
 
 def max_product_mi(channel: DMChannel, source: SourceModel,
@@ -1373,34 +1412,38 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
     user-1 table and a run of user-2 tables per slice, against user 3's
     s = 0 and s = 1 table rows on broadcast axes of their own, so each
     input-law term is taken once per grid digit it depends on (see
-    _grid_slices).  The refinement runs the same kernel on its rows, so every
-    grid value is bit for bit its own row's and ties cannot reorder.  Only one
-    _GRID_CHUNK value buffer and the kept rows are held; params are rebuilt
-    for the kept rows only.  A grid above _MAX_GRID_ROWS rows is refused
-    when the config is built, before any work.  candidates holds every
-    refined (value, params) pair, best first.  Tie rule: each _GRID_CHUNK
-    chunk keeps its top_k by argpartition, then stable sorts rank the kept
-    rows in chunk order and the refined rows in that selection order.  One
-    DEBUG line on the trimac logger gives the grid rows, slices, refinement
+    _grid_slices).  The slices are computed on every core
+    (rng.available_cores): on the calling thread and a thread pool that
+    lives for the grid phase only.  The refinement stays on the calling
+    thread: its kernel calls, a row per lane, are bound by the interpreter.
+    It runs the same kernel on its rows, so every grid value is bit for bit
+    its own row's, whatever its slice or thread, and ties cannot reorder.
+    Only one _GRID_CHUNK value buffer, the kept rows and one slice in flight
+    per core are held; params are rebuilt for the kept rows only.  A grid
+    above _MAX_GRID_ROWS rows is refused when the config is built, before
+    any work.  candidates holds every refined (value, params) pair, best
+    first.  Tie rule: each _GRID_CHUNK chunk keeps its top_k by
+    argpartition, then stable sorts rank the kept rows in chunk order and
+    the refined rows in that selection order.  One DEBUG line on the trimac
+    logger gives the grid rows, the slices _grid_top received, refinement
     kernel calls and each phase's seconds.
     """
     if channel.input_sizes != (2, 2, 2) or source.sizes != (2, 2, 2):
         raise ValueError("product search expects binary sources and binary channel inputs")
     cfg = config or ProductSearchConfig()
     kernel = _mi_kernel(source.joint.probs, channel.transition.table)
-    calls = rows = 0
+    calls = 0
 
     def tables_mi(*tables):
-        nonlocal calls, rows
-        vals = kernel(*tables)
-        calls, rows = calls + 1, rows + vals.size
-        return vals
+        nonlocal calls
+        calls += 1
+        return kernel(*tables)
 
     started = time.perf_counter()
     m = cfg.grid_points
-    vals, ids = _grid_top(_grid_slices(tables_mi, m), m**6, cfg.top_k)
+    vals, ids, slices = _grid_top(_grid_slices(kernel, m), m**6, cfg.top_k)
     params = np.linspace(0.0, 1.0, m)[mixed_radix(ids, m, 6)]
-    slices, grid_rows, grid_s = calls, rows, time.perf_counter() - started
+    grid_s = time.perf_counter() - started
 
     for _ in range(cfg.sweeps):
         for c in range(6):
@@ -1414,7 +1457,7 @@ def max_product_mi(channel: DMChannel, source: SourceModel,
             params[better, c] = t_best[better]
             vals = np.where(better, v_best, vals)
     _LOG.debug("product search: %d grid rows in %d slices, %.3f s; %d refinement kernel calls, "
-               "%.3f s", grid_rows, slices, grid_s, calls - slices,
+               "%.3f s", m**6, slices, grid_s, calls,
                time.perf_counter() - started - grid_s)
     refined = sorted(zip(vals.tolist(), map(tuple, params.tolist())), key=lambda r: -r[0])
     best_val, best_params = refined[0]

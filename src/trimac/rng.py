@@ -29,17 +29,19 @@ the way the generator does.  The contract, checked bit for bit against
 
 `keyed_words` hands fewer than _KERNEL_MIN_KEYS keys to `stream` itself.
 `tally` reports, per thread, how many keyed streams were drawn either way
-and how many batched kernel calls drew them.
+and how many batched kernel calls drew them.  `available_cores` is the
+package's one rule for "all cores", for the work it spreads over threads.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import threading
 
 import numpy as np
 
-__all__ = ["stream", "keyed_words", "uniforms", "sub_seeds", "tally"]
+__all__ = ["stream", "keyed_words", "uniforms", "sub_seeds", "tally", "available_cores"]
 
 _MASK32 = 0xFFFFFFFF
 # SeedSequence's hash constants and pool size
@@ -62,6 +64,16 @@ _U64_32, _U64_MASK32 = np.uint64(32), np.uint64(_MASK32)
 _KERNEL_MIN_KEYS = 12
 
 _TALLY = threading.local()
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask, as `nproc` reads it.
+
+    Falls back to os.cpu_count() where the platform has no sched_getaffinity.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def tally() -> tuple[int, int]:

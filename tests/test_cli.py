@@ -241,6 +241,20 @@ def test_simulate_mac_partition_independent(tmp_path):
     assert run(["simulate-mac", "--n-list", "zero,"]) == 2
 
 
+def test_simulate_mac_workers_0_takes_the_affinity_mask(tmp_path, monkeypatch):
+    seen, simulate = [], cli.monte_carlo_error
+
+    def recording(*args, workers):
+        seen.append(workers)
+        return simulate(*args, workers=workers)
+
+    monkeypatch.setattr(cli, "available_cores", lambda: 3)
+    monkeypatch.setattr(cli, "monte_carlo_error", recording)
+    assert run(["simulate-mac", "--n-list", "4,5", "--trials", "4", "--workers", "0",
+                "--out-dir", str(tmp_path)]) == 0
+    assert seen == [3, 3]
+
+
 def test_structure_measure_both_targets(tmp_path, capsys):
     assert run(["structure-measure", "--count", "3", "--seed", "7",
                 "--out-dir", str(tmp_path), "--emit-plot-data"]) == 0

@@ -13,8 +13,9 @@ per-row implementation on the acceptance-test sources and on a source whose
 quick search has three exactly tied maxima; they pin the tie order.
 
 The coarse grid is evaluated separably, slice by slice; every streamed
-value must equal the row kernel's on that row, and the row kernel must equal
-the batched einsum it replaced, so grid ties cannot reorder.
+value must equal the row kernel's on that row, whatever the number of
+threads computing the slices, and the row kernel must equal the batched
+einsum it replaced, so grid ties cannot reorder.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import itertools
 import json
 import logging
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -47,6 +51,7 @@ from trimac.regions import (
     _flip_tables,
     _golden_max,
     _grid_slices,
+    _in_row_order,
     _mi_kernel,
     _rows_mi,
     eta1,
@@ -415,6 +420,135 @@ def test_grid_slices_hold_nothing_from_one_slice_to_the_next():
     assert peaks[1] - peaks[0] < 2**20
 
 
+@pytest.mark.parametrize("m", [6, 11])
+@pytest.mark.parametrize("channel,source", _kernel_cases())
+def test_grid_slices_do_not_depend_on_the_worker_count(channel, source, m, monkeypatch):
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    slices = []
+    interval = sys.getswitchinterval()
+    # more workers than a 2-core host has, switching threads often, all reading one grid
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(regions, "available_cores", lambda workers=workers: workers)
+            slices.append([vals.tobytes() for vals in _grid_slices(kernel, m)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert slices[1] == slices[0] and slices[2] == slices[0]
+
+
+def test_grid_slices_hold_one_slice_in_flight_per_worker(monkeypatch):
+    channel, source = build_quaternary_channel(0.25), make_sigma_gamma_triple(0.3, 0.2)
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    peaks = {}
+    for workers, count in ((1, 20), (2, 1), (2, 20)):
+        monkeypatch.setattr(regions, "available_cores", lambda workers=workers: workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held = 0
+            for vals in itertools.islice(_grid_slices(kernel, 22), count):
+                held = max(held, tracemalloc.get_traced_memory()[0] - base - vals.nbytes)
+            peaks[workers, count] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # no slice is in flight while one is yielded: the tables, the pool and its run's values
+        assert held < 2**20
+    assert peaks[2, 20] - peaks[2, 1] < 2**20
+    # a second slice in flight on the pool thread would add a whole slice's temporaries
+    assert peaks[2, 20] < 2 * peaks[1, 20] + 2**18
+
+
+def _started_items(workers, fail_at=None):
+    """_in_row_order over 0..99 that records each item started, and raises at fail_at."""
+    started, lock = [], threading.Lock()
+
+    def fn(item):
+        with lock:
+            started.append(item)
+        if item == fail_at:
+            assert threading.current_thread() is not threading.main_thread()
+            raise RuntimeError(f"item {item}")
+        return item
+
+    return _in_row_order(fn, range(100), workers), started
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_error_and_early_close_start_no_further_item(workers):
+    baseline = threading.active_count()
+    values, started = _started_items(workers, fail_at=5)  # a pool item of the run ending at 5
+    with pytest.raises(RuntimeError, match="item 5"):
+        list(values)
+    assert threading.active_count() == baseline
+    time.sleep(0.05)
+    assert sorted(started) == list(range(6))
+    values, started = _started_items(workers)
+    assert list(itertools.islice(values, 4)) == [0, 1, 2, 3]
+    values.close()
+    assert threading.active_count() == baseline
+    time.sleep(0.05)
+    assert sorted(started) == list(range(-(-4 // workers) * workers))
+    values, started = _started_items(workers)
+    assert list(values) == list(range(100)) and sorted(started) == list(range(100))
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_item_runs_while_the_caller_holds_a_value(workers):
+    running, most, lock = [0], [0], threading.Lock()
+
+    def fn(item):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.001)  # time for an item queued ahead to start
+        with lock:
+            running[0] -= 1
+        return item
+
+    for item in _in_row_order(fn, range(60), workers):
+        time.sleep(0.001)
+        assert running[0] == 0, item
+    assert most[0] == workers  # a whole run at once, and never more
+
+
+def test_grid_kernel_error_on_a_pool_thread_propagates_and_joins_the_pool(monkeypatch):
+    channel, source = build_quaternary_channel(0.25), make_sigma_gamma_triple(0.3, 0.2)
+    kernel = _mi_kernel(source.joint.probs, channel.transition.table)
+    calls = []
+
+    def failing(*tables):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append(on_main)
+        if len(calls) > 4 and not on_main:  # the pool's slice of the third run
+            raise FloatingPointError("pool slice")
+        return kernel(*tables)
+
+    monkeypatch.setattr(regions, "available_cores", lambda: 2)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="pool slice"):
+        list(_grid_slices(failing, 11))
+    assert threading.active_count() == baseline
+    started = len(calls)
+    time.sleep(0.05)
+    assert len(calls) == started <= 6
+
+
+def test_refinement_runs_with_no_pool_thread(monkeypatch):
+    monkeypatch.setattr(regions, "available_cores", lambda: 2)
+    baseline, counts = threading.active_count(), []
+    golden = regions._golden_max
+
+    def counted(*args):
+        counts.append(threading.active_count())
+        return golden(*args)
+
+    monkeypatch.setattr(regions, "_golden_max", counted)
+    max_product_mi(build_quaternary_channel(0.25), make_sigma_gamma_triple(0.3, 0.2), QUICK)
+    assert counts and set(counts) == {baseline}
+
+
 def test_grid_cap_refuses_before_any_allocation():
     tracemalloc.start()
     try:
@@ -458,6 +592,6 @@ def test_search_logs_one_line_and_debug_leaves_region_bytes_unchanged(tmp_path, 
              if r.name == "trimac" and r.getMessage().startswith("product search: ")]
     assert len(lines) == 1
     head, tail = lines[0].split("; ")
-    assert head.startswith("product search: 1771561 grid rows in 484 slices, ")
+    assert head.startswith("product search: 1771561 grid rows in 242 slices, ")
     assert tail.startswith("1224 refinement kernel calls, ")
     assert float(head.split(", ")[1].split()[0]) > 0.0 and float(tail.split(", ")[1].split()[0]) > 0.0

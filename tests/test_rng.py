@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -144,3 +145,13 @@ def test_tally_counts_streams_and_kernel_calls_per_thread():
     assert not worker.is_alive()
     assert seen == [(4, 1)]
     assert np.subtract(tally(), before).tolist() == [14, 2]
+
+
+def test_available_cores_reads_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert rng.available_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert rng.available_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng.available_cores() == 1
