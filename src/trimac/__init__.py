@@ -23,9 +23,10 @@ from .coding import (
 )
 from .commonparts import (
     additive_common_search,
+    affine_unstructuredness,
     gkw_mutual,
     gkw_pairwise,
-    unstructuredness_estimate,
+    memoryless_unstructuredness,
 )
 from .gfcore import sample_uniform_matrix, verify_image_probability
 from .macfb import (
@@ -75,9 +76,10 @@ __all__ = [
     "ml_decode_additive_pair",
     "monte_carlo_error",
     "additive_common_search",
+    "affine_unstructuredness",
     "gkw_mutual",
     "gkw_pairwise",
-    "unstructuredness_estimate",
+    "memoryless_unstructuredness",
     "sample_uniform_matrix",
     "verify_image_probability",
     "FBConfig",

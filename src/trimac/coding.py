@@ -48,6 +48,7 @@ __all__ = [
     "SimReport",
     "build_linear_jscc",
     "build_unstructured_jscc",
+    "check_conditionals",
     "CandidateSpace",
     "candidate_space",
     "ml_decode",
@@ -132,10 +133,9 @@ def build_linear_jscc(source: SourceModel, q: int, n: int, seed: int) -> CodingS
     )
 
 
-def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
-    """Independent random codebooks with symbolwise conditional draws; user i's
-    codeword for block s is drawn from stream (seed, i - 1, *s), every user's
-    streams in one rng.uniforms call."""
+def check_conditionals(source: SourceModel, conditionals) -> list[np.ndarray]:
+    """The three (|S_i|, |X_i|) conditional tables as float arrays; raises unless
+    table i has one row per symbol of source i and every row sums to 1 within 1e-12."""
     tables = [np.asarray(t, dtype=np.float64) for t in conditionals]
     if len(tables) != 3:
         raise ValueError("need three conditional tables")
@@ -144,6 +144,14 @@ def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int
             raise ValueError("conditional rows must match source alphabet")
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("conditional rows must sum to 1")
+    return tables
+
+
+def build_unstructured_jscc(source: SourceModel, conditionals, n: int, seed: int) -> CodingScheme:
+    """Independent random codebooks with symbolwise conditional draws; user i's
+    codeword for block s is drawn from stream (seed, i - 1, *s), every user's
+    streams in one rng.uniforms call."""
+    tables = check_conditionals(source, conditionals)
 
     def expand(stacks: tuple) -> tuple:
         paths = np.concatenate([np.column_stack((np.full(len(s), tag, dtype=np.int64), s))

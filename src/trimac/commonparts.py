@@ -10,33 +10,34 @@ some qualifying relabeling is non-constant.
 The unstructuredness measure of a random coding strategy is the worst-case
 probability, over all non-constant symbolwise maps to {0, 1}, that the map
 vanishes on the whole transmitted block.  Strategies that keep this
-probability below 1 - delta for every map are delta-unstructured; identical
-affine codes on a zero-sum source are not, for any delta >= 0.
+probability below 1 - delta for every map are delta-unstructured.  The
+measure of each coding scheme is exact, in closed form over the map's zero
+set Z: P_X(Z)^n for memoryless conditional tables, and a two-term form over
+the zero-sum plane and the whole cube for identical affine codes, which on a
+zero-sum source are delta-unstructured for no delta > 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import JointPMF, entropy, marginalize, mixed_radix, sample_cells, sample_given
-from .rng import stream
+from .coding import check_conditionals
+from .gfcore import check_prime_field
+from .probcore import JointPMF, entropy, marginalize, mixed_radix
 from .sources import SourceModel
 
 __all__ = [
     "CommonPartResult",
     "AdditiveCommonResult",
     "UnstructurednessReport",
-    "StrategySampler",
     "gkw_pairwise",
     "gkw_mutual",
     "gkw_pairs",
     "additive_common_search",
-    "unstructuredness_estimate",
-    "identical_affine_sampler",
-    "memoryless_conditional_sampler",
+    "affine_unstructuredness",
+    "memoryless_unstructuredness",
 ]
 
 MAX_FUNCTION_TRIPLES = 10**8
@@ -192,122 +193,71 @@ def additive_common_search(model: SourceModel, q: int) -> AdditiveCommonResult:
 
 
 @dataclass(frozen=True)
-class StrategySampler:
-    """A family of random symbolwise encoder triples.
-
-    apply_blocks(rng, s1, s2, s3) maps (trials, n) source blocks to
-    (trials, n) channel-input blocks, drawing one fresh encoder triple
-    per row.
-    """
-
-    label: str
-    input_sizes: tuple[int, int, int]
-    apply_blocks: Callable
-
-    def joint_input_size(self) -> int:
-        return int(np.prod(self.input_sizes))
-
-
-def identical_affine_sampler(q: int, source_sizes: tuple[int, int, int] = (2, 2, 2)) -> StrategySampler:
-    """One shared uniform square matrix plus zero-sum offsets, per trial."""
-    if any(s > q for s in source_sizes):
-        raise ValueError("source symbols must embed into Z_q")
-
-    def apply_blocks(rng: np.random.Generator, s1, s2, s3):
-        trials, n = s1.shape
-        g = rng.integers(0, q, size=(trials, n, n))
-        b1 = rng.integers(0, q, size=(trials, n))
-        b2 = rng.integers(0, q, size=(trials, n))
-        b3 = (-(b1 + b2)) % q
-        out = []
-        for s, b in ((s1, b1), (s2, b2), (s3, b3)):
-            out.append((np.einsum("tn,tnm->tm", s, g) + b) % q)
-        return tuple(out)
-
-    return StrategySampler("identical-affine", (q, q, q), apply_blocks)
-
-
-def memoryless_conditional_sampler(conditionals) -> StrategySampler:
-    """Independent symbolwise draws X_i ~ P(. | s_i); fresh randomness per row."""
-    tables = [np.asarray(c, dtype=np.float64) for c in conditionals]
-    if len(tables) != 3 or any(t.ndim != 2 for t in tables):
-        raise ValueError("need three (|S_i|, |X_i|) conditional tables")
-    for t in tables:
-        if np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("conditional rows must sum to 1")
-    sizes = tuple(t.shape[1] for t in tables)
-
-    def apply_blocks(rng: np.random.Generator, s1, s2, s3):
-        return tuple(sample_given(t, (s,), rng.random(s.shape))
-                     for t, s in zip(tables, (s1, s2, s3)))
-
-    return StrategySampler("memoryless-conditional", sizes, apply_blocks)
-
-
-@dataclass(frozen=True)
 class UnstructurednessReport:
-    """Worst map's vanishing probability; the JSON keys are the fields but estimates."""
+    """probabilities[mask - 1]: the chance that the map with value bit x of mask at
+    joint input symbol x vanishes on the block; delta = 1 - their maximum."""
 
     n: int
-    trials: int
     map_count: int
-    delta_hat: float
+    probabilities: np.ndarray
     best_mask: int
-    best_estimate: float
-    best_se: float
-    estimates: np.ndarray
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        del out["estimates"]
-        return out
+    delta: float
 
 
-def unstructuredness_estimate(
-    strategy_sampler: StrategySampler,
-    source: SourceModel,
-    n: int,
-    trials: int,
-    seed: int,
-) -> UnstructurednessReport:
-    """Estimate how far the strategy is from delta-unstructured.
-
-    For every non-constant map from the joint input alphabet to {0, 1}
-    (there are 2^m - 2 of them, m = product of input sizes, guarded at
-    m <= 20), Monte Carlo estimate the probability that the map is zero on
-    all n positions of the transmitted block, with a fresh encoder triple
-    and source block per trial and a derived seed per map.  delta_hat is
-    1 - (best estimate + 3 standard errors), clipped at 0 from below only
-    by the structural cases themselves (an always-vanishing map gives an
-    exact 0).
-    """
-    m = strategy_sampler.joint_input_size()
+def _check_map_input(m: int, n: int) -> None:
     if m > MAX_MAP_INPUT:
         raise ValueError(f"joint input alphabet {m} exceeds the {MAX_MAP_INPUT} guard")
-    if trials < 1 or n < 1:
-        raise ValueError("n and trials must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
 
-    map_count = 2**m - 2
-    estimates = np.empty(map_count)
-    for idx in range(map_count):
-        mask = idx + 1  # masks 1 .. 2^m - 2, bit x set means the map is 1 at x
-        rng = stream(seed, idx)
-        s1, s2, s3 = sample_cells(source.joint, (trials, n), rng)
-        x1, x2, x3 = strategy_sampler.apply_blocks(rng, s1, s2, s3)
-        sym = np.ravel_multi_index((x1, x2, x3), strategy_sampler.input_sizes)
-        used = np.bitwise_or.reduce(1 << sym.astype(np.int64), axis=1)
-        estimates[idx] = float(((used & mask) == 0).mean())
 
-    best_idx = int(np.argmax(estimates))
-    best = float(estimates[best_idx])
-    se = float(np.sqrt(best * (1.0 - best) / trials))
-    return UnstructurednessReport(
-        n=n,
-        trials=trials,
-        map_count=map_count,
-        delta_hat=1.0 - (best + 3.0 * se),
-        best_mask=best_idx + 1,
-        best_estimate=best,
-        best_se=se,
-        estimates=estimates,
-    )
+def _zero_set_sums(weights: np.ndarray) -> np.ndarray:
+    """The weights summed over each map's zero set {x : bit x of mask is 0}, for every mask."""
+    sums = np.zeros(1, dtype=weights.dtype)
+    for w in weights:
+        sums = np.concatenate((sums + w, sums))
+    return sums
+
+
+def _report(n: int, vanishing: np.ndarray) -> UnstructurednessReport:
+    """Report the vanishing probabilities of every mask but the constant maps 0 and 2^m - 1."""
+    probabilities = vanishing[1:-1]
+    best = int(np.argmax(probabilities))
+    return UnstructurednessReport(n, len(probabilities), probabilities, best + 1,
+                                  1.0 - float(probabilities[best]))
+
+
+def affine_unstructuredness(source: SourceModel, q: int, n: int) -> UnstructurednessReport:
+    """Exact measure of the identical affine strategy of build_linear_jscc.
+
+    One uniform n x n matrix G over prime Z_q is shared, x_i = s_i G + b_i
+    with b1, b2 uniform and b3 = -(b1 + b2).  With Z the map's zero set,
+    plane = {x : x1 + x2 + x3 = 0} and pi0 = P(S1 + S2 + S3 = 0 mod q),
+        P(map vanishes) = pi0^n (|Z & plane| / q^2)^n + (1 - pi0^n) (|Z| / q^3)^n.
+    The offsets make (X1, X2) uniform and independent of G.  X1 + X2 + X3 = uG,
+    u = S1 + S2 + S3 blockwise.  uG is uniform for u != 0 and zero for u = 0.
+    """
+    check_prime_field(q)
+    if any(s > q for s in source.sizes):
+        raise ValueError("source symbols must embed into Z_q")
+    _check_map_input(q**3, n)
+    on_plane = np.indices((q, q, q)).sum(axis=0).ravel() % q == 0
+    in_plane = _zero_set_sums(on_plane.astype(np.int64)) / q**2
+    in_cube = _zero_set_sums(np.ones(q**3, dtype=np.int64)) / q**3
+    # 1 - pi0 as the mass off the zero-sum cells: a zero-sum source gets pi0 = 1.0 exactly
+    probs = source.joint.probs
+    pi0 = 1.0 - float(probs[np.indices(probs.shape).sum(axis=0) % q != 0].sum())
+    return _report(n, pi0**n * in_plane**n + (1.0 - pi0**n) * in_cube**n)
+
+
+def memoryless_unstructuredness(source: SourceModel, conditionals, n: int) -> UnstructurednessReport:
+    """Exact measure of the memoryless strategy of build_unstructured_jscc.
+
+    Each letter X_i is drawn from row s_i of user i's table on its own, so the
+    block's letters are iid with law P_X(x) = sum_s P(s) t1[s1, x1] t2[s2, x2] t3[s3, x3],
+    and a map vanishes on the block with probability P_X(Z)^n, Z its zero set.
+    """
+    t1, t2, t3 = check_conditionals(source, conditionals)
+    _check_map_input(t1.shape[1] * t2.shape[1] * t3.shape[1], n)
+    law = np.einsum("abc,ax,by,cz->xyz", source.joint.probs, t1, t2, t3).ravel()
+    return _report(n, _zero_set_sums(law) ** n)

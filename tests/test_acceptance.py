@@ -22,11 +22,7 @@ from trimac.channels import (
     quaternary_noise_law,
 )
 from trimac.coding import build_linear_jscc, ml_decode_additive_pair, monte_carlo_error
-from trimac.commonparts import (
-    identical_affine_sampler,
-    memoryless_conditional_sampler,
-    unstructuredness_estimate,
-)
+from trimac.commonparts import affine_unstructuredness, memoryless_unstructuredness
 from trimac.gfcore import verify_image_probability
 from trimac.macfb import FBConfig, linear_codebook, ptp_simulation, run_fb_simulation, sumset
 from trimac.probcore import (
@@ -131,26 +127,20 @@ def test_identical_linear_error_decreases_with_blocklength():
 def test_structure_measure_separates_linear_from_memoryless():
     source = make_additive_triple(0.3, 0.3)
 
-    linear = unstructuredness_estimate(
-        identical_affine_sampler(2, source.sizes), source, n=6, trials=300, seed=0
-    )
+    linear = affine_unstructuredness(source, 2, n=6)
     parity_mask = sum(
         1 << ((x1 * 2 + x2) * 2 + x3)
         for x1 in range(2) for x2 in range(2) for x3 in range(2) if x1 ^ x2 ^ x3
     )
-    assert linear.estimates[parity_mask - 1] == 1.0
-    assert linear.best_estimate == 1.0
-    assert linear.best_se == 0.0
-    assert linear.delta_hat == 0.0
+    assert linear.probabilities[parity_mask - 1] == 1.0
+    assert linear.delta == 0.0
 
     eps = 0.1
     a = eps ** (1 / 3)  # per-user entry; joint conditional minimum is exactly eps
     table = np.array([[1 - a, a], [a, 1 - a]])
-    ces = unstructuredness_estimate(
-        memoryless_conditional_sampler([table] * 3), source, n=6, trials=1500, seed=0
-    )
-    assert ces.best_estimate <= (1 - eps) ** 6 + 3 * ces.best_se
-    assert ces.delta_hat > 0.0
+    ces = memoryless_unstructuredness(source, [table] * 3, n=6)
+    assert ces.probabilities.max() <= (1 - eps) ** 6
+    assert ces.delta > 0.0
 
 
 def test_threshold_frontier_machinery():

@@ -8,17 +8,17 @@ of the zero-sum constraints for binary zero-sum triples.
 import numpy as np
 import pytest
 
-from trimac.probcore import JointPMF, binary_entropy
+from trimac.coding import build_linear_jscc, build_unstructured_jscc
 from trimac.commonparts import (
     additive_common_search,
+    affine_unstructuredness,
     gkw_mutual,
     gkw_pairwise,
-    identical_affine_sampler,
-    memoryless_conditional_sampler,
-    unstructuredness_estimate,
+    memoryless_unstructuredness,
 )
-from trimac.rng import stream
-from trimac.sources import SourceModel, make_additive_triple, make_sigma_gamma_triple
+from trimac.probcore import JointPMF, binary_entropy, mixed_radix
+from trimac.rng import sub_seeds
+from trimac.sources import SourceModel, make_additive_triple, make_sigma_gamma_triple, sample_iid
 
 
 def bfs_partition(edges, nodes):
@@ -135,53 +135,137 @@ def test_additive_search_independent_sources_fail():
     assert res.entropy == 0.0
 
 
+PARITY_MASK = sum(1 << ((x1 * 2 + x2) * 2 + x3)
+                  for x1 in range(2) for x2 in range(2) for x3 in range(2) if x1 ^ x2 ^ x3)
+# three distinct tables, one of them ternary, so a swapped axis shows
+TABLES = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]),
+          np.array([[0.9, 0.1], [0.4, 0.6]])]
+# the two zero-sum sources, and a full-support one whose sum is nonzero w.p. > 0
+SOURCES = {
+    "additive": make_additive_triple(0.3, 0.3),
+    "sigma-gamma": make_sigma_gamma_triple(0.1, 0.2),
+    "full-support": SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)],
+                                         np.random.default_rng(5).dirichlet(np.ones(8)).reshape(2, 2, 2))),
+}
+
+
 def test_identical_affine_strategy_is_structured():
-    source = make_additive_triple(0.3, 0.3)
-    sampler = identical_affine_sampler(2, source.sizes)
-    rep = unstructuredness_estimate(sampler, source, n=5, trials=300, seed=11)
-    # the parity-violation map never fires: estimate exactly 1, zero SE
-    assert rep.best_estimate == 1.0
-    assert rep.best_se == 0.0
-    assert rep.delta_hat == 0.0
-    parity_mask = sum(1 << ((x1 * 2 + x2) * 2 + x3)
-                      for x1 in range(2) for x2 in range(2) for x3 in range(2)
-                      if x1 ^ x2 ^ x3)
-    assert rep.estimates[parity_mask - 1] == 1.0
-    assert set(rep.to_json()) == {
-        "n", "trials", "map_count", "delta_hat", "best_mask", "best_estimate", "best_se",
-    }
+    rep = affine_unstructuredness(make_additive_triple(0.3, 0.3), 2, n=5)
+    # the parity-violation map never fires on a zero-sum source
+    assert rep.probabilities[PARITY_MASK - 1] == 1.0
+    assert rep.delta == 0.0
+    assert rep.map_count == 2**8 - 2
+    assert set(vars(rep)) == {"n", "map_count", "probabilities", "best_mask", "delta"}
 
 
 def test_memoryless_strategy_is_unstructured():
     eps = 0.1
     a = eps ** (1 / 3)  # smallest conditional entry; joint minimum is exactly eps
     table = np.array([[1 - a, a], [a, 1 - a]])
-    source = make_additive_triple(0.3, 0.3)
-    sampler = memoryless_conditional_sampler([table] * 3)
-    n, trials = 5, 400
-    rep = unstructuredness_estimate(sampler, source, n=n, trials=trials, seed=3)
-    bound = (1 - eps) ** n
-    # allow generous sampling slack on top of the analytic bound
-    assert rep.best_estimate <= bound + 5 * np.sqrt(bound * (1 - bound) / trials)
-    assert rep.delta_hat > 0.0
+    n = 5
+    rep = memoryless_unstructuredness(make_additive_triple(0.3, 0.3), [table] * 3, n=n)
+    assert rep.probabilities.max() <= (1 - eps) ** n
+    assert rep.delta > 0.0
     assert rep.map_count == 2**8 - 2
+    assert rep.probabilities[rep.best_mask - 1] == 1.0 - rep.delta
 
 
 def test_unstructuredness_guard():
     source = make_additive_triple(0.5, 0.5)
-    sampler = identical_affine_sampler(3, source.sizes)
+    with pytest.raises(ValueError, match="guard"):
+        affine_unstructuredness(source, 3, n=2)
+    wide = [np.full((2, k), 1 / k) for k in (3, 7, 1)]  # joint input alphabet 21
+    with pytest.raises(ValueError, match="guard"):
+        memoryless_unstructuredness(source, wide, n=2)
     with pytest.raises(ValueError):
-        unstructuredness_estimate(sampler, source, n=2, trials=10, seed=0)
+        affine_unstructuredness(source, 2, n=0)
+    with pytest.raises(ValueError):
+        affine_unstructuredness(source, 4, n=2)  # not a prime field
 
 
-def test_memoryless_sampler_pinned_draws():
-    # recorded before sampling moved into probcore.sample_given
-    tables = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]),
-              np.array([[0.9, 0.1], [0.4, 0.6]])]
-    s = stream(11).integers(0, 2, size=(3, 4, 6))
-    out = memoryless_conditional_sampler(tables).apply_blocks(stream(12), s[0], s[1], s[2])
-    assert [x.tolist() for x in out] == [
-        [[0, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 1, 1], [1, 0, 0, 0, 1, 0]],
-        [[1, 1, 1, 1, 2, 1], [2, 0, 2, 1, 0, 2], [0, 2, 0, 2, 2, 2], [1, 2, 1, 2, 2, 0]],
-        [[1, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1]],
-    ]
+def test_conditional_tables_must_match_the_source_alphabet():
+    source = make_additive_triple(0.3, 0.3)
+    three_rows = [np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])] + TABLES[1:]
+    for call in (memoryless_unstructuredness, lambda s, t, n: build_unstructured_jscc(s, t, n, 0)):
+        with pytest.raises(ValueError, match="source alphabet"):
+            call(source, three_rows, 2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            call(source, [TABLES[0] * 1.01] + TABLES[1:], 2)
+
+
+def _source_blocks(source, n):
+    """Every source block of length n: one (B, n) array per user and the blocks' probabilities."""
+    cells = np.argwhere(np.ones(source.sizes, dtype=bool))
+    picks = mixed_radix(np.arange(len(cells) ** n), len(cells), n)
+    prob = source.joint.probs[tuple(cells.T)][picks].prod(axis=1)
+    return tuple(cells[:, i][picks] for i in range(3)), prob
+
+
+def _vanishing_by_used_set(used, weights, m):
+    """P(map vanishes) for masks 1 .. 2^m - 2, from each case's used-symbol bitmask and its weight."""
+    mass = np.bincount(used.ravel(), weights.ravel(), minlength=2**m)
+    masks = np.arange(1, 2**m - 1)
+    return ((np.arange(2**m)[:, None] & masks) == 0).T @ mass
+
+
+@pytest.mark.parametrize("name", SOURCES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_affine_closed_form_matches_every_encoder_and_block(name, n):
+    source, q = SOURCES[name], 2
+    (s1, s2, s3), prob = _source_blocks(source, n)
+    g = mixed_radix(np.arange(q ** (n * n)), q, n * n).reshape(-1, 1, 1, n, n)
+    b1 = mixed_radix(np.arange(q**n), q, n)[None, :, None, None, :]
+    b2 = mixed_radix(np.arange(q**n), q, n)[None, None, :, None, :]
+    x = [(np.einsum("bn,...nm->...bm", s, g) + b) % q for s, b in zip((s1, s2, s3), (b1, b2, -(b1 + b2)))]
+    used = np.bitwise_or.reduce(1 << ((x[0] * q + x[1]) * q + x[2]), axis=-1)
+    encoders = q ** (n * n + 2 * n)  # 256 (G, b1, b2) triples at n = 2
+    weights = np.broadcast_to(prob / encoders, used.shape)
+    oracle = _vanishing_by_used_set(used, weights, q**3)
+    exact = affine_unstructuredness(source, q, n).probabilities
+    assert np.abs(exact - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", SOURCES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_memoryless_closed_form_matches_every_input_block(name, n):
+    source = SOURCES[name]
+    sizes = [t.shape[1] for t in TABLES]
+    s, prob = _source_blocks(source, n)
+    # per user, every input block x and its probability given each source block: (B, |X_i|^n)
+    x = [mixed_radix(np.arange(k**n), k, n) for k in sizes]
+    w = [t[si[:, None, :], xi[None, :, :]].prod(axis=-1) for t, si, xi in zip(TABLES, s, x)]
+    weights = prob[:, None, None, None] * w[0][:, :, None, None] * w[1][:, None, :, None] * w[2][:, None, None, :]
+    sym = (x[0][:, None, None] * sizes[1] + x[1][None, :, None]) * sizes[2] + x[2][None, None, :]
+    used = np.broadcast_to(np.bitwise_or.reduce(1 << sym, axis=-1), weights.shape)
+    oracle = _vanishing_by_used_set(used, weights, int(np.prod(sizes)))
+    exact = memoryless_unstructuredness(source, TABLES, n).probabilities
+    assert np.abs(exact - oracle).max() <= 1e-12
+
+
+def _monte_carlo_vanishing(scheme_for, source, n, sizes, trials):
+    """Each mask's vanishing frequency over `trials` encoders drawn by the scheme builder and
+    source blocks drawn by sample_iid, on sub-seeds of paths (t, 0) and (t, 1)."""
+    seeds = sub_seeds(0, np.stack(np.divmod(np.arange(2 * trials), 2), axis=1)).tolist()
+    used = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        x = scheme_for(seeds[2 * t]).encode(*sample_iid(source, n, seeds[2 * t + 1]))
+        used[t] = np.bitwise_or.reduce(1 << np.ravel_multi_index(x, sizes))
+    masks = np.arange(1, 2 ** int(np.prod(sizes)) - 1)
+    return ((used[:, None] & masks) == 0).mean(axis=0)
+
+
+@pytest.mark.parametrize("name", SOURCES)
+@pytest.mark.parametrize("kind", ["linear", "unstructured"])
+def test_closed_forms_match_monte_carlo_over_the_scheme_builders(name, kind):
+    source, n, trials = SOURCES[name], 6, 2000
+    if kind == "linear":
+        freq = _monte_carlo_vanishing(lambda t: build_linear_jscc(source, 2, n, t),
+                                      source, n, (2, 2, 2), trials)
+        exact = affine_unstructuredness(source, 2, n).probabilities
+    else:
+        freq = _monte_carlo_vanishing(lambda t: build_unstructured_jscc(source, TABLES, n, t),
+                                      source, n, tuple(t.shape[1] for t in TABLES), trials)
+        exact = memoryless_unstructuredness(source, TABLES, n).probabilities
+    # z-scores mislead at p near 1 / trials, hence the 5 / trials floor
+    se = np.sqrt(np.clip(exact * (1 - exact), 0.0, None) / trials)
+    assert np.all(np.abs(freq - exact) <= 5 * se + 5 / trials)

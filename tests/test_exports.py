@@ -24,11 +24,15 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_removed_library_api_stays_out():
-    # no command, demo or workload used these; they went with their round-trip tests
-    from trimac import channels, probcore, sources
+    # no command, demo or workload used these; the JSON helpers went with their round-trip
+    # tests, the strategy samplers and the Monte Carlo estimator with the exact measure
+    from trimac import channels, commonparts, probcore, sources
 
     removed = {
+        trimac: ["unstructuredness_estimate"],
         channels: ["channel_to_json", "channel_from_json", "output_distribution"],
+        commonparts: ["StrategySampler", "identical_affine_sampler", "memoryless_conditional_sampler",
+                      "unstructuredness_estimate"],
         sources: ["source_from_json"],
         probcore: ["tv_distance", "add_derived_axis"],
         probcore.JointPMF: ["from_json"],
