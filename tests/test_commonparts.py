@@ -141,11 +141,11 @@ PARITY_MASK = sum(1 << ((x1 * 2 + x2) * 2 + x3)
 TABLES = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]),
           np.array([[0.9, 0.1], [0.4, 0.6]])]
 # the two zero-sum sources, and a full-support one whose sum is nonzero w.p. > 0
+FULL_SUPPORT = np.random.default_rng(5).dirichlet(np.ones(8)).reshape(2, 2, 2)
 SOURCES = {
     "additive": make_additive_triple(0.3, 0.3),
     "sigma-gamma": make_sigma_gamma_triple(0.1, 0.2),
-    "full-support": SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)],
-                                         np.random.default_rng(5).dirichlet(np.ones(8)).reshape(2, 2, 2))),
+    "full-support": SourceModel(JointPMF([("S1", 2), ("S2", 2), ("S3", 2)], FULL_SUPPORT)),
 }
 
 
@@ -167,7 +167,7 @@ def test_memoryless_strategy_is_unstructured():
     assert rep.probabilities.max() <= (1 - eps) ** n
     assert rep.delta > 0.0
     assert rep.map_count == 2**8 - 2
-    assert rep.probabilities[rep.best_mask - 1] == 1.0 - rep.delta
+    assert rep.delta == 1.0 - rep.probabilities[rep.best_mask - 1] == 1.0 - rep.probabilities.max()
 
 
 def test_unstructuredness_guard():
@@ -202,7 +202,7 @@ def _source_blocks(source, n):
 
 
 def _vanishing_by_used_set(used, weights, m):
-    """P(map vanishes) for masks 1 .. 2^m - 2, from each case's used-symbol bitmask and its weight."""
+    """P(map vanishes) for masks 1 .. 2^m - 2, from each case's used-symbol bitmask and weight."""
     mass = np.bincount(used.ravel(), weights.ravel(), minlength=2**m)
     masks = np.arange(1, 2**m - 1)
     return ((np.arange(2**m)[:, None] & masks) == 0).T @ mass
@@ -216,7 +216,8 @@ def test_affine_closed_form_matches_every_encoder_and_block(name, n):
     g = mixed_radix(np.arange(q ** (n * n)), q, n * n).reshape(-1, 1, 1, n, n)
     b1 = mixed_radix(np.arange(q**n), q, n)[None, :, None, None, :]
     b2 = mixed_radix(np.arange(q**n), q, n)[None, None, :, None, :]
-    x = [(np.einsum("bn,...nm->...bm", s, g) + b) % q for s, b in zip((s1, s2, s3), (b1, b2, -(b1 + b2)))]
+    offsets = (b1, b2, -(b1 + b2))
+    x = [(np.einsum("bn,...nm->...bm", s, g) + b) % q for s, b in zip((s1, s2, s3), offsets)]
     used = np.bitwise_or.reduce(1 << ((x[0] * q + x[1]) * q + x[2]), axis=-1)
     encoders = q ** (n * n + 2 * n)  # 256 (G, b1, b2) triples at n = 2
     weights = np.broadcast_to(prob / encoders, used.shape)
@@ -234,7 +235,7 @@ def test_memoryless_closed_form_matches_every_input_block(name, n):
     # per user, every input block x and its probability given each source block: (B, |X_i|^n)
     x = [mixed_radix(np.arange(k**n), k, n) for k in sizes]
     w = [t[si[:, None, :], xi[None, :, :]].prod(axis=-1) for t, si, xi in zip(TABLES, s, x)]
-    weights = prob[:, None, None, None] * w[0][:, :, None, None] * w[1][:, None, :, None] * w[2][:, None, None, :]
+    weights = np.einsum("b,bi,bj,bk->bijk", prob, *w)
     sym = (x[0][:, None, None] * sizes[1] + x[1][None, :, None]) * sizes[2] + x[2][None, None, :]
     used = np.broadcast_to(np.bitwise_or.reduce(1 << sym, axis=-1), weights.shape)
     oracle = _vanishing_by_used_set(used, weights, int(np.prod(sizes)))

@@ -31,8 +31,8 @@ def test_removed_library_api_stays_out():
     removed = {
         trimac: ["unstructuredness_estimate"],
         channels: ["channel_to_json", "channel_from_json", "output_distribution"],
-        commonparts: ["StrategySampler", "identical_affine_sampler", "memoryless_conditional_sampler",
-                      "unstructuredness_estimate"],
+        commonparts: ["StrategySampler", "identical_affine_sampler",
+                      "memoryless_conditional_sampler", "unstructuredness_estimate"],
         sources: ["source_from_json"],
         probcore: ["tv_distance", "add_derived_axis"],
         probcore.JointPMF: ["from_json"],
