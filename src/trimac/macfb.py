@@ -186,11 +186,10 @@ class FBReport:
             "code_sumset": None if self.code_sumset is None else self.code_sumset.to_json(),
         }
         for kind in _EVENT_KINDS:
-            events = self.events(kind)
-            lo, hi = wilson_interval(sum(events), len(events))
+            lo, hi = self.error_ci(kind)
             out["events"][kind] = {
-                "errors": sum(events),
-                "rate": sum(events) / len(events),
+                "errors": sum(self.events(kind)),
+                "rate": self.error_rate(kind),
                 "ci_lo": lo,
                 "ci_hi": hi,
             }

@@ -289,16 +289,15 @@ def segment_entropies(parts) -> list[float]:
     return (-sums + 0.0).tolist()  # keep -0.0 out of reports
 
 
-def support_cells(probs: np.ndarray, ids=None):
+def support_cells(probs: np.ndarray):
     """The nonzero cells of a C-contiguous tensor as (flat ids ascending, digits, masses).
 
-    digits holds one row per axis; ids, when the caller already has them
-    (ascending), save the scan.  None for a tensor that is not
+    digits holds one row per axis.  None for a tensor that is not
     C-contiguous: cells_marginal reproduces numpy's sums only in C order.
     """
     if not probs.flags.c_contiguous:
         return None
-    ids = np.flatnonzero(probs) if ids is None else ids
+    ids = np.flatnonzero(probs)
     dtype = np.min_scalar_type(max(probs.shape, default=1) - 1)
     digits = np.array(np.unravel_index(ids, probs.shape), dtype=dtype).reshape(probs.ndim, -1)
     return ids, digits, probs.ravel()[ids]

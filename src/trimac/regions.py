@@ -13,8 +13,8 @@ Four condition families are covered: the two-user layered region and the
 two-user feedback rate region, the three-user layered region, the hybrid
 layered+linear region (extra zero-sum uniform layer V and the additive
 relabeling T of the sources), and the feedback block-Markov region built
-on a two-copy joint in which the current block's V is a fixed linear image
-of the previous block's T.
+on a two-copy joint in which the current block's V is the fixed linear
+image V = (T1, T2, -(T1 + T2)) mod q of the previous block's T.
 
 The quaternary example gets dedicated helpers: the noise-threshold
 gamma_star, the eta penalty curves (over arrays of alphas), the three
@@ -51,7 +51,6 @@ from .probcore import (
     deterministic_conditional,
     entropy,
     mixed_radix,
-    push_forward,
     row_sums,
     segment_entropies,
     support_cells,
@@ -97,7 +96,6 @@ __all__ = [
     "TVSample",
     "TVBoundReport",
     "tv_bound_check",
-    "default_coupling_matrix",
 ]
 
 SLACK_FLOOR = -1e-9
@@ -1603,11 +1601,6 @@ def tv_bound_check(delta: float, sample_count: int, seed: int,
 # feedback block conditions
 
 
-def default_coupling_matrix(q: int) -> tuple[tuple[int, ...], ...]:
-    """Zero-sum-preserving coupling: V = (T1, T2, -(T1 + T2)) from the prior block."""
-    return ((1, 0, q - 1), (0, 1, q - 1), (0, 0, 0))
-
-
 @dataclass(frozen=True)
 class MacFBReport(RegionReport):
     """Feedback-block report plus the laws and terms behind every row.
@@ -1615,8 +1608,9 @@ class MacFBReport(RegionReport):
     joint chains the factors out on first access.  entropy_terms /
     w_entropy_terms map frozen axis groups to bits; mi_groups / w_groups map
     a row id to ((sign, group), ...), the groups its rhs / lhs expression
-    reads, so each side can be recomputed term by term; derived_axes describes the linear axes (TA*, WA*) as {"base":
-    names, "coeffs": ints, "q": modulus}.
+    reads, so each side can be recomputed term by term; derived_axes
+    describes the linear axes (TA*, WA*), the coupling (T1, T2, -(T1 + T2))
+    mod q of T and of W, as {"base": names, "coeffs": ints, "q": modulus}.
     """
 
     factors: tuple
@@ -1634,14 +1628,15 @@ class MacFBReport(RegionReport):
 
 
 def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
-               a_matrix=None, w_laws=None) -> MacFBReport:
+               w_laws=None) -> MacFBReport:
     """Feedback block conditions from the two-copy joint.
 
     The previous block (axes suffixed t) is a full class member; the
-    current block reuses its T axes through V = T_prior @ A.  rates are
-    matched against alpha * H(W_i) as equalities; the remaining rows bound
-    scaled W entropies by mutual informations on the two-copy joint, which
-    stays factored: no term needs it multiplied out.
+    current block reuses its T axes through V = (T1t, T2t, -(T1t + T2t))
+    mod q, uniform on the zero-sum plane as T is uniform (WA is the same
+    map of W).  rates are matched against alpha * H(W_i) as equalities;
+    the remaining rows bound scaled W entropies by mutual informations on
+    the two-copy joint, which stays factored: no term needs it multiplied out.
     """
     rates = tuple(float(r) for r in rates)
     if len(rates) != 3 or not all(math.isfinite(r) and r >= 0.0 for r in rates):
@@ -1656,21 +1651,11 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
                 f"x{i} conditional does not match channel input {i}"
             )
 
-    a_arr = np.asarray(a_matrix if a_matrix is not None else default_coupling_matrix(q), dtype=np.int64)
-    if a_arr.shape != (3, 3) or a_arr.min() < 0 or a_arr.max() >= q:
-        raise FactorizationError("coupling matrix must be 3x3 over the field residues")
+    # V = (T1, T2, -(T1 + T2)) mod q, one coefficient row per V axis: zero-sum for every T
+    coupling = ((1, 0, 0), (0, 1, 0), (q - 1, q - 1, 0))
 
     def couple(*t):
-        return tuple((t[0] * a_arr[0, c] + t[1] * a_arr[1, c] + t[2] * a_arr[2, c]) % q
-                     for c in range(3))
-
-    plane = _plane_probs(q)
-    pushed = push_forward(
-        JointPMF([("T1", q), ("T2", q), ("T3", q)], _uniform_cube(q)),
-        couple, [("V1", q), ("V2", q), ("V3", q)],
-    )
-    if np.abs(pushed.probs - plane).max() > FACTOR_TOL:
-        raise FactorizationError("coupling matrix does not preserve the zero-sum V law")
+        return tuple(sum(c * x for c, x in zip(row, t)) % q for row in coupling)
 
     if w_laws is None:
         w_laws = tuple(np.full(q, 1.0 / q) for _ in range(3))
@@ -1696,7 +1681,7 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     # two-copy joint: prior block first, then the current one
     factors = [
         _indep([("Ut", nu)], dist.p_u.probs),
-        _indep([("V1t", q), ("V2t", q), ("V3t", q)], plane),
+        _indep([("V1t", q), ("V2t", q), ("V3t", q)], _plane_probs(q)),
         _indep([("T1t", q), ("T2t", q), ("T3t", q)], _uniform_cube(q)),
         *block("t"),
         _indep([("U", nu)], dist.p_u.probs),
@@ -1707,7 +1692,7 @@ def eval_macfb(rates, alpha: float, dist: MacFBDist, channel: DMChannel,
     ]
     derived_axes = {
         f"{ax}{i}": {"base": tuple(f"{base}{k}" for k in (1, 2, 3)),
-                     "coeffs": tuple(int(c) for c in a_arr[:, i - 1]), "q": q}
+                     "coeffs": coupling[i - 1], "q": q}
         for ax, base in (("TA", "T"), ("WA", "W")) for i in (1, 2, 3)
     }
     ledger = _EntropyLedger(factors, {

@@ -25,8 +25,9 @@ def test_star_import_binds_every_exported_name():
 
 def test_removed_library_api_stays_out():
     # no command, demo or workload used these; the JSON helpers went with their round-trip
-    # tests, the strategy samplers and the Monte Carlo estimator with the exact measure
-    from trimac import channels, commonparts, probcore, sources
+    # tests, the strategy samplers and the Monte Carlo estimator with the exact measure,
+    # the feedback coupling matrix with the one coupling eval_macfb states
+    from trimac import channels, commonparts, probcore, regions, sources
 
     removed = {
         trimac: ["unstructuredness_estimate"],
@@ -36,5 +37,6 @@ def test_removed_library_api_stays_out():
         sources: ["source_from_json"],
         probcore: ["tv_distance", "add_derived_axis"],
         probcore.JointPMF: ["from_json"],
+        regions: ["default_coupling_matrix"],
     }
     assert [n for owner, names in removed.items() for n in names if hasattr(owner, n)] == []

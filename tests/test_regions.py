@@ -48,7 +48,6 @@ from trimac.regions import (
     MacFBDist,
     ProductSearchConfig,
     W_SUBSETS,
-    default_coupling_matrix,
     eta1,
     eta2,
     eval_ces2,
@@ -1075,17 +1074,13 @@ def test_non_finite_rates_and_alpha_are_refused():
             eval_macfb((0.1, 0.1, 0.1), bad, dist, xor_bsc_channel())
 
 
-def test_macfb_coupling_matrix_must_preserve_the_plane():
+def test_macfb_refuses_bad_rates_alpha_and_w_laws():
     rng = np.random.default_rng(37)
     dist = MacFBDist(2, JointPMF([("U", 2)], rows_normalized(rng, (2,))),
                      tuple(ConditionalPMF([("U", 2), ("T", 2), ("V", 2)], [(f"X{i}", 2)],
                                           rows_normalized(rng, (2, 2, 2, 2)))
                            for i in (1, 2, 3)))
     chan = xor_bsc_channel()
-    for bad in (np.eye(3, dtype=int), np.zeros((3, 3), dtype=int),
-                np.full((3, 3), 2, dtype=int)):
-        with pytest.raises(FactorizationError):
-            eval_macfb((0.1, 0.1, 0.1), 0.2, dist, chan, a_matrix=bad)
     with pytest.raises(ValueError):
         eval_macfb((0.1, -0.1, 0.1), 0.2, dist, chan)
     with pytest.raises(ValueError):
@@ -1095,8 +1090,13 @@ def test_macfb_coupling_matrix_must_preserve_the_plane():
                    w_laws=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
 
 
+def zero_sum_coupling(q):
+    """The feedback coupling V = T_prior @ A as a matrix: column c holds V_c's coefficients."""
+    return np.array(((1, 0, q - 1), (0, 1, q - 1), (0, 0, 0)))
+
+
 def test_default_coupling_preserves_the_plane_for_q3():
-    a = np.array(default_coupling_matrix(3))
+    a = zero_sum_coupling(3)
     counts = {}
     for t in itertools.product(range(3), repeat=3):
         v = tuple(int(np.dot(t, a[:, c])) % 3 for c in range(3))
@@ -1104,6 +1104,27 @@ def test_default_coupling_preserves_the_plane_for_q3():
     assert all(sum(v) % 3 == 0 for v in counts)
     assert len(counts) == 9
     assert set(counts.values()) == {3}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_macfb_evaluator_couples_the_uniform_cube_onto_the_plane(q):
+    rng = np.random.default_rng(39)
+    dist = MacFBDist(q, JointPMF([("U", 1)], [1.0]), tuple(
+        ConditionalPMF([("U", 1), ("T", q), ("V", q)], [(f"X{i}", 2)], rows_normalized(rng, (1, q, q, 2)))
+        for i in (1, 2, 3)))
+    rep = eval_macfb((0.0, 0.0, 0.0), 0.0, dist, xor_bsc_channel())
+    t_prior = tuple((f"T{i}t", q) for i in (1, 2, 3))
+    v_axes = tuple((f"V{i}", q) for i in (1, 2, 3))
+    [factor] = [f for f in rep.factors if tuple(f.target_axes) == v_axes]
+    assert tuple(factor.given_axes) == t_prior
+    v = chain(JointPMF(t_prior, np.full((q,) * 3, 1.0 / q**3)), factor)
+    plane = np.where(np.indices((q,) * 3).sum(axis=0) % q == 0, 1.0 / q**2, 0.0)
+    assert np.abs(marginalize(v, tuple(n for n, _ in v_axes)).probs - plane).max() <= 1e-15
+    rows = ((1, 0, 0), (0, 1, 0), (q - 1, q - 1, 0))
+    for ax, base in (("TA", "T"), ("WA", "W")):
+        for i in (1, 2, 3):
+            assert rep.derived_axes[f"{ax}{i}"] == {
+                "base": (f"{base}1", f"{base}2", f"{base}3"), "coeffs": rows[i - 1], "q": q}
 
 
 # ---------------------------------------------------------------------------
@@ -1161,7 +1182,7 @@ def fb_prior_block(dist, channel, sfx):
 def dense_fb_joint(dist, channel):
     """The two-copy joint chained the old way: prior block, then V = T_prior @ A."""
     q, nu = dist.q, dist.p_u.shape[0]
-    a = np.array(default_coupling_matrix(q))
+    a = zero_sum_coupling(q)
     joint = fb_prior_block(dist, channel, "t")
     joint = chain(joint, ConditionalPMF((), [("U", nu)], dist.p_u.probs))
     joint = chain(joint, deterministic_conditional(
